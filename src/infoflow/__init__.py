@@ -29,7 +29,6 @@ from .arborescence import (
     arborescence_to_dot,
     arborescence_to_json,
     degrees,
-    enumerate_arborescences,
     max_spanning_arborescence,
     maximal_information_flow_path,
 )

@@ -174,16 +174,29 @@ def returns_panel(dataset: list[PriceSeries]) -> list[ReturnSeries]:
     return [log_returns(p) for p in dataset]
 
 
+def _partition(r: ReturnSeries, q: int, window: str) -> Partition:
+    """Partition of ``r``; a failure names the sector and the window."""
+    try:
+        return make_partition(r, q)
+    except ValueError as exc:
+        raise ValueError(f"sector {r.sector.code}, {window}: {exc}") from None
+
+
 def msas_from_returns(
     returns: list[ReturnSeries],
     q: int = DEFAULT_Q,
     workers: int = 1,
     denominators: str = "consistent",
     partitions: list[Partition] | None = None,
+    window: str = "whole sample",
 ) -> MsaBundle:
-    """Run the estimation pipeline on one aligned window of returns."""
+    """Run the estimation pipeline on one aligned window of returns.
+
+    ``window`` labels the window in errors, e.g. for a sector whose
+    returns are constant there and so cannot be symbolized.
+    """
     if partitions is None:
-        symbols = [encode(r, make_partition(r, q)) for r in returns]
+        symbols = [encode(r, _partition(r, q, window)) for r in returns]
     else:
         symbols = [encode(r, p) for r, p in zip(returns, partitions)]
     dai = dai_matrix(te_matrix(symbols, workers=workers, denominators=denominators))
@@ -223,7 +236,9 @@ def yearly_reports(
     year instead of the default per-year recomputation.
     """
     returns = returns_panel(dataset)
-    partitions = [make_partition(r, q) for r in returns] if global_partition else None
+    partitions = (
+        [_partition(r, q, "whole sample") for r in returns] if global_partition else None
+    )
     years = sorted({d.year for d in returns[0].dates})
     reports: dict[str, list[YearlyMsaReport]] = {"outgoing": [], "incoming": []}
     for year in years:
@@ -234,7 +249,8 @@ def yearly_reports(
                           stacklevel=2)
             continue
         sliced = [slice_returns(r, window) for r in returns]
-        bundle = msas_from_returns(sliced, q, workers, denominators, partitions)
+        bundle = msas_from_returns(sliced, q, workers, denominators, partitions,
+                                   window=f"year {year}")
         for orientation in ("outgoing", "incoming"):
             arb = bundle.arborescence(orientation)
             path = bundle.path(orientation)
@@ -336,7 +352,8 @@ def turmoil_study(
         sliced = [
             ReturnSeries(r.sector, r.dates[lo:hi], r.values[lo:hi]) for r in returns
         ]
-        bundle = msas_from_returns(sliced, q, workers, denominators)
+        bundle = msas_from_returns(sliced, q, workers, denominators,
+                                   window=f"{label} window")
         root_degree = {}
         path_weight = {}
         for orientation in ("outgoing", "incoming"):

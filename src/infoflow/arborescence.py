@@ -6,11 +6,15 @@ edge.  The incoming arborescence is the mirror image (one sink, every
 other node with exactly one outgoing edge) and is solved by running the
 same solver on the edge-reversed graph and reversing the result back.
 
-The solver is the classical Chu-Liu/Edmonds cycle-contraction recursion
-run once per candidate root, taking the best total over all roots; the
-maximization is folded into a minimum-arborescence core by negating
-weights.  All ties (equal-weight edges, roots, paths) are broken toward
-smaller sector codes so results are fully deterministic.
+The solver runs Chu-Liu/Edmonds cycle contraction once per tree
+(Edmonds 1967, Tarjan 1977).  A virtual super-root has an edge to every
+sector, each costlier than any real tree, so the minimum arborescence from
+it takes exactly one such edge, whose head is the best root.  Costs are
+exact integers: the super-root edge count, the negated weight and a
+tie key, packed lexicographically.  The tie key makes the optimum unique
+and equal to the documented rule: largest total weight, then the smaller
+root code, then the lexicographically smallest sorted edge-code list.
+Path ties also go to smaller sector codes, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -23,10 +27,6 @@ from .network import InfoFlowNetwork
 from .timeseries import SectorMeta
 
 ORIENTATIONS = ("outgoing", "incoming")
-
-# Exhaustive enumeration is exponential in node count; cap it firmly.
-_MAX_ENUMERATION_NODES = 8
-
 
 @dataclass(frozen=True)
 class Arborescence:
@@ -90,113 +90,90 @@ class InfoFlowPath:
         return tuple(s.short_code for s in self.nodes)
 
 
-def _find_parent_cycle(parent: dict[int, int]) -> list[int] | None:
-    color: dict[int, int] = {}
-    for start in parent:
-        if color.get(start, 0):
-            continue
-        trail = []
-        node = start
-        while node in parent and color.get(node, 0) == 0:
-            color[node] = 1
-            trail.append(node)
-            node = parent[node]
-        hit_cycle = color.get(node, 0) == 1
-        for v in trail:
-            color[v] = 2
-        if hit_cycle:
-            return trail[trail.index(node):]
-    return None
-
-
 def _min_arborescence(
     n_nodes: int,
-    edges: list[tuple[int, int, float, int]],
+    edges: list[tuple[int, int, int, int]],
     root: int,
-    tiekey: dict[int, tuple[str, str]],
-) -> list[int] | None:
-    """One Chu-Liu/Edmonds recursion level; returns chosen edge ids or None.
+) -> list[int]:
+    """Chu-Liu/Edmonds: edge ids of the minimum-cost arborescence from ``root``.
 
-    ``edges`` entries are (src, dst, weight, edge_id) in this level's node
-    ids; edge_id always refers to the caller's original edge, which keeps
-    tie-breaking stable through contractions.
+    ``edges`` holds (src, dst, cost, edge_id) with exact integer costs, and
+    every node must be reachable from ``root``.  Each round takes the
+    cheapest in-edge of every other node.  If these close cycles, each cycle
+    becomes one node, every edge entering it is charged the cost of the
+    in-edge it would displace, and the round repeats on the smaller graph.
+    Unwinding the rounds, each cycle keeps its edges except the displaced one.
     """
-    best: dict[int, tuple[tuple[float, tuple[str, str]], int, int]] = {}
-    for u, v, w, eid in edges:
-        if v == root or u == v:
-            continue
-        cand = (w, tiekey[eid])
-        if v not in best or cand < best[v][0]:
-            best[v] = (cand, u, eid)
-    if len(best) != n_nodes - 1:
-        return None  # some node is unreachable from this root
+    rounds = []
+    while True:
+        best_cost: list[int] = [0] * n_nodes
+        best_src = [root] * n_nodes
+        best_eid = [-1] * n_nodes
+        for u, v, c, eid in edges:
+            if v != root and (best_eid[v] < 0 or c < best_cost[v]):
+                best_cost[v], best_src[v], best_eid[v] = c, u, eid
+        if best_eid.count(-1) > 1:
+            raise ValueError("node unreachable from the root")
 
-    parent = {v: u for v, (_, u, _) in best.items()}
-    cycle = _find_parent_cycle(parent)
-    if cycle is None:
-        return [eid for _, _, eid in best.values()]
+        cycle_of = [-1] * n_nodes
+        cycles: list[list[int]] = []
+        walk_of = [-1] * n_nodes
+        for start in range(n_nodes):
+            v = start
+            while v != root and walk_of[v] < 0:
+                walk_of[v] = start
+                v = best_src[v]
+            if v != root and walk_of[v] == start:  # this walk closed a cycle
+                cycle = [v]
+                u = best_src[v]
+                while u != v:
+                    cycle.append(u)
+                    u = best_src[u]
+                for u in cycle:
+                    cycle_of[u] = len(cycles)
+                cycles.append(cycle)
+        if not cycles:
+            chosen = [eid for v, eid in enumerate(best_eid) if v != root]
+            break
 
-    cyc_set = set(cycle)
-    remap: dict[int, int] = {}
-    nxt = 0
-    for v in range(n_nodes):
-        if v not in cyc_set:
-            remap[v] = nxt
-            nxt += 1
-    for v in cyc_set:
-        remap[v] = nxt
-    contracted: list[tuple[int, int, float, int]] = []
-    for u, v, w, eid in edges:
-        nu, nv = remap[u], remap[v]
-        if nu == nv:
-            continue
-        if v in cyc_set:
-            w = w - best[v][0][0]  # entering the cycle displaces v's chosen edge
-        contracted.append((nu, nv, w, eid))
+        new_id = list(cycle_of)
+        n_next = len(cycles)
+        for v in range(n_nodes):
+            if new_id[v] < 0:
+                new_id[v] = n_next
+                n_next += 1
+        new_root = new_id[root]
+        head: dict[int, int] = {}  # edge id -> cycle node it enters
+        contracted = []
+        for u, v, c, eid in edges:
+            nu, nv = new_id[u], new_id[v]
+            if nu == nv or nv == new_root:
+                continue
+            if cycle_of[v] >= 0:
+                c -= best_cost[v]
+                head[eid] = v
+            contracted.append((nu, nv, c, eid))
+        rounds.append((cycles, best_eid, head))
+        n_nodes, edges, root = n_next, contracted, new_root
 
-    sub = _min_arborescence(nxt + 1, contracted, remap[root], tiekey)
-    if sub is None:
-        return None
-    target_at_level = {eid: v for _, v, _, eid in edges}
-    entry_target = next(
-        v for v in (target_at_level[eid] for eid in sub) if v in cyc_set
-    )
-    chosen = list(sub)
-    chosen.extend(best[v][2] for v in cycle if v != entry_target)
+    for cycles, best_eid, head in reversed(rounds):
+        entered = {head[eid] for eid in chosen if eid in head}
+        chosen += [best_eid[v] for cycle in cycles for v in cycle if v not in entered]
     return chosen
 
 
-def _working_edges(
-    g: InfoFlowNetwork, orientation: str
-) -> tuple[list[tuple[int, int, float, int]], dict[int, tuple[str, str]]]:
-    work = []
-    tiekey = {}
-    for eid, (i, j, w) in enumerate(g.edges):
-        u, v = (i, j) if orientation == "outgoing" else (j, i)
-        work.append((u, v, -w, eid))
-        tiekey[eid] = (g.sectors[u].code, g.sectors[v].code)
-    return work, tiekey
-
-
-def _assemble(g: InfoFlowNetwork, orientation: str, root: int, eids: list[int]) -> Arborescence:
-    edges = tuple(g.edges[eid] for eid in sorted(eids))
-    total = math.fsum(w for _, _, w in edges)
-    return Arborescence(
-        orientation=orientation,
-        root=root,
-        sectors=g.sectors,
-        edges=edges,
-        total_weight=total,
-    )
-
-
 def max_spanning_arborescence(g: InfoFlowNetwork, orientation: str = "outgoing") -> Arborescence:
-    """Best spanning arborescence over all candidate roots.
+    """Maximum spanning arborescence over all roots, found by one solve.
 
-    Every node is tried as the root; the arborescence with the largest
-    total weight wins, with weight ties resolved toward the smaller root
-    code.  Raises if no root can reach every node (possible when tied
-    pairs were dropped from the network).
+    The winner has the largest exact total weight; ties go to the smaller
+    root code, then to the lexicographically smallest sorted list of
+    (source code, target code) edges.  A virtual super-root with an edge
+    to every sector lets one minimum-arborescence solve choose the root.
+    Each edge cost is the lexicographic triple (super-root edges, -weight,
+    -key) packed into one exact integer.  The key is 2**(K - 1 - rank):
+    super-root edges rank first by root code, then real edges by code
+    pair, so a larger key sum is exactly the tie rule above.  Raises if no
+    root reaches every node (possible when tied pairs were dropped).
     """
     if orientation not in ORIENTATIONS:
         raise ValueError(f"orientation must be one of {ORIENTATIONS}")
@@ -206,86 +183,32 @@ def max_spanning_arborescence(g: InfoFlowNetwork, orientation: str = "outgoing")
     if n == 1:
         return Arborescence(orientation, 0, g.sectors, (), 0.0)
 
-    work, tiekey = _working_edges(g, orientation)
-    best_total = None
-    best_root = None
-    best_eids = None
-    for root in sorted(range(n), key=lambda i: g.sectors[i].code):
-        eids = _min_arborescence(n, work, root, tiekey)
-        if eids is None:
-            continue
-        total = math.fsum(g.edges[eid][2] for eid in eids)
-        if best_total is None or total > best_total:
-            best_total, best_root, best_eids = total, root, eids
-    if best_eids is None:
+    codes = [s.code for s in g.sectors]
+    m = len(g.edges)
+    # Floats are dyadic rationals, so one power-of-two scale makes every
+    # weight an exact integer and every reduced cost below exact too.
+    ratios = [w.as_integer_ratio() for _, _, w in g.edges]
+    scale = max((den for _, den in ratios), default=1)
+    weights = [num * (scale // den) for num, den in ratios]
+    key_bits = n + m
+    super_cost = (n * max(weights, default=0) + 1) << key_bits  # beats any real tree
+
+    by_code = sorted(range(n), key=codes.__getitem__)
+    work = [(n, v, super_cost - (1 << (key_bits - 1 - rank)), m + v)
+            for rank, v in enumerate(by_code)]
+    by_pair = sorted(range(m), key=lambda e: (codes[g.edges[e][0]], codes[g.edges[e][1]]))
+    for rank, eid in enumerate(by_pair, start=n):
+        i, j, _ = g.edges[eid]
+        u, v = (i, j) if orientation == "outgoing" else (j, i)
+        work.append((u, v, -(weights[eid] << key_bits) - (1 << (key_bits - 1 - rank)), eid))
+
+    chosen = _min_arborescence(n + 1, work, n)
+    roots = [eid - m for eid in chosen if eid >= m]
+    if len(roots) != 1:
         raise ValueError("no root reaches all nodes")
-    return _assemble(g, orientation, best_root, best_eids)
-
-
-def enumerate_arborescences(g: InfoFlowNetwork, orientation: str = "outgoing") -> Arborescence:
-    """Exhaustive maximum arborescence for small graphs (verification oracle).
-
-    Enumerates every predecessor assignment for every root and keeps the
-    best under the solver's tie-breaking: largest total weight, then
-    smaller root code, then lexicographically smallest edge-code list.
-    """
-    if orientation not in ORIENTATIONS:
-        raise ValueError(f"orientation must be one of {ORIENTATIONS}")
-    n = len(g.sectors)
-    if n > _MAX_ENUMERATION_NODES:
-        raise ValueError(f"enumeration limited to {_MAX_ENUMERATION_NODES} nodes")
-    if n == 0:
-        raise ValueError("empty network")
-    if n == 1:
-        return Arborescence(orientation, 0, g.sectors, (), 0.0)
-
-    work, _ = _working_edges(g, orientation)
-    in_edges: dict[int, list[int]] = {v: [] for v in range(n)}
-    for _, v, _, eid in work:
-        in_edges[v].append(eid)
-
-    best_key = None
-    best = None
-    for root in range(n):
-        others = [v for v in range(n) if v != root]
-        if any(not in_edges[v] for v in others):
-            continue
-        stack = [(0, [])]
-        while stack:
-            idx, picked = stack.pop()
-            if idx == len(others):
-                parent = {}
-                ok = True
-                for eid in picked:
-                    u, v, _, _ = work[eid]
-                    parent[v] = u
-                for start in others:
-                    node, steps = start, 0
-                    while node != root:
-                        node = parent[node]
-                        steps += 1
-                        if steps > n:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-                total = math.fsum(g.edges[eid][2] for eid in picked)
-                codes = tuple(sorted(
-                    (g.sectors[g.edges[eid][0]].code, g.sectors[g.edges[eid][1]].code)
-                    for eid in picked
-                ))
-                key = (-total, g.sectors[root].code, codes)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (root, list(picked))
-                continue
-            for eid in in_edges[others[idx]]:
-                stack.append((idx + 1, picked + [eid]))
-    if best is None:
-        raise ValueError("no root reaches all nodes")
-    return _assemble(g, orientation, best[0], best[1])
+    edges = tuple(g.edges[eid] for eid in chosen if eid < m)
+    return Arborescence(orientation, roots[0], g.sectors, edges,
+                        math.fsum(w for _, _, w in edges))
 
 
 def maximal_information_flow_path(a: Arborescence) -> InfoFlowPath:

@@ -271,6 +271,7 @@ def _cmd_msa(cfg: dict) -> list[Path]:
     if mode in ("whole", "range"):
         returns = analysis.returns_panel(dataset)
         stem = "msa_whole"
+        label = "whole sample"
         if mode == "range":
             window = (
                 _parse_date(cfg["date_from"], "--from"),
@@ -278,7 +279,9 @@ def _cmd_msa(cfg: dict) -> list[Path]:
             )
             returns = [slice_returns(r, window) for r in returns]
             stem = "msa_range"
-        bundle = analysis.msas_from_returns(returns, q, workers, denominators)
+            label = f"range {window[0]} to {window[1]}"
+        bundle = analysis.msas_from_returns(returns, q, workers, denominators,
+                                            window=label)
         written += _emit_bundle(out_dir, formats, orientations, bundle, stem, report)
 
     elif mode == "yearly":

@@ -10,6 +10,7 @@ a non-complete orientation.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,8 +34,8 @@ class InfoFlowNetwork:
         for i, j, w in self.edges:
             if i == j:
                 raise ValueError("self-edge")
-            if w <= 0:
-                raise ValueError("edge weight must be positive")
+            if not 0 < w < math.inf:  # the solver scales weights to exact integers
+                raise ValueError("edge weight must be positive and finite")
             pair = (min(i, j), max(i, j))
             if pair in seen_pairs:
                 raise ValueError("duplicate edge for one sector pair")

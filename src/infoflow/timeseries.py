@@ -121,7 +121,7 @@ def load_sector_names(source: str | Path) -> dict[str, str]:
     if not path.exists():
         raise DatasetError("input not found")
     names: dict[str, str] = {}
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or [h.strip().lower() for h in header[:2]] != ["code", "name"]:
@@ -149,7 +149,7 @@ def load_dataset(
     path = Path(source)
     if not path.exists():
         raise DatasetError("input not found")
-    with path.open(newline="", encoding="utf-8") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if not header or header[0].strip().lower() != "date" or len(header) < 2:

@@ -27,13 +27,20 @@ def make_prices(closes, code="900001", start=date(2000, 1, 3)):
     return PriceSeries(SectorMeta(code), dates, np.asarray(closes, dtype=float))
 
 
-def random_complete_network(n, rng, code_base=900000):
-    """Complete orientation with distinct random weights and random directions."""
+def random_complete_network(n, rng, code_base=900000, weights=None):
+    """Complete orientation with random weights and random directions.
+
+    Weights are distinct draws from U(0.01, 1), or draws from the finite
+    ``weights`` set when one is given, which plants exact ties.
+    """
     sectors = tuple(SectorMeta(str(code_base + k + 1)) for k in range(n))
     edges = []
     for i in range(n):
         for j in range(i + 1, n):
-            w = float(rng.uniform(0.01, 1.0))
+            if weights is None:
+                w = float(rng.uniform(0.01, 1.0))
+            else:
+                w = float(rng.choice(weights))
             if rng.random() < 0.5:
                 edges.append((i, j, w))
             else:

@@ -7,12 +7,18 @@ it shares code with the library paths it checks.
 
 from collections import Counter
 from datetime import date, timedelta
+from fractions import Fraction
 from itertools import product
-from math import log2
+from math import fsum, log2
 
 import mpmath as mp
 
+from infoflow.arborescence import ORIENTATIONS, Arborescence
+
 mp.mp.dps = 50
+
+# Exhaustive enumeration is exponential in node count; cap it firmly.
+_MAX_ENUMERATION_NODES = 8
 
 
 def te_bruteforce(source, target, q, denominators="consistent"):
@@ -98,3 +104,65 @@ def log_returns_mpmath(closes):
 
 def consecutive_dates(n, start=date(2000, 1, 3)):
     return tuple(start + timedelta(days=t) for t in range(n))
+
+
+def enumerate_arborescences(g, orientation="outgoing"):
+    """Exhaustive maximum spanning arborescence for small networks.
+
+    Tries every in-edge assignment for every root and keeps the best under
+    the solver's tie rule: largest exact total weight, then smaller root
+    code, then the lexicographically smallest sorted list of
+    (source code, target code) edge pairs.
+    """
+    if orientation not in ORIENTATIONS:
+        raise ValueError(f"orientation must be one of {ORIENTATIONS}")
+    n = len(g.sectors)
+    if n > _MAX_ENUMERATION_NODES:
+        raise ValueError(f"enumeration limited to {_MAX_ENUMERATION_NODES} nodes")
+    if n == 0:
+        raise ValueError("empty network")
+    if n == 1:
+        return Arborescence(orientation, 0, g.sectors, (), 0.0)
+
+    codes = [s.code for s in g.sectors]
+    # Totals are compared exactly, as integer multiples of 1/denominator.
+    exact = [Fraction(w) for _, _, w in g.edges]
+    denominator = max((f.denominator for f in exact), default=1)
+    # Tree predecessor of each node: the flow source when outgoing, the
+    # flow target when incoming.
+    in_edges = {v: [] for v in range(n)}
+    for (i, j, w), f in zip(g.edges, exact):
+        child, pred = (j, i) if orientation == "outgoing" else (i, j)
+        in_edges[child].append((pred, (i, j, w), int(f * denominator)))
+
+    best_key = None
+    best = None
+    for root in range(n):
+        others = [v for v in range(n) if v != root]
+        for choice in product(*(in_edges[v] for v in others)):
+            pred = {v: p for v, (p, _, _) in zip(others, choice)}
+            if not all(_reaches(pred, v, root, n) for v in others):
+                continue
+            edges = [e for _, e, _ in choice]
+            key = (
+                -sum(units for _, _, units in choice),
+                codes[root],
+                sorted((codes[i], codes[j]) for i, j, _ in edges),
+            )
+            if best_key is None or key < best_key:
+                best_key = key
+                best = (root, edges)
+    if best is None:
+        raise ValueError("no root reaches all nodes")
+    root, edges = best
+    return Arborescence(orientation, root, g.sectors, tuple(edges),
+                        fsum(w for _, _, w in edges))
+
+
+def _reaches(pred, start, root, n):
+    node = start
+    for _ in range(n):
+        if node == root:
+            return True
+        node = pred[node]
+    return node == root

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import make_returns, make_symbols, random_complete_network, turmoil_dataset
-from oracles import pearson_mpmath, stats_mpmath, te_bruteforce
+from oracles import enumerate_arborescences, pearson_mpmath, stats_mpmath, te_bruteforce
 
 from infoflow.analysis import (
     pearson,
@@ -23,11 +23,7 @@ from infoflow.analysis import (
     whole_sample_msas,
     yearly_reports,
 )
-from infoflow.arborescence import (
-    degrees,
-    enumerate_arborescences,
-    max_spanning_arborescence,
-)
+from infoflow.arborescence import degrees, max_spanning_arborescence
 from infoflow.cli import main as cli_main
 from infoflow.entropy import dai_matrix, te_matrix, transfer_entropy
 from infoflow.network import InfoFlowNetwork

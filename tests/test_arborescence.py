@@ -1,15 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import random_complete_network
+from oracles import enumerate_arborescences
 
 from infoflow.arborescence import (
     Arborescence,
     arborescence_to_dot,
     arborescence_to_json,
     degrees,
-    enumerate_arborescences,
     max_spanning_arborescence,
     maximal_information_flow_path,
 )
@@ -53,6 +54,18 @@ class TestSolver:
         with pytest.raises(ValueError, match="no root"):
             max_spanning_arborescence(g, "outgoing")
 
+    def test_light_spanning_tree_beats_heavier_forest(self):
+        # Only 001 reaches every node, through two light edges; dropping
+        # them leaves a heavier two-root forest, which must not win.
+        g = net(
+            ["900001", "900002", "900003", "900004"],
+            [(1, 2, 10.0), (2, 3, 10.0), (3, 1, 0.01), (0, 2, 0.01)],
+        )
+        a = max_spanning_arborescence(g, "outgoing")
+        assert a.root == 0
+        assert a.edges == ((0, 2, 0.01), (2, 3, 10.0), (3, 1, 0.01))
+        assert a.total_weight == math.fsum([0.01, 10.0, 0.01])
+
     def test_matches_enumerator_on_random_instances(self, rng):
         for _ in range(300):
             n = int(rng.integers(2, 7))
@@ -63,6 +76,37 @@ class TestSolver:
                 assert solved.total_weight == brute.total_weight
                 assert solved.edges == brute.edges
                 assert solved.root == brute.root
+
+    def test_matches_enumerator_on_planted_ties(self):
+        # Weights from a three-value set make equal totals common, so the
+        # root and edge tie rules decide; roots, edges and totals must all
+        # agree exactly with the enumerator.
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            n = int(rng.integers(3, 7))
+            g = random_complete_network(n, rng, weights=(0.25, 0.5, 0.75))
+            for orientation in ("outgoing", "incoming"):
+                solved = max_spanning_arborescence(g, orientation)
+                brute = enumerate_arborescences(g, orientation)
+                assert solved.total_weight == brute.total_weight
+                assert solved.edges == brute.edges
+                assert solved.root == brute.root
+
+    @pytest.mark.parametrize("n", [28, 60, 99])
+    def test_matches_networkx_at_realistic_sizes(self, n):
+        nx = pytest.importorskip("networkx")
+        g = random_complete_network(n, np.random.default_rng(n))
+        for orientation in ("outgoing", "incoming"):
+            solved = max_spanning_arborescence(g, orientation)
+            assert isinstance(solved, Arborescence)  # validated on construction
+            assert set(solved.edges) <= set(g.edges)
+            graph = nx.DiGraph()
+            for i, j, w in g.edges:
+                u, v = (i, j) if orientation == "outgoing" else (j, i)
+                graph.add_edge(u, v, weight=w)
+            tree = nx.maximum_spanning_arborescence(graph, attr="weight")
+            expected = math.fsum(w for _, _, w in tree.edges(data="weight"))
+            assert solved.total_weight == pytest.approx(expected, rel=0, abs=1e-9)
 
     def test_incoming_on_cycle_heavy_graph(self):
         # Cycle 1->2->3->1 plus escape edges; forces contraction logic.

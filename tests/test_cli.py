@@ -99,6 +99,26 @@ class TestMsa:
         payload = json.loads((out / "yearly_reports.json").read_text())
         assert len(payload["outgoing"]) == 2
 
+    def test_yearly_mode_names_suspended_sector_and_year(self, panel_csv, tmp_path, capsys):
+        # Sector 910030 trades flat from the last close of 2000 on, so its
+        # 2001 returns are constant and cannot be symbolized.
+        path, series = panel_csv
+        lines = path.read_text().splitlines()
+        col = lines[0].split(",").index("910030")
+        frozen = None
+        for k in range(1, len(lines)):
+            cells = lines[k].split(",")
+            if frozen is None and k + 1 < len(lines) and lines[k + 1].startswith("2001"):
+                frozen = cells[col]
+            if frozen is not None:
+                cells[col] = frozen
+                lines[k] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run(["msa", "--input", path, "--out-dir", out, "--mode", "yearly"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == "error: sector 910030, year 2001: degenerate series: constant values"
+
     def test_range_mode(self, panel_csv, tmp_path):
         path, series = panel_csv
         out = tmp_path / "out"

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from infoflow.entropy import DaiMatrix
-from infoflow.network import build_network, network_to_dot, network_to_json
+from infoflow.network import (
+    InfoFlowNetwork,
+    build_network,
+    network_to_dot,
+    network_to_json,
+)
 from infoflow.timeseries import SectorMeta
 
 
@@ -60,6 +65,13 @@ class TestBuildNetwork:
         fwd = build_network(dai_from(dai, codes))
         rev = build_network(dai_from(-dai, codes))
         assert sorted((j, i, w) for i, j, w in fwd.edges) == sorted(rev.edges)
+
+
+    @pytest.mark.parametrize("w", [0.0, -0.1, float("nan"), float("inf")])
+    def test_rejects_non_positive_or_non_finite_weight(self, w):
+        sectors = (SectorMeta("900001"), SectorMeta("900002"))
+        with pytest.raises(ValueError, match="positive and finite"):
+            InfoFlowNetwork(sectors=sectors, edges=((0, 1, w),))
 
 
 class TestExports:

@@ -110,6 +110,21 @@ class TestLoadDataset:
         assert series[0].sector.name == "Agriculture"
         assert series[0].sector.short_code == "010"
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        # Excel writes UTF-8 CSVs with a leading BOM.
+        prices = "date,801010,801020\n2000-01-04,10.0,20.0\n2000-01-05,10.5,19.5\n"
+        meta = "code,name\n801010,Agriculture\n"
+        loaded = []
+        for prefix in ("", "\ufeff"):
+            names = load_sector_names(write_csv(tmp_path, prefix + meta, "names.csv"))
+            loaded.append(load_dataset(write_csv(tmp_path, prefix + prices), names=names))
+        plain, bom = loaded
+        assert [s.sector for s in bom] == [s.sector for s in plain]
+        assert bom[0].sector.name == "Agriculture"
+        for a, b in zip(plain, bom):
+            assert a.dates == b.dates
+            np.testing.assert_array_equal(a.closes, b.closes)
+
     def test_large_panel_roundtrip(self, tmp_path, rng):
         n_rows, n_cols = 300, 7
         codes = [f"8010{k:02d}" for k in range(1, n_cols + 1)]
