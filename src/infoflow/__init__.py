@@ -35,13 +35,11 @@ from .arborescence import (
 from .entropy import (
     DaiMatrix,
     TeMatrix,
-    TripletDistribution,
     dai_matrix,
     effective_transfer_entropy,
     te_matrix,
     te_matrix_to_csv,
     transfer_entropy,
-    triplet_distribution,
 )
 from .network import InfoFlowNetwork, build_network, network_to_dot, network_to_json
 from .symbolize import (

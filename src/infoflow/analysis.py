@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
 
@@ -185,8 +185,6 @@ def _partition(r: ReturnSeries, q: int, window: str) -> Partition:
 def msas_from_returns(
     returns: list[ReturnSeries],
     q: int = DEFAULT_Q,
-    workers: int = 1,
-    denominators: str = "consistent",
     partitions: list[Partition] | None = None,
     window: str = "whole sample",
 ) -> MsaBundle:
@@ -199,7 +197,7 @@ def msas_from_returns(
         symbols = [encode(r, _partition(r, q, window)) for r in returns]
     else:
         symbols = [encode(r, p) for r, p in zip(returns, partitions)]
-    dai = dai_matrix(te_matrix(symbols, workers=workers, denominators=denominators))
+    dai = dai_matrix(te_matrix(symbols))
     net = build_network(dai)
     outgoing = max_spanning_arborescence(net, "outgoing")
     incoming = max_spanning_arborescence(net, "incoming")
@@ -211,21 +209,14 @@ def msas_from_returns(
     )
 
 
-def whole_sample_msas(
-    dataset: list[PriceSeries],
-    q: int = DEFAULT_Q,
-    workers: int = 1,
-    denominators: str = "consistent",
-) -> MsaBundle:
+def whole_sample_msas(dataset: list[PriceSeries], q: int = DEFAULT_Q) -> MsaBundle:
     """Whole-sample pipeline: both arborescences plus their maximal paths."""
-    return msas_from_returns(returns_panel(dataset), q, workers, denominators)
+    return msas_from_returns(returns_panel(dataset), q)
 
 
 def yearly_reports(
     dataset: list[PriceSeries],
     q: int = DEFAULT_Q,
-    workers: int = 1,
-    denominators: str = "consistent",
     global_partition: bool = False,
     min_days: int = MIN_YEAR_DAYS,
 ) -> dict[str, list[YearlyMsaReport]]:
@@ -239,18 +230,18 @@ def yearly_reports(
     partitions = (
         [_partition(r, q, "whole sample") for r in returns] if global_partition else None
     )
-    years = sorted({d.year for d in returns[0].dates})
+    dates = returns[0].dates
+    years = sorted({d.year for d in dates})
     reports: dict[str, list[YearlyMsaReport]] = {"outgoing": [], "incoming": []}
     for year in years:
         window = (date(year, 1, 1), date(year, 12, 31))
-        n_days = sum(1 for d in returns[0].dates if window[0] <= d <= window[1])
+        n_days = bisect_right(dates, window[1]) - bisect_left(dates, window[0])
         if n_days < min_days:
             warnings.warn(f"skipping year {year}: only {n_days} trading day(s)",
                           stacklevel=2)
             continue
         sliced = [slice_returns(r, window) for r in returns]
-        bundle = msas_from_returns(sliced, q, workers, denominators, partitions,
-                                   window=f"year {year}")
+        bundle = msas_from_returns(sliced, q, partitions, window=f"year {year}")
         for orientation in ("outgoing", "incoming"):
             arb = bundle.arborescence(orientation)
             path = bundle.path(orientation)
@@ -309,8 +300,6 @@ def turmoil_study(
     q: int,
     crash_start: date,
     crash_end: date,
-    workers: int = 1,
-    denominators: str = "consistent",
 ) -> TurmoilStudy:
     """Pipeline over the before/during/after windows around one crash.
 
@@ -352,8 +341,7 @@ def turmoil_study(
         sliced = [
             ReturnSeries(r.sector, r.dates[lo:hi], r.values[lo:hi]) for r in returns
         ]
-        bundle = msas_from_returns(sliced, q, workers, denominators,
-                                   window=f"{label} window")
+        bundle = msas_from_returns(sliced, q, window=f"{label} window")
         root_degree = {}
         path_weight = {}
         for orientation in ("outgoing", "incoming"):

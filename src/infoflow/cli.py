@@ -35,11 +35,9 @@ _DEFAULTS = {
     "seed": 0,
     "out_dir": ".",
     "format": "csv,json,dot",
-    "workers": 1,
     "mode": "whole",
     "orientation": "both",
     "samples": 1,
-    "denominators": "consistent",
 }
 
 _FORMATS = ("csv", "json", "dot")
@@ -63,9 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="seed for any randomized step")
     common.add_argument("--out-dir", dest="out_dir", help="output directory")
     common.add_argument("--format", help="comma list out of csv,json,dot")
-    common.add_argument("--workers", type=int, help="parallel workers for pair estimation")
-    common.add_argument("--denominators", choices=["consistent", "literal"],
-                        help="probability normalization rule for the estimator")
+    common.add_argument("--workers", type=int,
+                        help="accepted for compatibility; has no effect")
     common.add_argument("--config", help="JSON config file; flags override its values")
     common.add_argument("--report", action="store_true",
                         help="round tables to display precision")
@@ -257,8 +254,6 @@ def _cmd_msa(cfg: dict) -> list[Path]:
     out_dir = Path(cfg["out_dir"])
     report = bool(cfg.get("report"))
     q = int(cfg["q"])
-    workers = int(cfg["workers"])
-    denominators = str(cfg["denominators"])
 
     if mode == "turmoil" and not (cfg.get("crash_start") and cfg.get("crash_end")):
         raise CliError("turmoil mode requires --crash-start and --crash-end")
@@ -280,13 +275,12 @@ def _cmd_msa(cfg: dict) -> list[Path]:
             returns = [slice_returns(r, window) for r in returns]
             stem = "msa_range"
             label = f"range {window[0]} to {window[1]}"
-        bundle = analysis.msas_from_returns(returns, q, workers, denominators,
-                                            window=label)
+        bundle = analysis.msas_from_returns(returns, q, window=label)
         written += _emit_bundle(out_dir, formats, orientations, bundle, stem, report)
 
     elif mode == "yearly":
         reports = analysis.yearly_reports(
-            dataset, q, workers, denominators,
+            dataset, q,
             global_partition=bool(cfg.get("global_partition")),
         )
         for orientation in orientations:
@@ -321,7 +315,6 @@ def _cmd_msa(cfg: dict) -> list[Path]:
             dataset, q,
             _parse_date(cfg["crash_start"], "--crash-start"),
             _parse_date(cfg["crash_end"], "--crash-end"),
-            workers, denominators,
         )
         if "csv" in formats:
             written.append(_write(out_dir, "turmoil.csv",
@@ -349,12 +342,10 @@ def _cmd_specificity(cfg: dict) -> list[Path]:
     formats = _formats(cfg)
     out_dir = Path(cfg["out_dir"])
     q = int(cfg["q"])
-    workers = int(cfg["workers"])
-    denominators = str(cfg["denominators"])
 
     dataset = _load_input(cfg)
     index_panel = load_dataset(cfg["index"])
-    reports = analysis.yearly_reports(dataset, q, workers, denominators)
+    reports = analysis.yearly_reports(dataset, q)
     result = analysis.specificity_study(
         dataset, reports, index_panel[0],
         seed=int(cfg["seed"]), samples=int(cfg["samples"]),

@@ -6,42 +6,44 @@ The estimator is the plug-in evaluation, in bits, of
                                                / (p(t1, t0) p(t0, s0)) ]
 
 over target-next / target-now / source-now symbol triplets with a single
-lag on each side.  By default every probability is a marginal of the one
-empirical triplet distribution ("consistent" denominators), which makes
-the estimate an empirical conditional mutual information: nonnegative and
-exactly zero for a series against itself.  The "literal" mode instead
-normalizes each marginal over its own sample count (one more sample for
-the contemporaneous pairs than for the triplets); the two differ by
-O(1/L) and the literal variant is kept only for comparison.
+lag on each side.  Every probability is a marginal of the one empirical
+triplet distribution, which makes the estimate an empirical conditional
+mutual information: nonnegative, and zero for a series against itself.
+
+With a = target next, b = target now, c = source now, N = L - 1 triplets
+and n_* their counts, the sample sizes cancel and
+
+    N * TE = S(n_abc) - S(n_ab) - S(n_bc) + S(n_b),   S(n) = sum n log2 n.
+
+One kernel evaluates this for a whole window, one target at a time
+against every source.  The target's own counts n_ab and n_b come from one
+bincount over all series; n_abc for every source comes from one bincount
+per target, keyed by (source, source symbol, target state), and n_bc sums
+n_abc over the target's next symbol.  All counts are exact integers.
+
+The n log2 n sums are not added up in floating point.  Each count k is
+factored into primes, k log2 k = sum_p k e_p(k) log2 p, so N * TE is an
+exact integer combination sum_p d_p log2 p; d is accumulated exactly, as
+integer-valued float64 sums far below 2**53.  Logs of distinct primes are
+linearly independent over the rationals, so d is zero exactly when the
+estimate is zero and equal for two estimates exactly when they are equal.
+Only the last step, sum_p d_p log2 p, rounds, and it depends on d alone.
+Hence an estimate is exactly 0.0 when the counts factor exactly; two equal
+estimates (such as the two directions of an exactly tied pair) give the
+same float, so their net flow is exactly 0.0 and the network records a
+tie; and te[i, j] does not depend on which other series share the call, so
+a single pair equals its entry in a full matrix bit for bit.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .symbolize import SymbolSeries
 from .timeseries import SectorMeta
-
-DENOMINATOR_MODES = ("consistent", "literal")
-
-
-@dataclass(frozen=True)
-class TripletDistribution:
-    """Empirical counts of (target_next, target_now, source_now) triplets."""
-
-    q: int
-    counts: dict[tuple[int, int, int], int]
-    total: int
-
-    def __post_init__(self):
-        if self.total != sum(self.counts.values()):
-            raise ValueError("total does not match the summed counts")
-        for key in self.counts:
-            if any(not 1 <= k <= self.q for k in key):
-                raise ValueError(f"triplet {key} outside [1, q]^3")
 
 
 @dataclass(frozen=True)
@@ -89,67 +91,96 @@ def _check_aligned(x: SymbolSeries, y: SymbolSeries) -> None:
         raise ValueError("symbol series use different bin counts")
 
 
-def triplet_distribution(x: SymbolSeries, y: SymbolSeries) -> TripletDistribution:
-    """Count (x[t+1], x[t], y[t]) triplets over the aligned sample range."""
-    _check_aligned(x, y)
-    q = x.partition.q
-    triplets = zip(x.symbols[1:].tolist(), x.symbols[:-1].tolist(), y.symbols[:-1].tolist())
-    counts: dict[tuple[int, int, int], int] = {}
-    for key in triplets:
-        counts[key] = counts.get(key, 0) + 1
-    return TripletDistribution(q=q, counts=counts, total=len(x) - 1)
+def _prime_factors(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Primes up to ``n_max`` and the factorization of every count 0..n_max.
+
+    Returns (primes, index, weight): row k lists in ``index`` the positions
+    in ``primes`` of k's distinct prime factors and in ``weight`` the
+    matching k * exponent, zero in unused slots, so that
+    k log2 k = sum(weight[k] * log2(primes[index[k]])).
+    """
+    spf = np.arange(n_max + 1)  # smallest prime factor of each k >= 2
+    for p in range(2, math.isqrt(n_max) + 1):
+        if spf[p] == p:
+            spf[p * p :: p] = np.minimum(spf[p * p :: p], p)
+    primes = np.flatnonzero(spf[2:] == np.arange(2, n_max + 1)) + 2
+    position = np.zeros(n_max + 1, dtype=np.intp)
+    position[primes] = np.arange(len(primes))
+    k = np.arange(n_max + 1)
+    rest = k.copy()
+    index, weight = [], []
+    while not index or np.any(rest > 1):
+        factor = np.where(rest > 1, spf[rest], 1)
+        exponent = np.zeros_like(k)
+        while np.any(divides := (factor > 1) & (rest % factor == 0)):
+            exponent += divides
+            rest = np.where(divides, rest // factor, rest)
+        index.append(position[factor])
+        weight.append(k * exponent)
+    return primes, np.stack(index, axis=1), np.stack(weight, axis=1).astype(np.float64)
 
 
-def _te_kernel(src: np.ndarray, tgt: np.ndarray, q: int, denominators: str) -> float:
-    a = tgt[1:] - 1  # target next
-    b = tgt[:-1] - 1  # target now
-    c = src[:-1] - 1  # source now
-    keys = (a * q + b) * q + c
-    n_abc = np.bincount(keys, minlength=q**3).astype(np.float64).reshape(q, q, q)
-    n_triplets = float(len(keys))
-    mask = n_abc > 0
+def _te_columns(symbols: np.ndarray, q: int, targets) -> np.ndarray:
+    """te[i, j] in bits for every row i of ``symbols`` and each j in ``targets``.
 
-    if denominators == "consistent":
-        n_ab = n_abc.sum(axis=2)
-        n_bc = n_abc.sum(axis=0)
-        n_b = n_abc.sum(axis=(0, 2))
-        ratio = np.ones_like(n_abc)
-        np.divide(
-            n_abc * n_b[None, :, None],
-            n_ab[:, :, None] * n_bc[None, :, :],
-            out=ratio,
-            where=mask,
-        )
-        return float(np.sum(n_abc[mask] * np.log2(ratio[mask])) / n_triplets)
+    ``symbols`` is an n x L matrix of aligned symbols in [1, q].  Columns
+    not in ``targets`` stay 0.
+    """
+    n, length = symbols.shape
+    n_tri = length - 1
+    now = symbols[:, :-1] - 1
+    nxt = symbols[:, 1:] - 1
+    primes, factor_index, factor_weight = _prime_factors(n_tri)
+    n_primes = len(primes)
+    log_primes = np.log2(primes)
 
-    # Literal mode: contemporaneous marginals are taken over the full
-    # symbol series, one sample more than the triplet distribution has.
-    n_full = float(len(tgt))
-    p_abc = n_abc / n_triplets
-    p_ab = n_abc.sum(axis=2) / n_triplets
-    p_b = np.bincount(tgt - 1, minlength=q).astype(np.float64) / n_full
-    pair_keys = (tgt - 1) * q + (src - 1)
-    p_bc = np.bincount(pair_keys, minlength=q * q).astype(np.float64).reshape(q, q) / n_full
-    ratio = np.ones_like(p_abc)
-    np.divide(
-        p_abc * p_b[None, :, None],
-        p_ab[:, :, None] * p_bc[None, :, :],
-        out=ratio,
-        where=mask,
-    )
-    return float(np.sum(p_abc[mask] * np.log2(ratio[mask])))
+    def log_terms(counts: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Coefficient of each log2(prime) in sum n log2 n over the count
+        rows of each series; ``owner`` maps count rows to series."""
+        used = counts > 1  # 0 log 0 = 1 log 1 = 0
+        k = counts[used]
+        bins = (owner[np.nonzero(used)[0]] * n_primes)[:, None]
+        bins = bins + np.take(factor_index, k, axis=0)
+        return np.bincount(bins.ravel(), np.take(factor_weight, k, axis=0).ravel(),
+                           minlength=n * n_primes).reshape(n, n_primes)
+
+    series = np.arange(n)
+    rows = series[:, None]
+    # Count rows: one per (series, symbol) seen at "now" in this window.
+    # source[r] is the series of row r; source_row[i, t] is the row of
+    # series i's sample t.
+    seen = np.zeros((n, q), dtype=bool)
+    seen[rows, now] = True
+    source = np.repeat(series, seen.sum(axis=1))
+    source_row = (np.cumsum(seen.ravel()).reshape(n, q) - 1)[rows, now]
+    # Target states (now, next) are numbered now-major, so the states that
+    # share a "now" symbol are adjacent.
+    state = now * q + nxt
+    n_ab = np.bincount((rows * q * q + state).ravel(), minlength=n * q * q).reshape(n, -1)
+    n_b = np.bincount((rows * q + now).ravel(), minlength=n * q).reshape(n, q)
+    own = log_terms(n_b, series) - log_terms(n_ab, series)
+
+    te = np.zeros((n, n))
+    for j in targets:
+        # n_abc[row, s]: samples with that source symbol and target j's
+        # s-th observed state; n_bc sums the states of each "now" symbol.
+        observed = np.flatnonzero(n_ab[j])
+        code = np.zeros(q * q, dtype=np.intp)
+        code[observed] = np.arange(len(observed))
+        n_abc = np.bincount((source_row * len(observed) + code[state[j]]).ravel(),
+                            minlength=len(source) * len(observed)).reshape(len(source), -1)
+        now_starts = np.unique(observed // q, return_index=True)[1]
+        n_bc = np.add.reduceat(n_abc, now_starts, axis=1)
+        exponents = log_terms(n_abc, source) - log_terms(n_bc, source) + own[j]
+        te[:, j] = (exponents * log_primes).sum(axis=1) / n_tri
+    return te
 
 
-def transfer_entropy(
-    source: SymbolSeries,
-    target: SymbolSeries,
-    denominators: str = "consistent",
-) -> float:
+def transfer_entropy(source: SymbolSeries, target: SymbolSeries) -> float:
     """Symbolic transfer entropy from ``source`` to ``target``, in bits."""
-    if denominators not in DENOMINATOR_MODES:
-        raise ValueError(f"denominators must be one of {DENOMINATOR_MODES}")
     _check_aligned(target, source)
-    return _te_kernel(source.symbols, target.symbols, target.partition.q, denominators)
+    symbols = np.stack([source.symbols, target.symbols])
+    return float(_te_columns(symbols, target.partition.q, (1,))[0, 1])
 
 
 def effective_transfer_entropy(
@@ -157,61 +188,33 @@ def effective_transfer_entropy(
     target: SymbolSeries,
     n_surrogates: int = 100,
     seed: int = 0,
-    denominators: str = "consistent",
 ) -> float:
     """Raw TE minus the mean TE over source-shuffled surrogates.
 
     Exploratory bias diagnostic only; the pipeline always uses the raw
     plug-in estimate.
     """
-    raw = transfer_entropy(source, target, denominators)
+    _check_aligned(target, source)
     rng = np.random.default_rng(seed)
-    q = target.partition.q
     shuffled = source.symbols.copy()
-    bias = 0.0
+    rows = [target.symbols, source.symbols]
     for _ in range(n_surrogates):
         rng.shuffle(shuffled)
-        bias += _te_kernel(shuffled, target.symbols, q, denominators)
-    return raw - bias / n_surrogates
+        rows.append(shuffled.copy())
+    te = _te_columns(np.stack(rows), target.partition.q, (0,))[1:, 0]
+    return float(te[0] - te[1:].sum() / n_surrogates)
 
 
-def te_matrix(
-    all_series: list[SymbolSeries],
-    workers: int = 1,
-    denominators: str = "consistent",
-) -> TeMatrix:
-    """Transfer entropy for every ordered sector pair.
-
-    Pairs are independent computations, so the result is bit-identical for
-    any ``workers`` count.
-    """
+def te_matrix(all_series: list[SymbolSeries]) -> TeMatrix:
+    """Transfer entropy for every ordered sector pair; te[i, j] is i -> j."""
     if len(all_series) < 2:
         raise ValueError("need at least 2 series")
     first = all_series[0]
     for s in all_series[1:]:
         _check_aligned(first, s)
-    if denominators not in DENOMINATOR_MODES:
-        raise ValueError(f"denominators must be one of {DENOMINATOR_MODES}")
-
-    n = len(all_series)
-    q = first.partition.q
-    te = np.zeros((n, n), dtype=np.float64)
-    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-
-    def compute(pair: tuple[int, int]) -> tuple[int, int, float]:
-        i, j = pair
-        value = _te_kernel(all_series[i].symbols, all_series[j].symbols, q, denominators)
-        return i, j, value
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(compute, pairs)
-    else:
-        results = map(compute, pairs)
-    for i, j, value in results:
-        te[i, j] = value
-    sectors = tuple(s.sector for s in all_series)
-    return TeMatrix(sectors=sectors, te=te)
+    symbols = np.stack([s.symbols for s in all_series])
+    te = _te_columns(symbols, first.partition.q, range(len(all_series)))
+    return TeMatrix(sectors=tuple(s.sector for s in all_series), te=te)
 
 
 def dai_matrix(te: TeMatrix) -> DaiMatrix:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
@@ -52,6 +54,12 @@ def _freeze(values, dtype) -> np.ndarray:
     return arr
 
 
+def _check_increasing(dates: tuple[date, ...]) -> None:
+    # Windows are cut by bisection, which needs a sorted date axis.
+    if not all(map(operator.lt, dates, dates[1:])):
+        raise ValueError("dates not strictly increasing")
+
+
 @dataclass(frozen=True)
 class PriceSeries:
     """Daily closing prices of one sector on a strictly increasing date axis."""
@@ -69,8 +77,7 @@ class PriceSeries:
             raise ValueError("price series needs at least 2 observations")
         if not np.all(self.closes > 0):
             raise ValueError("non-positive price")
-        if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
-            raise ValueError("dates not strictly increasing")
+        _check_increasing(self.dates)
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -78,7 +85,7 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class ReturnSeries:
-    """Daily logarithmic returns; each value is dated by the later close."""
+    """Daily log returns, each dated by the later close; dates strictly increase."""
 
     sector: SectorMeta
     dates: tuple[date, ...]
@@ -91,6 +98,7 @@ class ReturnSeries:
             raise ValueError("dates and values differ in length")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite return value")
+        _check_increasing(self.dates)
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -261,8 +269,8 @@ def slice_returns(r: ReturnSeries, window: tuple[date, date]) -> ReturnSeries:
     start, end = window
     if start > end:
         raise ValueError("empty interval")
-    keep = [i for i, d in enumerate(r.dates) if start <= d <= end]
-    if not keep:
+    lo = bisect_left(r.dates, start)
+    hi = bisect_right(r.dates, end)
+    if lo >= hi:
         raise ValueError("empty result")
-    dates = tuple(r.dates[i] for i in keep)
-    return ReturnSeries(r.sector, dates, r.values[keep])
+    return ReturnSeries(r.sector, r.dates[lo:hi], r.values[lo:hi])

@@ -21,31 +21,28 @@ mp.mp.dps = 50
 _MAX_ENUMERATION_NODES = 8
 
 
-def te_bruteforce(source, target, q, denominators="consistent"):
+def _te_counts(source, target):
+    """Counters of (next, now, source) triplets and of their marginals."""
+    source = list(source)
+    target = list(target)
+    assert len(source) == len(target) and len(source) >= 2
+    triplets = Counter(
+        (target[t + 1], target[t], source[t]) for t in range(len(target) - 1)
+    )
+    pairs_ab = Counter((a, b) for a, b, _ in triplets.elements())
+    pairs_bc = Counter((b, c) for _, b, c in triplets.elements())
+    singles_b = Counter(b for _, b, _ in triplets.elements())
+    return triplets, pairs_ab, pairs_bc, singles_b
+
+
+def te_bruteforce(source, target, q):
     """Transfer entropy source -> target by direct summation over all states.
 
     Probabilities are plain ratios of Counter counts; the sum runs over the
     full q^3 state space and skips states with zero triplet count.
     """
-    source = list(source)
-    target = list(target)
-    assert len(source) == len(target) and len(source) >= 2
-    n_sym = len(target)
-    n_tri = n_sym - 1
-
-    triplets = Counter(
-        (target[t + 1], target[t], source[t]) for t in range(n_tri)
-    )
-    if denominators == "consistent":
-        pairs_ab = Counter((a, b) for a, b, _ in triplets.elements())
-        pairs_bc = Counter((b, c) for _, b, c in triplets.elements())
-        singles_b = Counter(b for _, b, _ in triplets.elements())
-        denom_ab = denom_bc = denom_b = n_tri
-    else:
-        pairs_ab = Counter((target[t + 1], target[t]) for t in range(n_tri))
-        pairs_bc = Counter(zip(target, source))
-        singles_b = Counter(target)
-        denom_ab, denom_bc, denom_b = n_tri, n_sym, n_sym
+    triplets, pairs_ab, pairs_bc, singles_b = _te_counts(source, target)
+    n_tri = len(target) - 1
 
     total = 0.0
     for a, b, c in product(range(1, q + 1), repeat=3):
@@ -53,11 +50,30 @@ def te_bruteforce(source, target, q, denominators="consistent"):
         if n_abc == 0:
             continue
         p_abc = n_abc / n_tri
-        p_ab = pairs_ab[(a, b)] / denom_ab
-        p_bc = pairs_bc[(b, c)] / denom_bc
-        p_b = singles_b[b] / denom_b
+        p_ab = pairs_ab[(a, b)] / n_tri
+        p_bc = pairs_bc[(b, c)] / n_tri
+        p_b = singles_b[b] / n_tri
         total += p_abc * log2(p_abc * p_b / (p_ab * p_bc))
     return total
+
+
+def te_log2_exponents(source, target):
+    """N * TE(source -> target) in exact form: {prime p: integer c_p} with
+    N * TE = sum c_p log2(p).  Logs of distinct primes are linearly
+    independent over the rationals, so two estimates are exactly equal, or
+    exactly zero, precisely when these maps are equal, or empty.
+    """
+    triplets, pairs_ab, pairs_bc, singles_b = _te_counts(source, target)
+    exponents = Counter()
+    for counts, sign in ((triplets, 1), (pairs_ab, -1), (pairs_bc, -1), (singles_b, 1)):
+        for k in counts.values():
+            rest, p = k, 2
+            while rest > 1:
+                while rest % p == 0:
+                    exponents[p] += sign * k
+                    rest //= p
+                p += 1
+    return {p: c for p, c in exponents.items() if c}
 
 
 def stats_mpmath(values):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_symbols
-from oracles import te_bruteforce
+from conftest import make_returns, make_symbols
+from oracles import te_bruteforce, te_log2_exponents
 
 from infoflow.entropy import (
     dai_matrix,
@@ -12,8 +12,9 @@ from infoflow.entropy import (
     te_matrix,
     te_matrix_to_csv,
     transfer_entropy,
-    triplet_distribution,
 )
+from infoflow.network import build_network
+from infoflow.symbolize import symbolize_returns
 from infoflow.synth import generate_coupled_binary
 
 
@@ -23,43 +24,6 @@ def random_symbol_pair(rng, max_len=12, max_q=3, min_len=2):
     a = rng.integers(1, q + 1, size=n)
     b = rng.integers(1, q + 1, size=n)
     return make_symbols(a, q, "900001"), make_symbols(b, q, "900002"), q
-
-
-class TestTripletDistribution:
-    def test_single_triplet(self):
-        x = make_symbols([1, 1], 2, "900001")
-        y = make_symbols([2, 2], 2, "900002")
-        d = triplet_distribution(x, y)
-        assert d.counts == {(1, 1, 2): 1}
-        assert d.total == 1
-
-    def test_hand_enumeration(self):
-        x = make_symbols([1, 2, 1, 2], 2, "900001")
-        y = make_symbols([1, 1, 2, 2], 2, "900002")
-        d = triplet_distribution(x, y)
-        assert d.counts == {(2, 1, 1): 1, (1, 2, 1): 1, (2, 1, 2): 1}
-        assert d.total == 3
-
-    def test_total_is_length_minus_one(self, rng):
-        for _ in range(20):
-            x, y, _ = random_symbol_pair(rng, max_len=30)
-            d = triplet_distribution(x, y)
-            assert d.total == len(x) - 1
-            assert sum(d.counts.values()) == d.total
-
-    def test_misaligned_dates_rejected(self):
-        from datetime import date
-
-        x = make_symbols([1, 2, 1], 2, "900001")
-        y = make_symbols([1, 2, 1], 2, "900002", start=date(2001, 1, 1))
-        with pytest.raises(ValueError, match="aligned"):
-            triplet_distribution(x, y)
-
-    def test_length_mismatch_rejected(self):
-        x = make_symbols([1, 2, 1], 2, "900001")
-        y = make_symbols([1, 2], 2, "900002")
-        with pytest.raises(ValueError, match="length"):
-            triplet_distribution(x, y)
 
 
 class TestTransferEntropy:
@@ -86,21 +50,6 @@ class TestTransferEntropy:
             want = te_bruteforce(src.symbols.tolist(), tgt.symbols.tolist(), q)
             assert got == pytest.approx(want, abs=1e-12)
 
-    def test_literal_mode_matches_its_oracle(self, rng):
-        for _ in range(200):
-            src, tgt, q = random_symbol_pair(rng)
-            got = transfer_entropy(src, tgt, denominators="literal")
-            want = te_bruteforce(
-                src.symbols.tolist(), tgt.symbols.tolist(), q, denominators="literal"
-            )
-            assert got == pytest.approx(want, abs=1e-12)
-
-    def test_modes_agree_asymptotically(self):
-        y, x = generate_coupled_binary(0.6, 50_000, seed=2)
-        consistent = transfer_entropy(y, x)
-        literal = transfer_entropy(y, x, denominators="literal")
-        assert consistent == pytest.approx(literal, abs=1e-3)
-
     def test_nonnegative_and_bounded(self, rng):
         for _ in range(300):
             src, tgt, q = random_symbol_pair(rng, max_len=25, max_q=5)
@@ -108,16 +57,41 @@ class TestTransferEntropy:
             assert te >= -1e-12
             assert te <= math.log2(q) + 1e-12
 
-    def test_unknown_mode_rejected(self, rng):
-        src, tgt, _ = random_symbol_pair(rng)
-        with pytest.raises(ValueError, match="denominators"):
-            transfer_entropy(src, tgt, denominators="bogus")
+    def test_misaligned_dates_rejected(self):
+        from datetime import date
+
+        x = make_symbols([1, 2, 1], 2, "900001")
+        y = make_symbols([1, 2, 1], 2, "900002", start=date(2001, 1, 1))
+        with pytest.raises(ValueError, match="aligned"):
+            transfer_entropy(x, y)
+        with pytest.raises(ValueError, match="aligned"):
+            te_matrix([x, y])
+
+    def test_length_mismatch_rejected(self):
+        x = make_symbols([1, 2, 1], 2, "900001")
+        y = make_symbols([1, 2], 2, "900002")
+        with pytest.raises(ValueError, match="length"):
+            transfer_entropy(x, y)
+        with pytest.raises(ValueError, match="length"):
+            te_matrix([x, y])
 
     def test_effective_te_reduces_copy_bias(self):
         y, x = generate_coupled_binary(0.0, 2_000, seed=3)
         raw = transfer_entropy(y, x)
         eff = effective_transfer_entropy(y, x, n_surrogates=50, seed=0)
         assert abs(eff) < raw  # surrogate mean removes most of the plug-in bias
+
+    def test_effective_te_matches_a_loop_over_surrogates(self):
+        y, x = generate_coupled_binary(0.3, 500, seed=4)
+        rng = np.random.default_rng(9)
+        shuffled = y.symbols.copy()
+        surrogates = []
+        for _ in range(20):
+            rng.shuffle(shuffled)
+            surrogates.append(transfer_entropy(make_symbols(shuffled, 2, y.sector.code), x))
+        want = transfer_entropy(y, x) - math.fsum(surrogates) / len(surrogates)
+        got = effective_transfer_entropy(y, x, n_surrogates=20, seed=9)
+        assert got == pytest.approx(want, abs=1e-12)
 
 
 class TestTeMatrix:
@@ -128,14 +102,32 @@ class TestTeMatrix:
         assert m.te[1, 0] == transfer_entropy(b, a)
         assert m.te[0, 0] == 0.0 and m.te[1, 1] == 0.0
 
-    def test_parallel_schedules_are_bit_identical(self, rng):
+    @pytest.mark.parametrize("length", [60, 3000])
+    def test_every_entry_equals_its_single_pair_value(self, rng, length):
+        # Series use different sub-alphabets, so each source's block of count
+        # rows differs in width and position from one call to the other.
         series = []
         for k in range(6):
-            vals = rng.integers(1, 4, size=200)
-            series.append(make_symbols(vals, 3, f"90000{k + 1}"))
-        base = te_matrix(series, workers=1)
-        for workers in (2, 5):
-            np.testing.assert_array_equal(te_matrix(series, workers=workers).te, base.te)
+            lo = int(rng.integers(1, 4))
+            vals = rng.integers(lo, lo + int(rng.integers(2, 6)), size=length)
+            series.append(make_symbols(vals, 8, f"90000{k + 1}"))
+        m = te_matrix(series)
+        for i in range(6):
+            for j in range(6):
+                if i != j:
+                    assert m.te[i, j] == transfer_entropy(series[i], series[j])
+
+    @pytest.mark.parametrize("length", [260, 4400])
+    def test_matches_bruteforce_oracle_at_panel_size(self, rng, length):
+        q = 15
+        returns = [make_returns(rng.standard_t(3, size=length), f"{900001 + k}")
+                   for k in range(28)]
+        series = [symbolize_returns(r, q) for r in returns]
+        m = te_matrix(series)
+        for _ in range(20):
+            i, j = rng.choice(28, size=2, replace=False)
+            want = te_bruteforce(series[i].symbols.tolist(), series[j].symbols.tolist(), q)
+            assert m.te[i, j] == pytest.approx(want, abs=1e-12)
 
     def test_csv_dump_full_precision(self, rng):
         a, b, _ = random_symbol_pair(rng, max_len=40)
@@ -172,3 +164,32 @@ class TestDaiMatrix:
         te = TeMatrix(sectors, np.array([[0.0, 0.3], [0.3, 0.0]]))
         d = dai_matrix(te)
         assert np.all(d.dai == 0.0)
+
+    def test_zeros_and_ties_are_exact(self, rng):
+        # Short windows, where many estimates are exactly zero or exactly
+        # equal both ways; rounding must neither hide nor invent either.
+        for _ in range(40):
+            series = [
+                make_symbols(rng.integers(1, 4, size=12), 3, f"90000{k + 1}")
+                for k in range(6)
+            ]
+            m = te_matrix(series)
+            d = dai_matrix(m)
+            symbols = [s.symbols.tolist() for s in series]
+            exact = {
+                (i, j): te_log2_exponents(symbols[i], symbols[j])
+                for i in range(6) for j in range(6) if i != j
+            }
+            for (i, j), exponents in exact.items():
+                assert (m.te[i, j] == 0.0) == (not exponents)
+                assert (d.dai[i, j] == 0.0) == (exponents == exact[j, i])
+
+    def test_identical_sectors_tie_exactly(self, rng):
+        vals = [rng.integers(1, 6, size=260) for _ in range(5)]
+        vals.append(vals[1].copy())
+        series = [make_symbols(v, 5, f"90000{k + 1}") for k, v in enumerate(vals)]
+        d = dai_matrix(te_matrix(series))
+        assert d.dai[1, 5] == 0.0 and d.dai[5, 1] == 0.0
+        with pytest.warns(UserWarning, match="tied pair"):
+            net = build_network(d)
+        assert (1, 5) in net.ties

@@ -11,6 +11,7 @@ from infoflow.timeseries import (
     JB_CRITICAL_1PCT,
     DatasetError,
     PriceSeries,
+    ReturnSeries,
     SectorMeta,
     load_dataset,
     load_sector_names,
@@ -237,3 +238,9 @@ class TestSlice:
         r = make_returns([0.1, -0.2])
         with pytest.raises(ValueError, match="empty interval"):
             slice_returns(r, (r.dates[1], r.dates[0]))
+
+    @pytest.mark.parametrize("order", [(0, 2, 1), (0, 1, 1)])
+    def test_return_series_rejects_unsorted_dates(self, order):
+        days = tuple(date(2001, 1, 2 + k) for k in order)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            ReturnSeries(SectorMeta("900001"), days, [0.1, -0.2, 0.3])
