@@ -15,8 +15,8 @@ from .analysis import (
     TurmoilWindows,
     YearlyMsaReport,
     degree_heatmap,
+    msas_from_returns,
     pearson,
-    returns_panel,
     root_occurrences,
     specificity_study,
     turmoil_study,
@@ -36,20 +36,11 @@ from .entropy import (
     DaiMatrix,
     TeMatrix,
     dai_matrix,
-    effective_transfer_entropy,
     te_matrix,
-    te_matrix_to_csv,
     transfer_entropy,
 )
-from .network import InfoFlowNetwork, build_network, network_to_dot, network_to_json
-from .symbolize import (
-    DEFAULT_Q,
-    Partition,
-    SymbolSeries,
-    encode,
-    make_partition,
-    symbolize_returns,
-)
+from .network import InfoFlowNetwork, build_network
+from .symbolize import Partition, SymbolPanel, SymbolSeries, encode, make_partition
 from .synth import (
     CoupledBinaryProcess,
     Coupling,
@@ -64,6 +55,7 @@ from .synth import (
 from .timeseries import (
     JB_CRITICAL_1PCT,
     DatasetError,
+    Panel,
     PriceSeries,
     ReturnSeries,
     SectorMeta,
@@ -71,6 +63,7 @@ from .timeseries import (
     load_dataset,
     load_sector_names,
     log_returns,
+    returns_panel,
     slice_returns,
     summary_stats,
 )

@@ -1,10 +1,13 @@
 """Windowed structural studies over the information-flow pipeline.
 
-Every study runs the same chain (returns -> symbols -> transfer entropy ->
-net flows -> network -> both arborescences -> maximal paths) over some
-date window: the whole sample, calendar years, or event windows around a
-market crash.  Partitions are recomputed per window by default so each
-window's symbol alphabet covers its own observed range; pass
+Every study starts from one ``Panel`` of returns, built once by
+``returns_panel``, and a list of labelled date windows: the whole sample,
+a date range, calendar years, or event windows around a market crash.
+Each window is cut from the panel by ``slice_returns`` and run through the
+one engine, ``msas_from_returns``: symbols for all rows in one step ->
+transfer entropy -> net flows -> network -> both arborescences -> maximal
+paths.  Partitions are recomputed per window by default so each window's
+symbol alphabet covers its own observed range; pass
 ``global_partition=True`` to reuse the whole-sample bin edges instead.
 """
 
@@ -20,22 +23,18 @@ from datetime import date
 import numpy as np
 
 from .arborescence import (
+    ORIENTATIONS,
     Arborescence,
     InfoFlowPath,
     degrees,
+    edge_list,
     max_spanning_arborescence,
     maximal_information_flow_path,
 )
 from .entropy import dai_matrix, te_matrix
 from .network import build_network
-from .symbolize import DEFAULT_Q, Partition, encode, make_partition
-from .timeseries import (
-    PriceSeries,
-    ReturnSeries,
-    SectorMeta,
-    log_returns,
-    slice_returns,
-)
+from .symbolize import Partition, encode, make_partition
+from .timeseries import Panel, PriceSeries, SectorMeta, returns_panel, slice_returns
 
 # Calendar years shorter than this many trading days are skipped: the
 # estimator has nothing to say about a handful of samples.
@@ -106,8 +105,12 @@ class WindowResult:
     label: str
     interval: tuple[date, date]
     msas: MsaBundle
-    root_degree: dict[str, int]
-    path_weight: dict[str, float]
+
+    @property
+    def root_degree(self) -> dict[str, int]:
+        """Total tree degree of each orientation's root."""
+        trees = {o: self.msas.arborescence(o) for o in ORIENTATIONS}
+        return {o: degrees(a)[a.root_sector.code][2] for o, a in trees.items()}
 
 
 @dataclass(frozen=True)
@@ -129,10 +132,14 @@ class DegreeHeatmap:
 
     orientation: str
     years: tuple[int, ...]
-    codes: tuple[str, ...]
+    sectors: tuple[SectorMeta, ...]
     in_degree: np.ndarray
     out_degree: np.ndarray
     total_degree: np.ndarray
+
+    @property
+    def codes(self) -> tuple[str, ...]:
+        return tuple(s.code for s in self.sectors)
 
 
 @dataclass(frozen=True)
@@ -163,44 +170,40 @@ class SpecificityResult:
         return math.fsum(flat) / len(flat)
 
 
-def returns_panel(dataset: list[PriceSeries]) -> list[ReturnSeries]:
-    """Log returns for every sector; all series must share one date axis."""
-    if len(dataset) < 2:
-        raise ValueError("need at least 2 sectors")
-    dates = dataset[0].dates
-    for p in dataset[1:]:
-        if p.dates != dates:
-            raise ValueError("price series are not date-aligned")
-    return [log_returns(p) for p in dataset]
-
-
-def _partition(r: ReturnSeries, q: int, window: str) -> Partition:
-    """Partition of ``r``; a failure names the sector and the window."""
+def _partition(returns: Panel, q: int, window: str) -> Partition:
+    """Per-row partition of ``returns``; a failure names the sector and the window."""
     try:
-        return make_partition(r, q)
+        return make_partition(returns, q)
     except ValueError as exc:
-        raise ValueError(f"sector {r.sector.code}, {window}: {exc}") from None
+        constant = np.flatnonzero(np.ptp(returns.values, axis=1) == 0)
+        sector = f"sector {returns.sectors[constant[0]].code}, " if len(constant) else ""
+        raise ValueError(f"{sector}{window}: {exc}") from None
 
 
 def msas_from_returns(
-    returns: list[ReturnSeries],
-    q: int = DEFAULT_Q,
-    partitions: list[Partition] | None = None,
+    returns: Panel,
+    q: int,
+    partitions: Partition | None = None,
     window: str = "whole sample",
 ) -> MsaBundle:
-    """Run the estimation pipeline on one aligned window of returns.
+    """Run the estimation pipeline on one window of the returns panel.
 
-    ``window`` labels the window in errors, e.g. for a sector whose
-    returns are constant there and so cannot be symbolized.
+    Every row is symbolized at once, against its own range in this window
+    or against ``partitions`` (per-row bin edges, e.g. the whole sample's).
+    ``window`` labels the window in errors: a sector whose returns are
+    constant there, or a network with so many tied pairs that no root
+    reaches every sector (the message gives the window's trading days and
+    tied pairs).
     """
     if partitions is None:
-        symbols = [encode(r, _partition(r, q, window)) for r in returns]
-    else:
-        symbols = [encode(r, p) for r, p in zip(returns, partitions)]
-    dai = dai_matrix(te_matrix(symbols))
-    net = build_network(dai)
-    outgoing = max_spanning_arborescence(net, "outgoing")
-    incoming = max_spanning_arborescence(net, "incoming")
+        partitions = _partition(returns, q, window)
+    net = build_network(dai_matrix(te_matrix(encode(returns, partitions))))
+    try:
+        outgoing = max_spanning_arborescence(net, "outgoing")
+        incoming = max_spanning_arborescence(net, "incoming")
+    except ValueError as exc:
+        raise ValueError(f"{window} ({len(returns.dates)} trading days, "
+                         f"{len(net.ties)} tied pairs): {exc}") from None
     return MsaBundle(
         outgoing=outgoing,
         incoming=incoming,
@@ -209,52 +212,53 @@ def msas_from_returns(
     )
 
 
-def whole_sample_msas(dataset: list[PriceSeries], q: int = DEFAULT_Q) -> MsaBundle:
+def whole_sample_msas(dataset: list[PriceSeries], q: int) -> MsaBundle:
     """Whole-sample pipeline: both arborescences plus their maximal paths."""
     return msas_from_returns(returns_panel(dataset), q)
 
 
+def _year(year: int) -> tuple[date, date]:
+    return date(year, 1, 1), date(year, 12, 31)
+
+
 def yearly_reports(
     dataset: list[PriceSeries],
-    q: int = DEFAULT_Q,
+    q: int,
     global_partition: bool = False,
     min_days: int = MIN_YEAR_DAYS,
 ) -> dict[str, list[YearlyMsaReport]]:
     """Per-calendar-year pipeline runs, keyed by orientation.
 
     Years with fewer than ``min_days`` trading days are skipped with a
-    warning.  ``global_partition`` reuses whole-sample bin edges for every
-    year instead of the default per-year recomputation.
+    warning; if every year is, the study fails.  ``global_partition``
+    reuses whole-sample bin edges for every year instead of the default
+    per-year recomputation.
     """
-    returns = returns_panel(dataset)
-    partitions = (
-        [_partition(r, q, "whole sample") for r in returns] if global_partition else None
-    )
-    dates = returns[0].dates
-    years = sorted({d.year for d in dates})
-    reports: dict[str, list[YearlyMsaReport]] = {"outgoing": [], "incoming": []}
-    for year in years:
-        window = (date(year, 1, 1), date(year, 12, 31))
-        n_days = bisect_right(dates, window[1]) - bisect_left(dates, window[0])
-        if n_days < min_days:
-            warnings.warn(f"skipping year {year}: only {n_days} trading day(s)",
+    panel = returns_panel(dataset)
+    partitions = _partition(panel, q, "whole sample") if global_partition else None
+    reports: dict[str, list[YearlyMsaReport]] = {o: [] for o in ORIENTATIONS}
+    for year in sorted({d.year for d in panel.dates}):
+        returns = slice_returns(panel, _year(year))
+        if len(returns.dates) < min_days:
+            warnings.warn(f"skipping year {year}: only {len(returns.dates)} trading day(s)",
                           stacklevel=2)
             continue
-        sliced = [slice_returns(r, window) for r in returns]
-        bundle = msas_from_returns(sliced, q, partitions, window=f"year {year}")
-        for orientation in ("outgoing", "incoming"):
+        bundle = msas_from_returns(returns, q, partitions, window=f"year {year}")
+        for orientation in ORIENTATIONS:
             arb = bundle.arborescence(orientation)
             path = bundle.path(orientation)
             reports[orientation].append(
                 YearlyMsaReport(
                     year=year,
                     orientation=orientation,
-                    root=arb.sectors[arb.root],
+                    root=arb.root_sector,
                     path=path,
                     path_dai_bits=path.total_weight,
                     arborescence=arb,
                 )
             )
+    if not reports["outgoing"]:
+        raise ValueError(f"no calendar year has the minimum of {min_days} trading days")
     return reports
 
 
@@ -274,21 +278,14 @@ def degree_heatmap(reports: list[YearlyMsaReport]) -> DegreeHeatmap:
     if len(orientations) != 1:
         raise ValueError("reports mix orientations")
     sectors = reports[0].arborescence.sectors
-    codes = tuple(s.code for s in sectors)
-    years = tuple(r.year for r in reports)
-    shape = (len(reports), len(codes))
-    in_deg = np.zeros(shape, dtype=np.int64)
-    out_deg = np.zeros(shape, dtype=np.int64)
-    for row, report in enumerate(reports):
-        deg = degrees(report.arborescence)
-        for col, code in enumerate(codes):
-            i, o, _ = deg[code]
-            in_deg[row, col] = i
-            out_deg[row, col] = o
+    degs = [degrees(r.arborescence) for r in reports]
+    # table[row, col] = (in, out, total) degree of sector col in year row.
+    table = np.array([[d[s.code] for s in sectors] for d in degs], dtype=np.int64)
+    in_deg, out_deg = table[..., 0], table[..., 1]
     return DegreeHeatmap(
         orientation=orientations.pop(),
-        years=years,
-        codes=codes,
+        years=tuple(r.year for r in reports),
+        sectors=sectors,
         in_degree=in_deg,
         out_degree=out_deg,
         total_degree=in_deg + out_deg,
@@ -309,56 +306,32 @@ def turmoil_study(
     """
     if crash_start > crash_end:
         raise ValueError("crash_start must not be after crash_end")
-    returns = returns_panel(dataset)
-    dates = returns[0].dates
-    t_len = sum(1 for d in dates if crash_start <= d <= crash_end)
+    panel = returns_panel(dataset)
+    dates = panel.dates
+    i0 = bisect_left(dates, crash_start)
+    t_len = bisect_right(dates, crash_end) - i0
     if t_len == 0:
         raise ValueError("no trading days inside the crash interval")
-    i0 = bisect_left(dates, crash_start)
-    spans = {
-        "before": (i0 - 3 * t_len, i0 - t_len),
-        "during": (i0 - t_len, i0 + t_len),
-        "after": (i0 + t_len, i0 + 3 * t_len),
-    }
-    if spans["before"][0] < 0 or spans["after"][1] > len(dates):
+    if i0 - 3 * t_len < 0 or i0 + 3 * t_len > len(dates):
         raise ValueError("dataset does not cover all turmoil windows")
-
+    # Each window is 2T trading days and starts k*T days from the crash start.
     intervals = {
-        label: (dates[lo], dates[hi - 1]) for label, (lo, hi) in spans.items()
+        label: (dates[i0 + k * t_len], dates[i0 + (k + 2) * t_len - 1])
+        for label, k in (("before", -3), ("during", -1), ("after", 1))
     }
     windows = TurmoilWindows(
         crash_start=crash_start,
         crash_end=crash_end,
         crash_days=t_len,
-        before=intervals["before"],
-        during=intervals["during"],
-        after=intervals["after"],
+        **intervals,
     )
-
-    results = []
-    for label in ("before", "during", "after"):
-        lo, hi = spans[label]
-        sliced = [
-            ReturnSeries(r.sector, r.dates[lo:hi], r.values[lo:hi]) for r in returns
-        ]
-        bundle = msas_from_returns(sliced, q, window=f"{label} window")
-        root_degree = {}
-        path_weight = {}
-        for orientation in ("outgoing", "incoming"):
-            arb = bundle.arborescence(orientation)
-            root_code = arb.sectors[arb.root].code
-            root_degree[orientation] = degrees(arb)[root_code][2]
-            path_weight[orientation] = bundle.path(orientation).total_weight
-        results.append(
-            WindowResult(
-                label=label,
-                interval=intervals[label],
-                msas=bundle,
-                root_degree=root_degree,
-                path_weight=path_weight,
-            )
-        )
-    return TurmoilStudy(windows=windows, q=q, results=tuple(results))
+    results = tuple(
+        WindowResult(label, interval,
+                      msas_from_returns(slice_returns(panel, interval), q,
+                                        window=f"{label} window"))
+        for label, interval in intervals.items()
+    )
+    return TurmoilStudy(windows=windows, q=q, results=results)
 
 
 def pearson(x, y) -> float:
@@ -396,10 +369,9 @@ def specificity_study(
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    returns = returns_panel(dataset)
-    index_returns = log_returns(index)
-    if index_returns.dates != returns[0].dates:
-        raise ValueError("index series not aligned with dataset")
+    # The index is the panel's last row, so one check aligns it too.
+    panel = returns_panel([*dataset, index])
+    row = {p.sector.code: k for k, p in enumerate(dataset)}
 
     out_by_year = {r.year: r for r in reports.get("outgoing", [])}
     in_by_year = {r.year: r for r in reports.get("incoming", [])}
@@ -407,18 +379,15 @@ def specificity_study(
     if not years:
         raise ValueError("no years with reports for both orientations")
 
-    by_code = {r.sector.code: r for r in returns}
     rng = np.random.default_rng(seed)
-
     source_roots, source_corr = [], []
     sink_roots, sink_corr = [], []
     control_sectors, control_corr = [], []
     for year in years:
-        window = (date(year, 1, 1), date(year, 12, 31))
-        idx_slice = slice_returns(index_returns, window)
+        values = slice_returns(panel, _year(year)).values
 
         def year_corr(code: str) -> float:
-            return pearson(slice_returns(by_code[code], window).values, idx_slice.values)
+            return pearson(values[row[code]], values[-1])
 
         src = out_by_year[year].root.code
         snk = in_by_year[year].root.code
@@ -427,7 +396,7 @@ def specificity_study(
         sink_roots.append(snk)
         sink_corr.append(year_corr(snk))
 
-        candidates = sorted(code for code in by_code if code not in {src, snk})
+        candidates = sorted(code for code in row if code not in {src, snk})
         if samples > len(candidates):
             raise ValueError("more control samples requested than non-root sectors")
         picks = rng.choice(len(candidates), size=samples, replace=False)
@@ -472,14 +441,14 @@ def render_yearly_csv(reports: list[YearlyMsaReport], report_mode: bool = False)
 
 def render_root_occurrences_csv(
     reports: dict[str, list[YearlyMsaReport]],
-    orientations: tuple[str, ...] = ("outgoing", "incoming"),
+    orientations: tuple[str, ...] = ORIENTATIONS,
 ) -> str:
     lines = ["orientation,sector,count"]
     for orientation in orientations:
+        roots = {r.root.code: r.root for r in reports.get(orientation, [])}
         counts = root_occurrences(reports.get(orientation, []))
-        short = {code: code[-3:] for code in counts}
         for code in sorted(counts):
-            lines.append(f"{orientation},{short[code]},{counts[code]}")
+            lines.append(f"{orientation},{roots[code].short_code},{counts[code]}")
     return "\n".join(lines) + "\n"
 
 
@@ -492,8 +461,7 @@ def render_degree_heatmap_csv(hm: DegreeHeatmap, kind: str = "total") -> str:
     }.get(kind)
     if table is None:
         raise ValueError("kind must be 'in', 'out', or 'total'")
-    short = [code[-3:] for code in hm.codes]
-    lines = ["year," + ",".join(short)]
+    lines = ["year," + ",".join(s.short_code for s in hm.sectors)]
     for row, year in enumerate(hm.years):
         lines.append(f"{year}," + ",".join(str(int(v)) for v in table[row]))
     return "\n".join(lines) + "\n"
@@ -501,7 +469,7 @@ def render_degree_heatmap_csv(hm: DegreeHeatmap, kind: str = "total") -> str:
 
 def render_yearly_json(
     reports: dict[str, list[YearlyMsaReport]],
-    orientations: tuple[str, ...] = ("outgoing", "incoming"),
+    orientations: tuple[str, ...] = ORIENTATIONS,
 ) -> str:
     payload = {}
     for orientation in orientations:
@@ -513,14 +481,7 @@ def render_yearly_json(
                 "n_sectors": r.path_sector_count,
                 "dai_bits": r.path_dai_bits,
                 "dai_x100": r.path_dai_x100,
-                "edges": [
-                    {
-                        "source": r.arborescence.sectors[i].code,
-                        "target": r.arborescence.sectors[j].code,
-                        "weight_bits": w,
-                    }
-                    for i, j, w in r.arborescence.edges
-                ],
+                "edges": edge_list(r.arborescence),
             }
             for r in reports.get(orientation, [])
         ]
@@ -533,13 +494,14 @@ def render_turmoil_csv(study: TurmoilStudy, report_mode: bool = False) -> str:
         "path_sectors,path_weight_bits"
     ]
     for r in study.results:
-        for orientation in ("outgoing", "incoming"):
+        for orientation in ORIENTATIONS:
             arb = r.msas.arborescence(orientation)
+            path = r.msas.path(orientation)
             lines.append(
                 f"{r.label},{r.interval[0].isoformat()},{r.interval[1].isoformat()},"
-                f"{orientation},{arb.sectors[arb.root].short_code},"
-                f"{r.root_degree[orientation]},{r.msas.path(orientation).length},"
-                f"{_fmt(r.path_weight[orientation], report_mode, digits=4)}"
+                f"{orientation},{arb.root_sector.short_code},"
+                f"{r.root_degree[orientation]},{path.length},"
+                f"{_fmt(path.total_weight, report_mode, digits=4)}"
             )
     return "\n".join(lines) + "\n"
 
@@ -559,11 +521,11 @@ def render_turmoil_json(study: TurmoilStudy) -> str:
             "start": r.interval[0].isoformat(),
             "end": r.interval[1].isoformat(),
         }
-        for orientation in ("outgoing", "incoming"):
+        for orientation in ORIENTATIONS:
             arb = r.msas.arborescence(orientation)
             path = r.msas.path(orientation)
             entry[orientation] = {
-                "root": arb.sectors[arb.root].code,
+                "root": arb.root_sector.code,
                 "root_degree": r.root_degree[orientation],
                 "total_weight_bits": arb.total_weight,
                 "path": list(path.codes),
@@ -574,21 +536,24 @@ def render_turmoil_json(study: TurmoilStudy) -> str:
 
 
 def render_specificity_csv(result: SpecificityResult) -> str:
+    def short(code: str) -> str:
+        return SectorMeta(code).short_code
+
     lines = [
         f"# seed={result.seed} samples_per_year={result.samples_per_year}",
         "year,kind,sector,correlation",
     ]
     for k, year in enumerate(result.years):
         lines.append(
-            f"{year},source,{result.source_roots[k][-3:]},"
+            f"{year},source,{short(result.source_roots[k])},"
             f"{repr(result.source_correlations[k])}"
         )
         lines.append(
-            f"{year},sink,{result.sink_roots[k][-3:]},"
+            f"{year},sink,{short(result.sink_roots[k])},"
             f"{repr(result.sink_correlations[k])}"
         )
         for code, rho in zip(result.control_sectors[k], result.control_correlations[k]):
-            lines.append(f"{year},control,{code[-3:]},{repr(rho)}")
+            lines.append(f"{year},control,{short(code)},{repr(rho)}")
     return "\n".join(lines) + "\n"
 
 
@@ -620,14 +585,14 @@ def render_msa_bundle_csv(
     bundle: MsaBundle,
     label: str,
     report_mode: bool = False,
-    orientations: tuple[str, ...] = ("outgoing", "incoming"),
+    orientations: tuple[str, ...] = ORIENTATIONS,
 ) -> str:
     lines = ["window,orientation,root_sector,maximal_information_path,n_sectors,dai_x100"]
     for orientation in orientations:
         arb = bundle.arborescence(orientation)
         path = bundle.path(orientation)
         lines.append(
-            f"{label},{orientation},{arb.sectors[arb.root].short_code},"
+            f"{label},{orientation},{arb.root_sector.short_code},"
             f"{_path_str(path)},{path.length},"
             f"{_fmt(path.total_weight * 100.0, report_mode)}"
         )

@@ -73,6 +73,10 @@ class Arborescence:
     def __len__(self) -> int:
         return len(self.sectors)
 
+    @property
+    def root_sector(self) -> SectorMeta:
+        return self.sectors[self.root]
+
 
 @dataclass(frozen=True)
 class InfoFlowPath:
@@ -220,7 +224,7 @@ def maximal_information_flow_path(a: Arborescence) -> InfoFlowPath:
     """
     n = len(a.sectors)
     if n == 1:
-        return InfoFlowPath(nodes=(a.sectors[a.root],), total_weight=0.0)
+        return InfoFlowPath(nodes=(a.root_sector,), total_weight=0.0)
 
     weight = {(i, j): w for i, j, w in a.edges}
     if a.orientation == "outgoing":
@@ -274,19 +278,20 @@ def degrees(a: Arborescence) -> dict[str, tuple[int, int, int]]:
     }
 
 
+def edge_list(a: Arborescence) -> list[dict]:
+    """JSON-ready tree edges by sector code, in the tree's edge order."""
+    return [
+        {"source": a.sectors[i].code, "target": a.sectors[j].code, "weight_bits": w}
+        for i, j, w in a.edges
+    ]
+
+
 def arborescence_to_json(a: Arborescence, path: InfoFlowPath | None = None) -> str:
     payload = {
         "orientation": a.orientation,
-        "root": a.sectors[a.root].code,
+        "root": a.root_sector.code,
         "total_weight_bits": a.total_weight,
-        "edges": [
-            {
-                "source": a.sectors[i].code,
-                "target": a.sectors[j].code,
-                "weight_bits": w,
-            }
-            for i, j, w in a.edges
-        ],
+        "edges": edge_list(a),
     }
     if path is not None:
         payload["maximal_path"] = {

@@ -3,7 +3,9 @@
 Three subcommands cover the studies: ``stats`` (per-sector summary table),
 ``msa`` (whole-sample / yearly / date-range / turmoil arborescences), and
 ``specificity`` (root-vs-index correlation study).  A JSON config file can
-hold any long-form option; explicit flags override file values.  All
+hold any long-form option, keyed by its dest; its values pass the flags'
+own types and choices, an unknown key is an error, and explicit flags
+override file values.  All
 outputs are written atomically (temp file + rename) and every command is
 deterministic given input bytes, configuration, and seed.
 """
@@ -11,6 +13,7 @@ deterministic given input bytes, configuration, and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -19,7 +22,7 @@ from datetime import date
 from pathlib import Path
 
 from . import analysis
-from .arborescence import arborescence_to_dot, arborescence_to_json
+from .arborescence import ORIENTATIONS, arborescence_to_dot, arborescence_to_json
 from .timeseries import (
     DatasetError,
     PriceSeries,
@@ -42,6 +45,9 @@ _DEFAULTS = {
 
 _FORMATS = ("csv", "json", "dot")
 
+# Config keys whose feature is gone, with what to tell a user who sets one.
+_REMOVED_KEYS = {"denominators": "was removed with the literal TE mode"}
+
 
 class CliError(Exception):
     """Configuration or input problem; maps to exit status 2."""
@@ -57,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="wide-format price CSV (date,<code>,...)")
     common.add_argument("--names", help="optional code,name sector metadata CSV")
-    common.add_argument("--q", type=int, help="number of discretization bins (default 15)")
+    common.add_argument("--q", type=int,
+                        help=f"number of discretization bins (default {_DEFAULTS['q']})")
     common.add_argument("--seed", type=int, help="seed for any randomized step")
     common.add_argument("--out-dir", dest="out_dir", help="output directory")
     common.add_argument("--format", help="comma list out of csv,json,dot")
@@ -89,6 +96,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_options() -> dict[str, argparse.Action]:
+    """The option behind each config key: any subcommand's long-form dest."""
+    commands = next(a.choices for a in build_parser()._actions if a.dest == "command")
+    return {a.dest: a for command in commands.values() for a in command._actions
+            if a.option_strings and a.dest not in ("help", "config")}
+
+
+def _config_value(key: str, value, option: argparse.Action):
+    """A config file value, parsed by its option's own type and choices."""
+    if option.nargs == 0:  # an on/off flag
+        expected = "true or false"
+        if isinstance(value, bool):
+            return value
+    else:
+        expected = (f"one of {', '.join(option.choices)}" if option.choices
+                    else "an integer" if option.type is int else "a string")
+        if isinstance(value, (str, int)) and not isinstance(value, bool):
+            with contextlib.suppress(ValueError):
+                parsed = (option.type or str)(value)
+                if option.choices is None or parsed in option.choices:
+                    return parsed
+    raise CliError(f"config key {key!r} must be {expected}, not {json.dumps(value)}")
+
+
 def _merge_config(args: argparse.Namespace) -> dict:
     """Layer resolution: hard defaults, then config file, then explicit flags."""
     merged = dict(_DEFAULTS)
@@ -102,7 +133,13 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise CliError(f"invalid config file: {exc}") from exc
         if not isinstance(file_values, dict):
             raise CliError("config file must hold a JSON object")
-        merged.update(file_values)
+        options = _config_options()
+        for key, value in file_values.items():
+            if key in _REMOVED_KEYS:
+                raise CliError(f"config key {key!r} {_REMOVED_KEYS[key]}")
+            if key not in options:
+                raise CliError(f"unknown config key {key!r}")
+            merged[key] = _config_value(key, value, options[key])
     for key, value in vars(args).items():
         if key in ("command", "config"):
             continue
@@ -111,11 +148,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _parse_date(value, flag: str) -> date:
-    if isinstance(value, date):
-        return value
+def _parse_date(value: str, flag: str) -> date:
     try:
-        return date.fromisoformat(str(value))
+        return date.fromisoformat(value)
     except ValueError as exc:
         raise CliError(f"{flag} must be an ISO-8601 date") from exc
 
@@ -131,12 +166,11 @@ def _formats(cfg: dict) -> set[str]:
 
 
 def _orientations(cfg: dict) -> list[str]:
-    sel = cfg.get("orientation", "both")
     return {
         "out": ["outgoing"],
         "in": ["incoming"],
-        "both": ["outgoing", "incoming"],
-    }[sel]
+        "both": list(ORIENTATIONS),
+    }[cfg["orientation"]]
 
 
 def _load_input(cfg: dict) -> list[PriceSeries]:
@@ -246,9 +280,7 @@ def _emit_bundle(
 
 
 def _cmd_msa(cfg: dict) -> list[Path]:
-    mode = cfg.get("mode", "whole")
-    if mode not in ("whole", "yearly", "range", "turmoil"):
-        raise CliError(f"unknown mode: {mode}")
+    mode = cfg["mode"]
     formats = _formats(cfg)
     orientations = _orientations(cfg)
     out_dir = Path(cfg["out_dir"])
@@ -272,7 +304,7 @@ def _cmd_msa(cfg: dict) -> list[Path]:
                 _parse_date(cfg["date_from"], "--from"),
                 _parse_date(cfg["date_to"], "--to"),
             )
-            returns = [slice_returns(r, window) for r in returns]
+            returns = slice_returns(returns, window)
             stem = "msa_range"
             label = f"range {window[0]} to {window[1]}"
         bundle = analysis.msas_from_returns(returns, q, window=label)

@@ -16,7 +16,8 @@ and n_* their counts, the sample sizes cancel and
     N * TE = S(n_abc) - S(n_ab) - S(n_bc) + S(n_b),   S(n) = sum n log2 n.
 
 One kernel evaluates this for a whole window, one target at a time
-against every source.  The target's own counts n_ab and n_b come from one
+against every source: ``te_matrix`` runs it on a ``SymbolPanel`` and
+``transfer_entropy`` on one pair of ``SymbolSeries``.  The target's own counts n_ab and n_b come from one
 bincount over all series; n_abc for every source comes from one bincount
 per target, keyed by (source, source symbol, target state), and n_bc sums
 n_abc over the target's next symbol.  All counts are exact integers.
@@ -42,8 +43,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symbolize import SymbolSeries
-from .timeseries import SectorMeta
+from .symbolize import SymbolPanel, SymbolSeries
+from .timeseries import SectorMeta, _freeze
+
+
+def _check_square(m, name: str) -> None:
+    """Freeze matrix field ``name`` of ``m``; it must be n x n for n sectors."""
+    object.__setattr__(m, "sectors", tuple(m.sectors))
+    object.__setattr__(m, name, _freeze(getattr(m, name), np.float64))
+    n = len(m.sectors)
+    if getattr(m, name).shape != (n, n):
+        raise ValueError(f"{name} matrix shape does not match sector count")
 
 
 @dataclass(frozen=True)
@@ -54,13 +64,7 @@ class TeMatrix:
     te: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sectors", tuple(self.sectors))
-        te = np.asarray(self.te, dtype=np.float64).copy()
-        te.setflags(write=False)
-        object.__setattr__(self, "te", te)
-        n = len(self.sectors)
-        if self.te.shape != (n, n):
-            raise ValueError("te matrix shape does not match sector count")
+        _check_square(self, "te")
 
 
 @dataclass(frozen=True)
@@ -71,24 +75,7 @@ class DaiMatrix:
     dai: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sectors", tuple(self.sectors))
-        dai = np.asarray(self.dai, dtype=np.float64).copy()
-        dai.setflags(write=False)
-        object.__setattr__(self, "dai", dai)
-        n = len(self.sectors)
-        if self.dai.shape != (n, n):
-            raise ValueError("dai matrix shape does not match sector count")
-
-
-def _check_aligned(x: SymbolSeries, y: SymbolSeries) -> None:
-    if len(x) != len(y):
-        raise ValueError("symbol series differ in length")
-    if len(x) < 2:
-        raise ValueError("need at least 2 aligned samples")
-    if x.dates != y.dates:
-        raise ValueError("symbol series are not date-aligned")
-    if x.partition.q != y.partition.q:
-        raise ValueError("symbol series use different bin counts")
+        _check_square(self, "dai")
 
 
 def _prime_factors(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -178,54 +165,32 @@ def _te_columns(symbols: np.ndarray, q: int, targets) -> np.ndarray:
 
 def transfer_entropy(source: SymbolSeries, target: SymbolSeries) -> float:
     """Symbolic transfer entropy from ``source`` to ``target``, in bits."""
-    _check_aligned(target, source)
+    if len(source) != len(target):
+        raise ValueError("symbol series differ in length")
+    if len(target) < 2:
+        raise ValueError("need at least 2 aligned samples")
+    if source.dates != target.dates:
+        raise ValueError("symbol series are not date-aligned")
+    if source.partition.q != target.partition.q:
+        raise ValueError("symbol series use different bin counts")
     symbols = np.stack([source.symbols, target.symbols])
     return float(_te_columns(symbols, target.partition.q, (1,))[0, 1])
 
 
-def effective_transfer_entropy(
-    source: SymbolSeries,
-    target: SymbolSeries,
-    n_surrogates: int = 100,
-    seed: int = 0,
-) -> float:
-    """Raw TE minus the mean TE over source-shuffled surrogates.
+def te_matrix(all_series: SymbolPanel) -> TeMatrix:
+    """Transfer entropy for every ordered sector pair; te[i, j] is i -> j.
 
-    Exploratory bias diagnostic only; the pipeline always uses the raw
-    plug-in estimate.
+    The panel's rows share one date axis by construction, so no per-pair
+    alignment check is needed.
     """
-    _check_aligned(target, source)
-    rng = np.random.default_rng(seed)
-    shuffled = source.symbols.copy()
-    rows = [target.symbols, source.symbols]
-    for _ in range(n_surrogates):
-        rng.shuffle(shuffled)
-        rows.append(shuffled.copy())
-    te = _te_columns(np.stack(rows), target.partition.q, (0,))[1:, 0]
-    return float(te[0] - te[1:].sum() / n_surrogates)
-
-
-def te_matrix(all_series: list[SymbolSeries]) -> TeMatrix:
-    """Transfer entropy for every ordered sector pair; te[i, j] is i -> j."""
     if len(all_series) < 2:
         raise ValueError("need at least 2 series")
-    first = all_series[0]
-    for s in all_series[1:]:
-        _check_aligned(first, s)
-    symbols = np.stack([s.symbols for s in all_series])
-    te = _te_columns(symbols, first.partition.q, range(len(all_series)))
-    return TeMatrix(sectors=tuple(s.sector for s in all_series), te=te)
+    if all_series.symbols.shape[1] < 2:
+        raise ValueError("need at least 2 aligned samples")
+    te = _te_columns(all_series.symbols, all_series.partition.q, range(len(all_series)))
+    return TeMatrix(sectors=all_series.sectors, te=te)
 
 
 def dai_matrix(te: TeMatrix) -> DaiMatrix:
     """Net information flow for every pair: dai = te - te^T (exact)."""
     return DaiMatrix(sectors=te.sectors, dai=te.te - te.te.T)
-
-
-def te_matrix_to_csv(m: TeMatrix) -> str:
-    """Full-precision CSV dump with sector codes on both axes."""
-    codes = [s.code for s in m.sectors]
-    lines = ["code," + ",".join(codes)]
-    for i, code in enumerate(codes):
-        lines.append(code + "," + ",".join(repr(float(v)) for v in m.te[i]))
-    return "\n".join(lines) + "\n"

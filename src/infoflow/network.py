@@ -9,7 +9,6 @@ a non-complete orientation.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -70,45 +69,3 @@ def build_network(dai: DaiMatrix) -> InfoFlowNetwork:
         warnings.warn(f"dropped {len(ties)} tied pair(s) with zero net flow: {labels}",
                       stacklevel=2)
     return InfoFlowNetwork(sectors=dai.sectors, edges=tuple(edges), ties=tuple(ties))
-
-
-def network_to_json(net: InfoFlowNetwork) -> str:
-    """JSON dump: node list with codes/names plus weighted edge list."""
-    payload = {
-        "nodes": [
-            {"code": s.code, "short_code": s.short_code, "name": s.name}
-            for s in net.sectors
-        ],
-        "edges": [
-            {
-                "source": net.sectors[i].code,
-                "target": net.sectors[j].code,
-                "weight_bits": w,
-            }
-            for i, j, w in sorted(
-                net.edges,
-                key=lambda e: (net.sectors[e[0]].code, net.sectors[e[1]].code),
-            )
-        ],
-        "tied_pairs": [
-            [net.sectors[i].code, net.sectors[j].code] for i, j in net.ties
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def network_to_dot(net: InfoFlowNetwork, name: str = "infoflow") -> str:
-    """Graphviz DOT rendering with edge labels rounded to 4 decimals."""
-    lines = [f"digraph {name} {{"]
-    for s in net.sectors:
-        label = s.short_code
-        lines.append(f'  "{label}";')
-    for i, j, w in sorted(
-        net.edges,
-        key=lambda e: (net.sectors[e[0]].code, net.sectors[e[1]].code),
-    ):
-        src = net.sectors[i].short_code
-        dst = net.sectors[j].short_code
-        lines.append(f'  "{src}" -> "{dst}" [label="{w:.4f}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -4,6 +4,12 @@ The loader consumes a wide-format CSV (``date,<code1>,<code2>,...``, one
 row per trading day, ISO-8601 dates). Rows with any missing price are
 dropped for all sectors so that every series shares a single date axis;
 downstream pairwise estimation requires time-aligned samples.
+
+``returns_panel`` checks that alignment once and turns the whole dataset
+into one ``Panel``: the sectors, the return dates and an n x L matrix of
+log returns.  Every study window is a column span of that matrix, cut by
+``slice_returns``, which bisects the date axis of a panel or of a single
+``ReturnSeries`` alike.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import math
 import operator
 import warnings
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
 
@@ -60,6 +66,17 @@ def _check_increasing(dates: tuple[date, ...]) -> None:
         raise ValueError("dates not strictly increasing")
 
 
+def _check_returns(r, rows: tuple[int, ...]) -> None:
+    """Freeze the dates and values of ``r``: finite, ``rows`` x dates, dates increasing."""
+    object.__setattr__(r, "dates", tuple(r.dates))
+    object.__setattr__(r, "values", _freeze(r.values, np.float64))
+    if r.values.shape != (*rows, len(r.dates)):
+        raise ValueError("values do not match the dates")
+    if not np.all(np.isfinite(r.values)):
+        raise ValueError("non-finite return value")
+    _check_increasing(r.dates)
+
+
 @dataclass(frozen=True)
 class PriceSeries:
     """Daily closing prices of one sector on a strictly increasing date axis."""
@@ -92,16 +109,26 @@ class ReturnSeries:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dates", tuple(self.dates))
-        object.__setattr__(self, "values", _freeze(self.values, np.float64))
-        if len(self.dates) != len(self.values):
-            raise ValueError("dates and values differ in length")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("non-finite return value")
-        _check_increasing(self.dates)
+        _check_returns(self, ())
 
     def __len__(self) -> int:
         return len(self.dates)
+
+
+@dataclass(frozen=True)
+class Panel:
+    """Log returns of n sectors on one strictly increasing date axis.
+
+    Row i of the n x L matrix ``values`` holds the returns of ``sectors[i]``.
+    """
+
+    sectors: tuple[SectorMeta, ...]
+    dates: tuple[date, ...]
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sectors", tuple(self.sectors))
+        _check_returns(self, (len(self.sectors),))
 
 
 @dataclass(frozen=True)
@@ -231,6 +258,21 @@ def log_returns(p: PriceSeries) -> ReturnSeries:
     return ReturnSeries(p.sector, p.dates[1:], values)
 
 
+def returns_panel(dataset: list[PriceSeries]) -> Panel:
+    """Log returns of every sector as one panel, dated by the later close.
+
+    All series must share one date axis; this is the one place that
+    checks it.
+    """
+    if len(dataset) < 2:
+        raise ValueError("need at least 2 sectors")
+    dates = dataset[0].dates
+    if any(p.dates != dates for p in dataset[1:]):
+        raise ValueError("price series are not date-aligned")
+    closes = np.stack([p.closes for p in dataset])
+    return Panel(tuple(p.sector for p in dataset), dates[1:], np.diff(np.log(closes), axis=1))
+
+
 def summary_stats(r: ReturnSeries) -> SummaryStats:
     """Moment summary and Jarque-Bera test of a return series.
 
@@ -264,8 +306,8 @@ def summary_stats(r: ReturnSeries) -> SummaryStats:
     )
 
 
-def slice_returns(r: ReturnSeries, window: tuple[date, date]) -> ReturnSeries:
-    """Restrict a return series to the closed date interval ``window``."""
+def slice_returns(r: ReturnSeries | Panel, window: tuple[date, date]) -> ReturnSeries | Panel:
+    """Restrict a return series or panel to the closed date interval ``window``."""
     start, end = window
     if start > end:
         raise ValueError("empty interval")
@@ -273,4 +315,4 @@ def slice_returns(r: ReturnSeries, window: tuple[date, date]) -> ReturnSeries:
     hi = bisect_right(r.dates, end)
     if lo >= hi:
         raise ValueError("empty result")
-    return ReturnSeries(r.sector, r.dates[lo:hi], r.values[lo:hi])
+    return replace(r, dates=r.dates[lo:hi], values=r.values[..., lo:hi])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from infoflow.network import InfoFlowNetwork
-from infoflow.symbolize import Partition, SymbolSeries
+from infoflow.symbolize import Partition, SymbolPanel, SymbolSeries
 from infoflow.timeseries import PriceSeries, ReturnSeries, SectorMeta
 
 
@@ -15,6 +15,12 @@ def make_symbols(values, q, code="900001", start=date(2000, 1, 3)):
     dates = tuple(start + timedelta(days=t) for t in range(len(values)))
     partition = Partition(q=q, x_min=0.0, x_max=float(q))
     return SymbolSeries(SectorMeta(code), partition, dates, np.asarray(values))
+
+
+def symbol_panel(series):
+    """SymbolPanel whose rows are the given aligned SymbolSeries (one q)."""
+    return SymbolPanel(tuple(s.sector for s in series), series[0].partition,
+                       np.stack([s.symbols for s in series]))
 
 
 def make_returns(values, code="900001", start=date(2000, 1, 3)):

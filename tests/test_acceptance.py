@@ -14,7 +14,13 @@ from datetime import date
 import numpy as np
 import pytest
 
-from conftest import make_returns, make_symbols, random_complete_network, turmoil_dataset
+from conftest import (
+    make_returns,
+    make_symbols,
+    random_complete_network,
+    symbol_panel,
+    turmoil_dataset,
+)
 from oracles import enumerate_arborescences, pearson_mpmath, stats_mpmath, te_bruteforce
 
 from infoflow.analysis import (
@@ -27,7 +33,6 @@ from infoflow.arborescence import degrees, max_spanning_arborescence
 from infoflow.cli import main as cli_main
 from infoflow.entropy import dai_matrix, te_matrix, transfer_entropy
 from infoflow.network import InfoFlowNetwork
-from infoflow.symbolize import symbolize_returns
 from infoflow.synth import (
     Coupling,
     Segment,
@@ -96,7 +101,7 @@ def test_criterion_03_nonnegativity_and_bound():
                 make_symbols(rng.integers(1, 4, size=120), 3, str(900001 + k))
                 for k in range(6)
             ]
-            d = dai_matrix(te_matrix(series))
+            d = dai_matrix(te_matrix(symbol_panel(series)))
             assert np.array_equal(d.dai, -d.dai.T)
             assert np.all(np.diag(d.dai) == 0.0)
 

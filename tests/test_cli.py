@@ -128,6 +128,18 @@ class TestMsa:
                     "--to", dates[400].isoformat()]) == 0
         assert (out / "msa_range_outgoing.json").exists()
 
+    def test_short_range_failure_names_window_days_and_ties(self, panel_csv, tmp_path,
+                                                            capsys):
+        path, series = panel_csv
+        dates = series[0].dates
+        with pytest.warns(UserWarning, match="6 tied pair"):
+            assert run(["msa", "--input", path, "--out-dir", tmp_path, "--mode", "range",
+                        "--from", dates[10].isoformat(),
+                        "--to", dates[12].isoformat()]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == ("error: range 2000-01-10 to 2000-01-12 (3 trading days, "
+                       "6 tied pairs): no root reaches all nodes")
+
     def test_range_mode_needs_dates(self, panel_csv, tmp_path, capsys):
         path, _ = panel_csv
         assert run(["msa", "--input", path, "--out-dir", tmp_path,
@@ -147,6 +159,29 @@ class TestMsa:
         assert payload["crash_trading_days"] == 80
         assert set(payload["windows"]) == {"before", "during", "after"}
         assert (out / "turmoil_during_outgoing.dot").exists()
+
+    def test_one_day_crash_failure_names_window(self, panel_csv, tmp_path, capsys):
+        path, series = panel_csv
+        day = series[0].dates[300].isoformat()
+        with pytest.warns(UserWarning, match="10 tied pair"):
+            assert run(["msa", "--input", path, "--out-dir", tmp_path, "--mode", "turmoil",
+                        "--crash-start", day, "--crash-end", day]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == ("error: before window (2 trading days, 10 tied pairs): "
+                       "no root reaches all nodes")
+
+    def test_yearly_mode_without_a_full_year_names_the_minimum(self, tmp_path, capsys):
+        from datetime import date
+
+        spec = SyntheticDataset(n_sectors=5, segments=(Segment(20, ()),), seed=6,
+                                start=date(1999, 12, 1))
+        path = tmp_path / "short.csv"
+        path.write_text(dataset_to_csv(generate_dataset(spec)), encoding="utf-8")
+        with pytest.warns(UserWarning, match="skipping year 1999"):
+            assert run(["msa", "--input", path, "--out-dir", tmp_path,
+                        "--mode", "yearly"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err == "error: no calendar year has the minimum of 30 trading days"
 
     def test_turmoil_mode_without_dates_exits_2(self, panel_csv, tmp_path, capsys):
         path, _ = panel_csv
@@ -232,6 +267,45 @@ class TestConfigFile:
         config.write_text("{not json", encoding="utf-8")
         assert run(["msa", "--input", path, "--config", config]) == 2
         assert "invalid config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("values, message", [
+        ({"orientaton": "out"}, "unknown config key 'orientaton'"),
+        ({"denominators": "literal"},
+         "config key 'denominators' was removed with the literal TE mode"),
+        ({"config": "other.json"}, "unknown config key 'config'"),
+        ({"orientation": "outgoing"},
+         'config key \'orientation\' must be one of out, in, both, not "outgoing"'),
+        ({"q": [1]}, "config key 'q' must be an integer, not [1]"),
+        ({"q": 8.5}, "config key 'q' must be an integer, not 8.5"),
+        ({"q": "many"}, 'config key \'q\' must be an integer, not "many"'),
+        ({"report": "yes"}, 'config key \'report\' must be true or false, not "yes"'),
+    ])
+    def test_bad_key_or_value_exits_2_naming_the_key(self, panel_csv, tmp_path, capsys,
+                                                      values, message):
+        path, _ = panel_csv
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(values), encoding="utf-8")
+        assert run(["msa", "--input", path, "--out-dir", tmp_path / "out",
+                    "--config", config]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_values_parse_like_flags(self, panel_csv, tmp_path):
+        # Numbers may be text, as on the command line; workers is still accepted,
+        # and a key of another subcommand is allowed in a shared file.
+        path, _ = panel_csv
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "q": "8", "workers": 2, "global_partition": True, "mode": "yearly",
+            "format": "csv", "samples": 3,
+        }), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["msa", "--input", path, "--out-dir", out, "--config", config]) == 0
+        flags = tmp_path / "flags"
+        assert run(["msa", "--input", path, "--out-dir", flags, "--q", 8, "--mode", "yearly",
+                    "--global-partition", "--format", "csv"]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+            p.name: p.read_bytes() for p in flags.iterdir()}
 
     def test_unknown_format_exits_2(self, panel_csv, tmp_path, capsys):
         path, _ = panel_csv

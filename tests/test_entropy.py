@@ -1,21 +1,29 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_returns, make_symbols
+from conftest import make_prices, make_returns, make_symbols, symbol_panel
 from oracles import te_bruteforce, te_log2_exponents
 
-from infoflow.entropy import (
-    dai_matrix,
-    effective_transfer_entropy,
-    te_matrix,
-    te_matrix_to_csv,
-    transfer_entropy,
-)
+from infoflow.entropy import dai_matrix, te_matrix, transfer_entropy
 from infoflow.network import build_network
-from infoflow.symbolize import symbolize_returns
+from infoflow.symbolize import encode, make_partition
 from infoflow.synth import generate_coupled_binary
+from infoflow.timeseries import returns_panel
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def effective_transfer_entropy(*args, **kwargs):
+    """The surrogate-corrected estimate, which lives in demo 01."""
+    spec = importlib.util.spec_from_file_location(
+        "estimator_calibration", DEMOS / "01_estimator_calibration.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    return demo.effective_transfer_entropy(*args, **kwargs)
 
 
 def random_symbol_pair(rng, max_len=12, max_q=3, min_len=2):
@@ -64,16 +72,22 @@ class TestTransferEntropy:
         y = make_symbols([1, 2, 1], 2, "900002", start=date(2001, 1, 1))
         with pytest.raises(ValueError, match="aligned"):
             transfer_entropy(x, y)
+        # te_matrix takes one panel; the panel's one alignment check is here.
+        a = make_prices([1.0, 2.0, 1.5], "900001")
+        b = make_prices([1.0, 2.0, 1.5], "900002", start=date(2001, 1, 1))
         with pytest.raises(ValueError, match="aligned"):
-            te_matrix([x, y])
+            returns_panel([a, b])
 
     def test_length_mismatch_rejected(self):
         x = make_symbols([1, 2, 1], 2, "900001")
         y = make_symbols([1, 2], 2, "900002")
         with pytest.raises(ValueError, match="length"):
             transfer_entropy(x, y)
-        with pytest.raises(ValueError, match="length"):
-            te_matrix([x, y])
+        # A shorter price series fails the panel's one alignment check.
+        a = make_prices([1.0, 2.0, 1.5], "900001")
+        b = make_prices([1.0, 2.0], "900002")
+        with pytest.raises(ValueError, match="aligned"):
+            returns_panel([a, b])
 
     def test_effective_te_reduces_copy_bias(self):
         y, x = generate_coupled_binary(0.0, 2_000, seed=3)
@@ -97,7 +111,7 @@ class TestTransferEntropy:
 class TestTeMatrix:
     def test_pairwise_consistency(self, rng):
         a, b, q = random_symbol_pair(rng, max_len=40)
-        m = te_matrix([a, b])
+        m = te_matrix(symbol_panel([a, b]))
         assert m.te[0, 1] == transfer_entropy(a, b)
         assert m.te[1, 0] == transfer_entropy(b, a)
         assert m.te[0, 0] == 0.0 and m.te[1, 1] == 0.0
@@ -111,7 +125,7 @@ class TestTeMatrix:
             lo = int(rng.integers(1, 4))
             vals = rng.integers(lo, lo + int(rng.integers(2, 6)), size=length)
             series.append(make_symbols(vals, 8, f"90000{k + 1}"))
-        m = te_matrix(series)
+        m = te_matrix(symbol_panel(series))
         for i in range(6):
             for j in range(6):
                 if i != j:
@@ -122,27 +136,19 @@ class TestTeMatrix:
         q = 15
         returns = [make_returns(rng.standard_t(3, size=length), f"{900001 + k}")
                    for k in range(28)]
-        series = [symbolize_returns(r, q) for r in returns]
-        m = te_matrix(series)
+        series = [encode(r, make_partition(r, q)) for r in returns]
+        m = te_matrix(symbol_panel(series))
         for _ in range(20):
             i, j = rng.choice(28, size=2, replace=False)
             want = te_bruteforce(series[i].symbols.tolist(), series[j].symbols.tolist(), q)
             assert m.te[i, j] == pytest.approx(want, abs=1e-12)
-
-    def test_csv_dump_full_precision(self, rng):
-        a, b, _ = random_symbol_pair(rng, max_len=40)
-        m = te_matrix([a, b])
-        text = te_matrix_to_csv(m)
-        lines = text.strip().split("\n")
-        assert lines[0] == "code,900001,900002"
-        assert float(lines[1].split(",")[2]) == m.te[0, 1]
 
 
 class TestDaiMatrix:
     def test_sign_rule(self):
         a = make_symbols([1, 2, 1, 2, 2, 1], 2, "900001")
         b = make_symbols([2, 1, 2, 2, 1, 1], 2, "900002")
-        m = te_matrix([a, b])
+        m = te_matrix(symbol_panel([a, b]))
         d = dai_matrix(m)
         assert d.dai[0, 1] == m.te[0, 1] - m.te[1, 0]
         assert d.dai[1, 0] == -d.dai[0, 1]
@@ -152,7 +158,7 @@ class TestDaiMatrix:
             make_symbols(rng.integers(1, 4, size=150), 3, f"90000{k + 1}")
             for k in range(5)
         ]
-        d = dai_matrix(te_matrix(series))
+        d = dai_matrix(te_matrix(symbol_panel(series)))
         assert np.array_equal(d.dai, -d.dai.T)
         assert np.all(np.diag(d.dai) == 0.0)
 
@@ -173,7 +179,7 @@ class TestDaiMatrix:
                 make_symbols(rng.integers(1, 4, size=12), 3, f"90000{k + 1}")
                 for k in range(6)
             ]
-            m = te_matrix(series)
+            m = te_matrix(symbol_panel(series))
             d = dai_matrix(m)
             symbols = [s.symbols.tolist() for s in series]
             exact = {
@@ -188,7 +194,7 @@ class TestDaiMatrix:
         vals = [rng.integers(1, 6, size=260) for _ in range(5)]
         vals.append(vals[1].copy())
         series = [make_symbols(v, 5, f"90000{k + 1}") for k, v in enumerate(vals)]
-        d = dai_matrix(te_matrix(series))
+        d = dai_matrix(te_matrix(symbol_panel(series)))
         assert d.dai[1, 5] == 0.0 and d.dai[5, 1] == 0.0
         with pytest.warns(UserWarning, match="tied pair"):
             net = build_network(d)

@@ -1,15 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from infoflow.entropy import DaiMatrix
-from infoflow.network import (
-    InfoFlowNetwork,
-    build_network,
-    network_to_dot,
-    network_to_json,
-)
+from infoflow.network import InfoFlowNetwork, build_network
 from infoflow.timeseries import SectorMeta
 
 
@@ -72,30 +65,3 @@ class TestBuildNetwork:
         sectors = (SectorMeta("900001"), SectorMeta("900002"))
         with pytest.raises(ValueError, match="positive and finite"):
             InfoFlowNetwork(sectors=sectors, edges=((0, 1, w),))
-
-
-class TestExports:
-    def _net(self):
-        d = dai_from(
-            [[0.0, 0.25, -0.5], [-0.25, 0.0, 0.125], [0.5, -0.125, 0.0]],
-            ["900001", "900002", "900003"],
-        )
-        return build_network(d)
-
-    def test_json_roundtrip(self):
-        payload = json.loads(network_to_json(self._net()))
-        assert [n["code"] for n in payload["nodes"]] == ["900001", "900002", "900003"]
-        assert len(payload["edges"]) == 3
-        weights = {(e["source"], e["target"]): e["weight_bits"] for e in payload["edges"]}
-        assert weights[("900001", "900002")] == 0.25
-        assert weights[("900003", "900001")] == 0.5
-
-    def test_dot_labels_four_decimals(self):
-        text = network_to_dot(self._net())
-        assert text.startswith("digraph")
-        assert '"001" -> "002" [label="0.2500"];' in text
-        assert '"003" -> "001" [label="0.5000"];' in text
-
-    def test_deterministic_output(self):
-        assert network_to_json(self._net()) == network_to_json(self._net())
-        assert network_to_dot(self._net()) == network_to_dot(self._net())

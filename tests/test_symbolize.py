@@ -3,7 +3,12 @@ import pytest
 
 from conftest import make_returns
 
-from infoflow.symbolize import encode, make_partition, symbolize_returns
+from infoflow.symbolize import encode, make_partition
+
+
+def symbolize(r, q):
+    """Encode ``r`` against its own range."""
+    return encode(r, make_partition(r, q))
 
 
 class TestMakePartition:
@@ -20,6 +25,11 @@ class TestMakePartition:
     def test_constant_series_rejected(self):
         with pytest.raises(ValueError, match="constant"):
             make_partition(make_returns([0.5, 0.5, 0.5]), q=4)
+
+    def test_range_too_narrow_for_q_bins_rejected(self):
+        # A subnormal range over q underflows to a zero bin width.
+        with pytest.raises(ValueError, match="too narrow"):
+            make_partition(make_returns([0.0, 5e-324]), q=2)
 
     def test_q_must_be_at_least_two(self):
         with pytest.raises(ValueError, match="q must be"):
@@ -54,7 +64,7 @@ class TestEncode:
     def test_midpoint_decode_error_below_width(self, rng):
         values = rng.uniform(-0.1, 0.1, 300)
         r = make_returns(values)
-        s = symbolize_returns(r, q=15)
+        s = symbolize(r, q=15)
         p = s.partition
         decoded = p.x_min + (s.symbols - 0.5) * p.width
         assert np.max(np.abs(decoded - values)) < p.width
@@ -64,19 +74,19 @@ class TestProperties:
     def test_monotone(self, rng):
         values = rng.uniform(-1, 1, 500)
         r = make_returns(values)
-        s = symbolize_returns(r, q=7)
+        s = symbolize(r, q=7)
         order = np.argsort(values)
         assert np.all(np.diff(s.symbols[order]) >= 0)
 
     def test_affine_invariance(self, rng):
         values = rng.uniform(-0.1, 0.1, 400)
-        base = symbolize_returns(make_returns(values), q=10).symbols
-        scaled = symbolize_returns(make_returns(3.5 * values + 0.02), q=10).symbols
+        base = symbolize(make_returns(values), q=10).symbols
+        scaled = symbolize(make_returns(3.5 * values + 0.02), q=10).symbols
         np.testing.assert_array_equal(base, scaled)
 
     def test_histogram_mass(self, rng):
         values = rng.uniform(-1, 1, 321)
-        s = symbolize_returns(make_returns(values), q=6)
+        s = symbolize(make_returns(values), q=6)
         hist = np.bincount(s.symbols, minlength=7)
         assert hist.sum() == len(values)
         assert hist[0] == 0  # symbols start at 1
@@ -84,7 +94,7 @@ class TestProperties:
     def test_extremes_land_in_end_bins(self, rng):
         for q in (2, 10, 15, 20):
             values = rng.uniform(-0.1, 0.1, 250)
-            s = symbolize_returns(make_returns(values), q=q)
+            s = symbolize(make_returns(values), q=q)
             assert s.symbols.min() == 1
             assert s.symbols.max() == q
             assert s.symbols[np.argmin(values)] == 1

@@ -92,16 +92,16 @@ class TestGenerateDataset:
         assert hits >= 4
 
     def test_zero_coupling_te_floor(self):
-        from infoflow.analysis import returns_panel
         from infoflow.entropy import te_matrix
-        from infoflow.symbolize import symbolize_returns
+        from infoflow.symbolize import encode, make_partition
+        from infoflow.timeseries import returns_panel
 
         spec = SyntheticDataset(
             n_sectors=3, segments=(Segment(50_000, ()),), seed=9
         )
         series = generate_dataset(spec)
-        symbols = [symbolize_returns(r, q=2) for r in returns_panel(series)]
-        m = te_matrix(symbols)
+        panel = returns_panel(series)
+        m = te_matrix(encode(panel, make_partition(panel, q=2)))
         off_diag = m.te[~np.eye(3, dtype=bool)]
         assert np.all(off_diag < 0.002)
 
