@@ -5,6 +5,14 @@ row per trading day, ISO-8601 dates). Rows with any missing price are
 dropped for all sectors so that every series shares a single date axis;
 downstream pairwise estimation requires time-aligned samples.
 
+``load_dataset`` has two paths.  A clean file, whose data rows hold only
+ISO dates, decimal prices, commas and newlines, is checked by byte scans
+and parsed in one ``np.loadtxt`` pass.  Every other file -- a missing or
+padded cell, a quote, a blank row, a bad date or price -- goes row by row
+through ``csv`` and ``float``, the only path that writes a diagnostic.
+The fast path returns a result only when it is the one the row path
+would return.
+
 ``returns_panel`` checks that alignment once and turns the whole dataset
 into one ``Panel``: the sectors, the return dates and an n x L matrix of
 log returns.  Every study window is a column span of that matrix, cut by
@@ -14,6 +22,7 @@ log returns.  Every study window is a column span of that matrix, cut by
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 import operator
@@ -22,6 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +41,13 @@ JB_CRITICAL_1PCT = 9.442
 
 # Cell contents treated as a missing price (row is dropped for all sectors).
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
+
+# Byte classes of the data rows for ``load_dataset``'s columnar path: 0 for
+# a byte of an ISO date or a decimal price, 1 for a comma or a newline, and
+# 2 for a byte that sends the file row by row.
+_BYTE_CLASSES = bytes(
+    0 if byte in b"0123456789+-.eE" else 1 if byte in b",\n" else 2 for byte in range(256)
+)
 
 
 class DatasetError(ValueError):
@@ -60,9 +77,17 @@ def _freeze(values, dtype) -> np.ndarray:
     return arr
 
 
+class _IncreasingDates(tuple):
+    """A date axis already checked to be strictly increasing.
+
+    ``load_dataset`` gives all its series one such axis, so it is checked
+    once per file and not once per sector.
+    """
+
+
 def _check_increasing(dates: tuple[date, ...]) -> None:
     # Windows are cut by bisection, which needs a sorted date axis.
-    if not all(map(operator.lt, dates, dates[1:])):
+    if type(dates) is not _IncreasingDates and not all(map(operator.lt, dates, dates[1:])):
         raise ValueError("dates not strictly increasing")
 
 
@@ -86,7 +111,8 @@ class PriceSeries:
     closes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "dates", tuple(self.dates))
+        if type(self.dates) is not _IncreasingDates:
+            object.__setattr__(self, "dates", tuple(self.dates))
         object.__setattr__(self, "closes", _freeze(self.closes, np.float64))
         if len(self.dates) != len(self.closes):
             raise ValueError("dates and closes differ in length")
@@ -178,20 +204,126 @@ def load_dataset(
     returned series share one date axis.  Dates must be ISO-8601 and
     strictly increasing; prices must be positive numbers.
 
+    A clean file -- only ISO dates, decimal prices, commas and newlines
+    (LF or CRLF) below the header, no empty cell and no blank line -- is
+    parsed in one numpy pass.  Any other file is read row by row, which is
+    also the path every diagnostic comes from; both paths return the same
+    series for every file the fast one accepts.
+
     Raises DatasetError on a malformed header, unparsable or non-positive
     price, non-monotone dates, or fewer than 2 shared rows.
     """
     path = Path(source)
     if not path.exists():
         raise DatasetError("input not found")
+    table = _read_columns(path)
+    if table is None:
+        table = _read_rows(path)
+    if table.dropped:
+        warnings.warn(
+            f"dropped {table.dropped} row(s) with missing prices to keep all sectors aligned",
+            stacklevel=2,
+        )
+    if len(table.dates) < 2:
+        raise DatasetError("fewer than 2 shared rows after alignment")
+
+    names = names or {}
+    return [
+        PriceSeries(SectorMeta(code, names.get(code, "")), table.dates, table.closes[:, j])
+        for j, code in enumerate(table.codes)
+    ]
+
+
+class _Table(NamedTuple):
+    """A parsed price file: codes, kept dates, the rows x sectors closes, rows dropped.
+
+    Both readers check that the dates strictly increase before they return one.
+    """
+
+    codes: list[str]
+    dates: _IncreasingDates
+    closes: np.ndarray
+    dropped: int
+
+
+def _sector_codes(header: list[str] | None) -> list[str]:
+    if not header or header[0].strip().lower() != "date" or len(header) < 2:
+        raise DatasetError("malformed header: expected 'date,<code>,...'")
+    codes = [c.strip() for c in header[1:]]
+    if any(not c for c in codes) or len(set(codes)) != len(codes):
+        raise DatasetError("malformed header: empty or duplicate sector codes")
+    return codes
+
+
+def _read_columns(path: Path) -> _Table | None:
+    """The table of a clean file in one numpy pass, or None to read it row by row.
+
+    Byte scans decline, before any parsing, every file that ``csv`` and
+    ``float`` could read differently from ``np.loadtxt``: a quote or a lone
+    CR in the header; below it, a class 2 byte of ``_BYTE_CLASSES`` (a
+    space, a lone CR, non-ASCII text, any letter but e/E, so every ``nan``
+    and ``NA`` too, which is why this path never drops a row), an empty
+    cell or a blank row.  Then only the column count, the dates and the
+    prices are left to check, and a file that fails a check is declined,
+    never reported: its diagnostic is the row path's.
+    """
+    data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    start = data.find(b"\n") + 1
+    separators = _separator_count(data, start, len(data) - data.endswith(b"\n"))
+    if separators is None or b'"' in data[:start] or b"\r" in data[:start]:
+        return None
+    head, *lines = data.split(b"\n")
+    if not lines[-1]:
+        lines.pop()
+    del data  # parse from the lines alone, not holding the file twice
+    try:
+        codes = _sector_codes(next(csv.reader([head.decode()])))
+    except (UnicodeDecodeError, DatasetError):
+        return None
+    # loadtxt raises on a row too short for ``usecols`` but drops the extra
+    # cells of a long one, so the comma total (separators less newlines)
+    # must rule long rows out.
+    if separators - (len(lines) - 1) != len(codes) * len(lines):
+        return None
+    try:
+        dates = tuple([date.fromisoformat(line.partition(b",")[0].decode()) for line in lines])
+        _check_increasing(dates)
+        closes = np.loadtxt(
+            lines, delimiter=",", usecols=range(1, len(codes) + 1), comments=None, ndmin=2
+        )
+    except ValueError:
+        return None
+    if not np.all((closes > 0) & (closes < np.inf)):
+        return None
+    return _Table(codes, _IncreasingDates(dates), closes, 0)
+
+
+def _separator_count(data: bytes, start: int, end: int) -> int | None:
+    """Commas and newlines in ``data[start:end]``, or None unless it is a clean block.
+
+    A clean block is not empty, holds no class 2 byte, and neither starts
+    nor ends with a separator nor has two side by side, which would be an
+    empty cell or a blank row.
+    """
+    classes = data.translate(_BYTE_CLASSES)
+    if not 0 < start < end or classes.find(2, start, end) >= 0:
+        return None
+    if classes[start] == 1 or classes[end - 1] == 1:
+        return None
+    # Two separators side by side fill one 16-bit word at an even or an odd offset.
+    for offset in (start, start + 1):
+        if np.any(np.frombuffer(classes, np.uint16, (end - offset) // 2, offset) == 0x0101):
+            return None
+    return int(np.count_nonzero(np.frombuffer(classes, np.bool_, end - start, start)))
+
+
+def _read_rows(path: Path) -> _Table:
+    """The table of any file, read and checked one row at a time."""
     with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        header = next(reader, None)
-        if not header or header[0].strip().lower() != "date" or len(header) < 2:
-            raise DatasetError("malformed header: expected 'date,<code>,...'")
-        codes = [c.strip() for c in header[1:]]
-        if any(not c for c in codes) or len(set(codes)) != len(codes):
-            raise DatasetError("malformed header: empty or duplicate sector codes")
+        codes = _sector_codes(next(reader, None))
 
         kept_dates: list[date] = []
         kept_rows: list[list[float]] = []
@@ -235,21 +367,8 @@ def load_dataset(
             kept_dates.append(day)
             kept_rows.append(prices)
 
-    if dropped:
-        warnings.warn(
-            f"dropped {dropped} row(s) with missing prices to keep all sectors aligned",
-            stacklevel=2,
-        )
-    if len(kept_rows) < 2:
-        raise DatasetError("fewer than 2 shared rows after alignment")
-
-    matrix = np.asarray(kept_rows, dtype=np.float64)
-    dates = tuple(kept_dates)
-    names = names or {}
-    return [
-        PriceSeries(SectorMeta(code, names.get(code, "")), dates, matrix[:, j])
-        for j, code in enumerate(codes)
-    ]
+    closes = np.asarray(kept_rows, dtype=np.float64)
+    return _Table(codes, _IncreasingDates(kept_dates), closes, dropped)
 
 
 def log_returns(p: PriceSeries) -> ReturnSeries:

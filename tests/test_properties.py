@@ -1,16 +1,134 @@
-"""Property tests of the panel pipeline: symbolization, TE invariance, bounds."""
+"""Property tests of the pipeline: loading, symbolization, TE invariance, bounds."""
 
 import math
+import tempfile
+import warnings
 from datetime import date, timedelta
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from infoflow import timeseries
 from infoflow.entropy import dai_matrix, te_matrix
 from infoflow.symbolize import Partition, SymbolPanel, encode, make_partition
-from infoflow.timeseries import Panel, ReturnSeries, SectorMeta, slice_returns
+from infoflow.timeseries import (
+    DatasetError,
+    Panel,
+    ReturnSeries,
+    SectorMeta,
+    load_dataset,
+    slice_returns,
+)
+
+PRICES = st.floats(1e-300, 1e300)
+
+# Price cells the columnar path can take: shortest reprs, long mantissas,
+# exponents, a leading "+", integers, and any plain decimal (zero and
+# overflow to inf included, which only the row path may report).
+CLEAN_CELLS = st.one_of(
+    PRICES.map(repr),
+    PRICES.map(lambda x: f"{x:.25e}"),
+    st.floats(1e-6, 1e6).map(lambda x: f"+{x:.22f}"),
+    st.integers(1, 10**30).map(str),
+    st.from_regex(r"\+?[0-9]{0,25}\.?[0-9]{1,25}([eE][+-]?[0-9]{1,3})?", fullmatch=True),
+)
+
+# Cells only the row path reads: padding, missing tokens, quotes, text
+# ``float`` and ``np.loadtxt`` disagree on, separators ``splitlines`` sees.
+DIRTY_CELLS = st.one_of(
+    st.tuples(st.sampled_from(["", " ", "\t", " \t"]), CLEAN_CELLS,
+              st.sampled_from(["", " ", "\t"])).map("".join),
+    st.sampled_from(["", " ", "nan", "NaN", "+nan", "NA", "na", "null", "NULL", "None",
+                     "inf", "-inf", "1e999", "0", "-0", "-1.5", "1.5#x", "1_000", "\u0661\u0662",
+                     "1\u20282", "1\x0b2", "\x0b", "abc", '"', "1e", "--1", "."]),
+    CLEAN_CELLS.map(lambda text: f'"{text}"'),
+)
+
+BAD_DATES = st.sampled_from(["", " ", "2000/01/04", "20000104", "2000-13-01", "x", '"2000-01-04"'])
+
+# Each fault kind is drawn on its own, so that a file often has no fault and
+# a fault often comes alone: bad cells and a lone CR one time in eight each,
+# a header fault three times in eight and a row fault five times in eight.
+FAULT = st.sampled_from([False] * 7 + [True])
+ROW_FAULT = st.sampled_from([None] * 3 + ["wide", "narrow", "bad date", "repeated date", "blank"])
+# The last code quoted, opening a quote that runs to the end of the file, or
+# followed by a lone CR and one more cell.
+HEADER_FAULT = st.sampled_from([None] * 5 + ['"{}"', '"{}', "{}\r0"])
+
+
+@st.composite
+def price_csv_texts(draw):
+    """Wide price CSVs, from clean files to every form the row path must read."""
+    n = draw(st.integers(1, 4))
+    cells = st.one_of(CLEAN_CELLS, DIRTY_CELLS) if draw(FAULT) else CLEAN_CELLS
+    header = ["date"] + [str(801010 + 10 * k) for k in range(n)]
+    header_fault = draw(HEADER_FAULT)
+    if header_fault:
+        header[-1] = header_fault.format(header[-1])
+    day = date(2000, 1, 3) + timedelta(days=draw(st.integers(0, 5000)))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        day += timedelta(days=draw(st.integers(1, 4)))
+        rows.append([day.isoformat()] + [draw(cells) for _ in range(n)])
+    fault = draw(ROW_FAULT)
+    if rows and fault:
+        k = draw(st.integers(0, len(rows) - 1))
+        if fault == "wide":
+            rows[k].append(draw(cells))
+        elif fault == "narrow":
+            rows[k].pop()
+        elif fault == "bad date":
+            rows[k][0] = draw(BAD_DATES)
+        elif fault == "repeated date":
+            rows[k][0] = rows[k - 1][0]
+        else:
+            rows.insert(k, [draw(st.sampled_from(["", " ", "\t", "," * n]))])
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(row) + newline for row in [header] + rows]
+    if draw(FAULT):
+        k = draw(st.integers(0, len(lines) - 1))
+        lines[k] = lines[k].rstrip("\r\n") + "\r"
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.removesuffix(newline)
+    return ("\ufeff" if draw(st.booleans()) else "") + text
+
+
+def load_outcome(path):
+    """What ``load_dataset`` gives for ``path``: series or error, then warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            series = load_dataset(path)
+        except DatasetError as exc:
+            result = str(exc)
+        else:
+            result = ([s.sector for s in series], series[0].dates,
+                      np.stack([s.closes for s in series]).tobytes())
+    return result, [str(w.message) for w in caught]
+
+
+@settings(deadline=None, max_examples=200)
+@given(price_csv_texts())
+def test_columnar_loader_equals_the_row_path(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        path.write_bytes(text.encode())
+        fast = timeseries._read_columns(path)
+        event("columnar" if fast is not None else "row by row")
+        if fast is not None:
+            rows = timeseries._read_rows(path)
+            assert fast.codes == rows.codes and fast.dates == rows.dates
+            assert fast.dropped == rows.dropped == 0
+            assert fast.closes.shape == rows.closes.shape
+            assert np.array_equal(fast.closes, rows.closes)
+        loaded = load_outcome(path)
+        with mock.patch.object(timeseries, "_read_columns", return_value=None):
+            assert loaded == load_outcome(path)
 
 
 def sectors(n):

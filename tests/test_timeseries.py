@@ -1,5 +1,6 @@
 import math
 from datetime import date
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from conftest import make_prices, make_returns
 from oracles import log_returns_mpmath, stats_mpmath
 
+from infoflow import timeseries
 from infoflow.timeseries import (
     JB_CRITICAL_1PCT,
     DatasetError,
@@ -140,6 +142,67 @@ class TestLoadDataset:
         assert all(len(s) == n_rows for s in series)
         np.testing.assert_array_equal(series[3].closes, closes[:, 3])
 
+    @pytest.mark.parametrize("prefix, newline", [("", "\n"), ("", "\r\n"), ("\ufeff", "\r\n")])
+    def test_clean_file_takes_the_columnar_path(self, tmp_path, prefix, newline):
+        text = "date,801010,801020\n2000-01-04,10.0,+2.5e1\n2000-01-05,10.5,19.50000000000000001\n"
+        path = write_csv(tmp_path, prefix + text.replace("\n", newline))
+        table = timeseries._read_columns(path)
+        assert table is not None
+        assert table.dates == (date(2000, 1, 4), date(2000, 1, 5))
+        np.testing.assert_array_equal(table.closes, [[10.0, 25.0], [10.5, 19.5]])
+
+    @pytest.mark.parametrize("rows", [
+        "2000-01-04,,20.0\n2000-01-05,10.5,19.5\n",
+        "2000-01-04,10.0,20.0\n2000-01-05,10.5,\n",
+        "2000-01-04,10.0,20.0\n2000-01-05,10.5,",
+        "2000-01-04,10.0,20.0\n\n2000-01-05,10.5,19.5\n",
+        ",10.0,20.0\n2000-01-05,10.5,19.5\n",
+    ])
+    def test_empty_cell_or_row_is_declined_before_parsing(self, tmp_path, rows):
+        # A missing cell costs the row path a byte scan, not a wasted parse.
+        path = write_csv(tmp_path, "date,801010,801020\n" + rows)
+        with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
+            assert timeseries._read_columns(path) is None
+
+    # Each input below is one that np.loadtxt reads differently from csv and
+    # float(), so each fails if the columnar path accepts it by itself.
+    @pytest.mark.parametrize("rows", [
+        "2000-01-04,10.0,20.0,30.0\n2000-01-05,10.5,19.5\n",  # usecols drops a cell
+        "2000-01-04,10.0,20.0\n2000-01-05,10.5,19.5,1\n",
+        "2000-01-04,10.0,20.0,30.0\n2000-01-05,10.5\n",  # the comma total still adds up
+    ])
+    def test_extra_column_is_reported(self, tmp_path, rows):
+        path = write_csv(tmp_path, "date,801010,801020\n" + rows)
+        with pytest.raises(DatasetError, match=r"^row [23]: expected 3 columns$"):
+            load_dataset(path)
+
+    def test_comment_sign_is_not_a_comment(self, tmp_path):
+        path = write_csv(tmp_path, "date,801010\n2000-01-04,10.0\n2000-01-05,1.5#x\n")
+        with pytest.raises(DatasetError, match=r"^row 3: unparsable price '1\.5#x'$"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\x0b"])
+    def test_only_lf_and_cr_end_a_row(self, tmp_path, separator):
+        # str.splitlines would see two valid rows here; csv sees one of 3 cells.
+        path = write_csv(tmp_path, f"date,801010\n2000-01-04,10.0{separator}2000-01-05,10.5\n")
+        with pytest.raises(DatasetError, match=r"^row 2: expected 2 columns$"):
+            load_dataset(path)
+
+    def test_underscore_and_non_ascii_digits_still_load(self, tmp_path):
+        path = write_csv(tmp_path, "date,801010\n2000-01-04,1_000\n2000-01-05,\u0661\u0662\n")
+        np.testing.assert_array_equal(load_dataset(path)[0].closes, [1000.0, 12.0])
+
+    @pytest.mark.parametrize("price", ["0", "0.0", "-0", "-1.5", "1e-400", "1e999", "-1e999", "inf"])
+    def test_bad_price_names_row_and_sector(self, tmp_path, price):
+        path = write_csv(
+            tmp_path,
+            f"date,801010,801020\n2000-01-04,10.0,20.0\n2000-01-05,10.5,{price}\n",
+        )
+        with pytest.raises(
+            DatasetError, match=r"^row 3: non-positive or non-finite price for 801020$"
+        ):
+            load_dataset(path)
+
 
 class TestLogReturns:
     def test_constant_prices(self):
@@ -171,6 +234,12 @@ class TestLogReturns:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             PriceSeries(SectorMeta("801010"), make_prices([1.0, 2.0]).dates, np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize("order", [(0, 2, 1), (0, 1, 1)])
+    def test_rejects_unsorted_dates(self, order):
+        days = tuple(date(2001, 1, 2 + k) for k in order)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            PriceSeries(SectorMeta("801010"), days, [1.0, 2.0, 3.0])
 
 
 class TestSummaryStats:
