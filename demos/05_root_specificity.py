@@ -13,6 +13,7 @@ from infoflow import (
     PriceSeries,
     SectorMeta,
     demo_dataset,
+    returns_panel,
     specificity_study,
     yearly_reports,
 )
@@ -31,7 +32,7 @@ def main():
     dataset = demo_dataset()
     index = equal_weight_index(dataset)
     reports = yearly_reports(dataset, q=15)
-    result = specificity_study(dataset, reports, index, seed=12345, samples=5)
+    result = specificity_study(returns_panel([*dataset, index]), reports, seed=12345, samples=5)
 
     print(render_specificity_csv(result))
     print(f"source-root mean correlation : {result.source_mean:.4f}")

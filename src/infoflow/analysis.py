@@ -222,19 +222,20 @@ def _year(year: int) -> tuple[date, date]:
 
 
 def yearly_reports(
-    dataset: list[PriceSeries],
+    dataset: list[PriceSeries] | Panel,
     q: int,
     global_partition: bool = False,
     min_days: int = MIN_YEAR_DAYS,
 ) -> dict[str, list[YearlyMsaReport]]:
     """Per-calendar-year pipeline runs, keyed by orientation.
 
+    ``dataset`` is the sectors' price series or their returns panel.
     Years with fewer than ``min_days`` trading days are skipped with a
     warning; if every year is, the study fails.  ``global_partition``
     reuses whole-sample bin edges for every year instead of the default
     per-year recomputation.
     """
-    panel = returns_panel(dataset)
+    panel = dataset if isinstance(dataset, Panel) else returns_panel(dataset)
     partitions = _partition(panel, q, "whole sample") if global_partition else None
     reports: dict[str, list[YearlyMsaReport]] = {o: [] for o in ORIENTATIONS}
     for year in sorted({d.year for d in panel.dates}):
@@ -353,15 +354,17 @@ def pearson(x, y) -> float:
 
 
 def specificity_study(
-    dataset: list[PriceSeries],
+    returns: Panel,
     reports: dict[str, list[YearlyMsaReport]],
-    index: PriceSeries,
     seed: int,
     samples: int = 1,
 ) -> SpecificityResult:
     """Correlate each year's root sectors with the market index.
 
-    For every year that has both an outgoing and an incoming report, the
+    ``returns`` holds the sectors' returns with the index's as its last
+    row, as ``returns_panel([*dataset, index])`` builds them; that one
+    call checks that the index is date-aligned with the sectors.  For
+    every year that has both an outgoing and an incoming report, the
     daily returns of the source root and the sink root are correlated with
     the index returns within that year.  A control group of ``samples``
     uniformly drawn non-root sectors per year (excluding both roots, PCG64
@@ -369,9 +372,7 @@ def specificity_study(
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    # The index is the panel's last row, so one check aligns it too.
-    panel = returns_panel([*dataset, index])
-    row = {p.sector.code: k for k, p in enumerate(dataset)}
+    row = {s.code: k for k, s in enumerate(returns.sectors[:-1])}
 
     out_by_year = {r.year: r for r in reports.get("outgoing", [])}
     in_by_year = {r.year: r for r in reports.get("incoming", [])}
@@ -384,7 +385,7 @@ def specificity_study(
     sink_roots, sink_corr = [], []
     control_sectors, control_corr = [], []
     for year in years:
-        values = slice_returns(panel, _year(year)).values
+        values = slice_returns(returns, _year(year)).values
 
         def year_corr(code: str) -> float:
             return pearson(values[row[code]], values[-1])

@@ -7,7 +7,9 @@ other node with exactly one outgoing edge) and is solved by running the
 same solver on the edge-reversed graph and reversing the result back.
 
 The solver runs Chu-Liu/Edmonds cycle contraction once per tree
-(Edmonds 1967, Tarjan 1977).  A virtual super-root has an edge to every
+(Edmonds 1967), in Tarjan's (1977) form: cycles are contracted one at a
+time, and after each only the new node picks a new cheapest in-edge, so
+no round rescans every edge.  A virtual super-root has an edge to every
 sector, each costlier than any real tree, so the minimum arborescence from
 it takes exactly one such edge, whose head is the best root.  Costs are
 exact integers: the super-root edge count, the negated weight and a
@@ -102,68 +104,89 @@ def _min_arborescence(
     """Chu-Liu/Edmonds: edge ids of the minimum-cost arborescence from ``root``.
 
     ``edges`` holds (src, dst, cost, edge_id) with exact integer costs, and
-    every node must be reachable from ``root``.  Each round takes the
-    cheapest in-edge of every other node.  If these close cycles, each cycle
-    becomes one node, every edge entering it is charged the cost of the
-    in-edge it would displace, and the round repeats on the smaller graph.
-    Unwinding the rounds, each cycle keeps its edges except the displaced one.
+    every node must be reachable from ``root``.  Each node keeps, per source,
+    its cheapest in-edge.  A walk takes the cheapest in-edge of a node and
+    steps to its source, until it reaches the root or a node already known
+    to reach it.  When the walk comes back onto itself, the cycle becomes one
+    new node: every edge entering the cycle is charged the cost of the
+    in-edge it would displace, the cheapest per source is kept, and the walk
+    goes on from the new node alone, since no other node's choice changed.
+    Nodes are resolved to the cycle node that holds them by union-find.
+    Unwinding the contractions, each cycle keeps its edges except the
+    displaced one.
     """
-    rounds = []
-    while True:
-        best_cost: list[int] = [0] * n_nodes
-        best_src = [root] * n_nodes
-        best_eid = [-1] * n_nodes
-        for u, v, c, eid in edges:
-            if v != root and (best_eid[v] < 0 or c < best_cost[v]):
-                best_cost[v], best_src[v], best_eid[v] = c, u, eid
-        if best_eid.count(-1) > 1:
-            raise ValueError("node unreachable from the root")
+    parent = list(range(n_nodes))  # union-find over nodes and cycle nodes
 
-        cycle_of = [-1] * n_nodes
-        cycles: list[list[int]] = []
-        walk_of = [-1] * n_nodes
-        for start in range(n_nodes):
-            v = start
-            while v != root and walk_of[v] < 0:
-                walk_of[v] = start
-                v = best_src[v]
-            if v != root and walk_of[v] == start:  # this walk closed a cycle
-                cycle = [v]
-                u = best_src[v]
-                while u != v:
-                    cycle.append(u)
-                    u = best_src[u]
-                for u in cycle:
-                    cycle_of[u] = len(cycles)
-                cycles.append(cycle)
-        if not cycles:
-            chosen = [eid for v, eid in enumerate(best_eid) if v != root]
-            break
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
 
-        new_id = list(cycle_of)
-        n_next = len(cycles)
-        for v in range(n_nodes):
-            if new_id[v] < 0:
-                new_id[v] = n_next
-                n_next += 1
-        new_root = new_id[root]
-        head: dict[int, int] = {}  # edge id -> cycle node it enters
-        contracted = []
-        for u, v, c, eid in edges:
-            nu, nv = new_id[u], new_id[v]
-            if nu == nv or nv == new_root:
+    # in_edges[v]: source -> (cost, edge id, source) of v's cheapest edge from it.
+    in_edges: list[dict[int, tuple[int, int, int]]] = [{} for _ in range(n_nodes)]
+    for u, v, c, eid in edges:
+        if v != root and u != v:
+            known = in_edges[v].get(u)
+            if known is None or c < known[0]:
+                in_edges[v][u] = (c, eid, u)
+    best_cost: list[int] = [0] * n_nodes
+    best_eid = [-1] * n_nodes
+    state = [0] * n_nodes  # 0 not walked, 1 on the walk, 2 reaches the root
+    state[root] = 2
+    rounds = []  # (cycle node, its members, their best edge ids, head)
+
+    for start in range(n_nodes):
+        if state[start]:
+            continue
+        walk = [start]
+        state[start] = 1
+        while True:
+            v = walk[-1]
+            if not in_edges[v]:
+                raise ValueError("node unreachable from the root")
+            best_cost[v], best_eid[v], src = min(in_edges[v].values())
+            u = find(src)
+            if state[u] == 2:
+                break
+            if state[u] == 0:
+                state[u] = 1
+                walk.append(u)
                 continue
-            if cycle_of[v] >= 0:
-                c -= best_cost[v]
-                head[eid] = v
-            contracted.append((nu, nv, c, eid))
-        rounds.append((cycles, best_eid, head))
-        n_nodes, edges, root = n_next, contracted, new_root
+            # u is on the walk: the walk from u on is a cycle.
+            cycle = walk[walk.index(u):]
+            del walk[len(walk) - len(cycle):]
+            node = len(parent)
+            parent.append(node)
+            merged: dict[int, tuple[int, int, int]] = {}
+            head: dict[int, int] = {}  # edge id -> cycle member it enters
+            for w in cycle:
+                parent[w] = node
+            for w in cycle:
+                for c, e, s in in_edges[w].values():
+                    if parent[s] != s:
+                        s = find(s)
+                    if s == node:
+                        continue
+                    c -= best_cost[w]
+                    head[e] = w
+                    known = merged.get(s)
+                    if known is None or c < known[0]:
+                        merged[s] = (c, e, s)
+            in_edges.append(merged)
+            best_cost.append(0)
+            best_eid.append(-1)
+            state.append(1)
+            rounds.append((node, cycle, [best_eid[w] for w in cycle], head))
+            walk.append(node)
+        for v in walk:
+            state[v] = 2
 
-    for cycles, best_eid, head in reversed(rounds):
-        entered = {head[eid] for eid in chosen if eid in head}
-        chosen += [best_eid[v] for cycle in cycles for v in cycle if v not in entered]
-    return chosen
+    enters = {v: best_eid[v] for v in range(len(parent)) if parent[v] == v and v != root}
+    for node, cycle, cycle_eids, head in reversed(rounds):
+        entered = head[enters[node]]
+        for w, eid in zip(cycle, cycle_eids):
+            enters[w] = enters[node] if w == entered else eid
+    return [enters[v] for v in range(n_nodes) if v != root]
 
 
 def max_spanning_arborescence(g: InfoFlowNetwork, orientation: str = "outgoing") -> Arborescence:
@@ -200,7 +223,9 @@ def max_spanning_arborescence(g: InfoFlowNetwork, orientation: str = "outgoing")
     by_code = sorted(range(n), key=codes.__getitem__)
     work = [(n, v, super_cost - (1 << (key_bits - 1 - rank)), m + v)
             for rank, v in enumerate(by_code)]
-    by_pair = sorted(range(m), key=lambda e: (codes[g.edges[e][0]], codes[g.edges[e][1]]))
+    code_rank = {code: rank for rank, code in enumerate(sorted(set(codes)))}
+    pair_key = [code_rank[codes[i]] * n + code_rank[codes[j]] for i, j, _ in g.edges]
+    by_pair = sorted(range(m), key=pair_key.__getitem__)  # by (source code, target code)
     for rank, eid in enumerate(by_pair, start=n):
         i, j, _ = g.edges[eid]
         u, v = (i, j) if orientation == "outgoing" else (j, i)

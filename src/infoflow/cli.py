@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -376,11 +377,13 @@ def _cmd_specificity(cfg: dict) -> list[Path]:
     q = int(cfg["q"])
 
     dataset = _load_input(cfg)
-    index_panel = load_dataset(cfg["index"])
-    reports = analysis.yearly_reports(dataset, q)
+    # One panel with the index as its last row; the yearly study runs on the
+    # sector rows above it.
+    returns = analysis.returns_panel([*dataset, load_dataset(cfg["index"])[0]])
+    sectors = replace(returns, sectors=returns.sectors[:-1], values=returns.values[:-1])
+    reports = analysis.yearly_reports(sectors, q)
     result = analysis.specificity_study(
-        dataset, reports, index_panel[0],
-        seed=int(cfg["seed"]), samples=int(cfg["samples"]),
+        returns, reports, seed=int(cfg["seed"]), samples=int(cfg["samples"]),
     )
     written = []
     if "csv" in formats:

@@ -15,12 +15,15 @@ and n_* their counts, the sample sizes cancel and
 
     N * TE = S(n_abc) - S(n_ab) - S(n_bc) + S(n_b),   S(n) = sum n log2 n.
 
-One kernel evaluates this for a whole window, one target at a time
-against every source: ``te_matrix`` runs it on a ``SymbolPanel`` and
-``transfer_entropy`` on one pair of ``SymbolSeries``.  The target's own counts n_ab and n_b come from one
-bincount over all series; n_abc for every source comes from one bincount
-per target, keyed by (source, source symbol, target state), and n_bc sums
-n_abc over the target's next symbol.  All counts are exact integers.
+One kernel evaluates this for a whole window, every target against every
+source: ``te_matrix`` runs it on a ``SymbolPanel`` and ``transfer_entropy``
+on one pair of ``SymbolSeries``.  The targets' own counts n_ab and n_b
+come from one bincount over all series.  Each observed (target, now, next)
+state gets one global column, and n_abc comes from one bincount per block
+of targets, keyed by (source, source symbol) and column; one reduceat over
+the columns that share (target, now) gives n_bc.  Blocks are sized from
+the window's shape, so short windows take many targets per call and long
+ones keep their arrays bounded.  All counts are exact integers.
 
 The n log2 n sums are not added up in floating point.  Each count k is
 factored into primes, k log2 k = sum_p k e_p(k) log2 p, so N * TE is an
@@ -38,6 +41,7 @@ a single pair equals its entry in a full matrix bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -78,13 +82,15 @@ class DaiMatrix:
         _check_square(self, "dai")
 
 
+@functools.lru_cache(maxsize=32)
 def _prime_factors(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Primes up to ``n_max`` and the factorization of every count 0..n_max.
+    """Log2 of the primes up to ``n_max``, and the factorization of each count 0..n_max.
 
-    Returns (primes, index, weight): row k lists in ``index`` the positions
-    in ``primes`` of k's distinct prime factors and in ``weight`` the
-    matching k * exponent, zero in unused slots, so that
-    k log2 k = sum(weight[k] * log2(primes[index[k]])).
+    Returns (log_primes, index, weight): row k lists in ``index`` the
+    positions in ``log_primes`` of k's distinct prime factors and in
+    ``weight`` the matching k * exponent, zero in unused slots, so that
+    k log2 k = sum(weight[k] * log_primes[index[k]]).  Cached per ``n_max``
+    (one table per window length), so the arrays are read-only.
     """
     spf = np.arange(n_max + 1)  # smallest prime factor of each k >= 2
     for p in range(2, math.isqrt(n_max) + 1):
@@ -104,62 +110,105 @@ def _prime_factors(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             rest = np.where(divides, rest // factor, rest)
         index.append(position[factor])
         weight.append(k * exponent)
-    return primes, np.stack(index, axis=1), np.stack(weight, axis=1).astype(np.float64)
+    tables = (np.log2(primes), np.stack(index, axis=1),
+              np.stack(weight, axis=1).astype(np.float64))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-def _te_columns(symbols: np.ndarray, q: int, targets) -> np.ndarray:
-    """te[i, j] in bits for every row i of ``symbols`` and each j in ``targets``.
+# Entries per block of targets: a block's sample keys and its count matrix
+# stay below this many (one target per block when one alone is larger), so
+# a short window takes several targets per call and a long one keeps its
+# arrays bounded.
+_BLOCK_CELLS = 1 << 16
 
-    ``symbols`` is an n x L matrix of aligned symbols in [1, q].  Columns
-    not in ``targets`` stay 0.
+
+def _te_columns(symbols: np.ndarray, q: int) -> np.ndarray:
+    """te[i, j] in bits for every ordered pair of rows of ``symbols``.
+
+    ``symbols`` is an n x L matrix of aligned symbols in [1, q].
     """
     n, length = symbols.shape
     n_tri = length - 1
-    now = symbols[:, :-1] - 1
-    nxt = symbols[:, 1:] - 1
-    primes, factor_index, factor_weight = _prime_factors(n_tri)
-    n_primes = len(primes)
-    log_primes = np.log2(primes)
+    log_primes, factor_index, factor_weight = _prime_factors(n_tri)
+    n_primes = len(log_primes)
 
-    def log_terms(counts: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    def log_terms(counts: np.ndarray, owner_row, owner_col, n_owners: int) -> np.ndarray:
         """Coefficient of each log2(prime) in sum n log2 n over the count
-        rows of each series; ``owner`` maps count rows to series."""
-        used = counts > 1  # 0 log 0 = 1 log 1 = 0
-        k = counts[used]
-        bins = (owner[np.nonzero(used)[0]] * n_primes)[:, None]
-        bins = bins + np.take(factor_index, k, axis=0)
+        cells of each owner; cell (r, c) belongs to owner_row[r] + owner_col[c]."""
+        cells = np.flatnonzero(counts > 1)  # 0 log 0 = 1 log 1 = 0
+        k = np.take(counts, cells)
+        row = cells // counts.shape[1]
+        owner = np.take(owner_row, row) + np.take(owner_col, cells - row * counts.shape[1])
+        bins = np.take(factor_index, k, axis=0)
+        bins += (owner * n_primes)[:, None]
         return np.bincount(bins.ravel(), np.take(factor_weight, k, axis=0).ravel(),
-                           minlength=n * n_primes).reshape(n, n_primes)
+                           minlength=n_owners * n_primes).reshape(n_owners, n_primes)
 
     series = np.arange(n)
     rows = series[:, None]
     # Count rows: one per (series, symbol) seen at "now" in this window.
     # source[r] is the series of row r; source_row[i, t] is the row of
     # series i's sample t.
+    now = symbols[:, :-1] - 1
     seen = np.zeros((n, q), dtype=bool)
     seen[rows, now] = True
     source = np.repeat(series, seen.sum(axis=1))
     source_row = (np.cumsum(seen.ravel()).reshape(n, q) - 1)[rows, now]
-    # Target states (now, next) are numbered now-major, so the states that
-    # share a "now" symbol are adjacent.
-    state = now * q + nxt
-    n_ab = np.bincount((rows * q * q + state).ravel(), minlength=n * q * q).reshape(n, -1)
-    n_b = np.bincount((rows * q + now).ravel(), minlength=n * q).reshape(n, q)
-    own = log_terms(n_b, series) - log_terms(n_ab, series)
+    n_rows = len(source)
+    # Series i's state (now, next) at t gets the key (i * q + now) * q + next:
+    # keys are series-major, then now-major, so the states that share a
+    # series and a "now" symbol are adjacent.
+    state = now  # updated in place
+    state += rows * q
+    n_b = np.bincount(state.ravel(), minlength=n * q).reshape(n, q)
+    state *= q
+    state += symbols[:, 1:]
+    state -= 1
+    n_ab = np.bincount(state.ravel(), minlength=n * q * q)
+    no_col = np.zeros(q * q, dtype=np.intp)
+    own = (log_terms(n_b, series, no_col, n)
+           - log_terms(n_ab.reshape(n, -1), series, no_col, n))
 
-    te = np.zeros((n, n))
-    for j in targets:
-        # n_abc[row, s]: samples with that source symbol and target j's
-        # s-th observed state; n_bc sums the states of each "now" symbol.
-        observed = np.flatnonzero(n_ab[j])
-        code = np.zeros(q * q, dtype=np.intp)
-        code[observed] = np.arange(len(observed))
-        n_abc = np.bincount((source_row * len(observed) + code[state[j]]).ravel(),
-                            minlength=len(source) * len(observed)).reshape(len(source), -1)
-        now_starts = np.unique(observed // q, return_index=True)[1]
-        n_bc = np.add.reduceat(n_abc, now_starts, axis=1)
-        exponents = log_terms(n_abc, source) - log_terms(n_bc, source) + own[j]
-        te[:, j] = (exponents * log_primes).sum(axis=1) / n_tri
+    # Every observed state of every target is one column of n_abc, in key
+    # order; state_col[j, t] is the column of target j's sample t.  A group
+    # of columns shares (target, now), and n_bc sums each group.
+    observed = np.flatnonzero(n_ab)
+    col_target = observed // (q * q)
+    col_of = np.zeros(n * q * q, dtype=np.intp)
+    col_of[observed] = np.arange(len(observed))
+    state_col = np.take(col_of, state)
+    group = observed // q
+    group_start = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    target_start = np.searchsorted(col_target, series)
+    target_end = np.r_[target_start[1:], len(observed)]
+
+    # Targets [j0, j1) form one block: one bincount, keyed by source row
+    # and column, counts n_abc for all of them.
+    per_block = max(1, _BLOCK_CELLS // (n * n_tri))
+    te = np.empty((n, n))
+    j0 = 0
+    while j0 < n:
+        j1 = j0 + 1
+        while (j1 < n and j1 - j0 < per_block
+               and n_rows * (target_end[j1] - target_start[j0]) <= _BLOCK_CELLS):
+            j1 += 1
+        c0, c1 = target_start[j0], target_end[j1 - 1]
+        width = c1 - c0
+        keys = np.multiply(source_row, width, out=np.empty((j1 - j0, n, n_tri), np.intp))
+        keys += state_col[j0:j1, None, :] - c0
+        n_abc = np.bincount(keys.ravel(), minlength=n_rows * width).reshape(n_rows, width)
+        del keys
+        starts = group_start[(group_start >= c0) & (group_start < c1)]
+        n_bc = np.add.reduceat(n_abc, starts - c0, axis=1)
+        # Terms are owned by (target - j0) * n + source.
+        owners = (j1 - j0) * n
+        exponents = (log_terms(n_abc, source, (col_target[c0:c1] - j0) * n, owners)
+                     - log_terms(n_bc, source, (col_target[starts] - j0) * n, owners))
+        exponents = exponents.reshape(j1 - j0, n, n_primes) + own[j0:j1, None, :]
+        te[:, j0:j1] = ((exponents * log_primes).sum(axis=2) / n_tri).T
+        j0 = j1
     return te
 
 
@@ -174,7 +223,7 @@ def transfer_entropy(source: SymbolSeries, target: SymbolSeries) -> float:
     if source.partition.q != target.partition.q:
         raise ValueError("symbol series use different bin counts")
     symbols = np.stack([source.symbols, target.symbols])
-    return float(_te_columns(symbols, target.partition.q, (1,))[0, 1])
+    return float(_te_columns(symbols, target.partition.q)[0, 1])
 
 
 def te_matrix(all_series: SymbolPanel) -> TeMatrix:
@@ -187,7 +236,7 @@ def te_matrix(all_series: SymbolPanel) -> TeMatrix:
         raise ValueError("need at least 2 series")
     if all_series.symbols.shape[1] < 2:
         raise ValueError("need at least 2 aligned samples")
-    te = _te_columns(all_series.symbols, all_series.partition.q, range(len(all_series)))
+    te = _te_columns(all_series.symbols, all_series.partition.q)
     return TeMatrix(sectors=all_series.sectors, te=te)
 
 

@@ -13,6 +13,8 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .entropy import DaiMatrix
 from .timeseries import SectorMeta
 
@@ -35,7 +37,7 @@ class InfoFlowNetwork:
                 raise ValueError("self-edge")
             if not 0 < w < math.inf:  # the solver scales weights to exact integers
                 raise ValueError("edge weight must be positive and finite")
-            pair = (min(i, j), max(i, j))
+            pair = (i, j) if i < j else (j, i)
             if pair in seen_pairs:
                 raise ValueError("duplicate edge for one sector pair")
             seen_pairs.add(pair)
@@ -50,18 +52,14 @@ def build_network(dai: DaiMatrix) -> InfoFlowNetwork:
     dai[i, j] > 0 yields edge i -> j with weight dai[i, j]; an exact zero
     drops the pair and records it in ``ties``.
     """
-    n = len(dai.sectors)
-    edges: list[tuple[int, int, float]] = []
-    ties: list[tuple[int, int]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            value = float(dai.dai[i, j])
-            if value > 0:
-                edges.append((i, j, value))
-            elif value < 0:
-                edges.append((j, i, -value))
-            else:
-                ties.append((i, j))
+    rows, cols = np.triu_indices(len(dai.sectors), 1)  # pairs in row-major order
+    value = dai.dai[rows, cols]
+    forward, backward = value > 0, value < 0
+    oriented = forward | backward
+    edges = list(zip(np.where(forward, rows, cols)[oriented].tolist(),
+                     np.where(forward, cols, rows)[oriented].tolist(),
+                     np.where(forward, value, -value)[oriented].tolist()))
+    ties = list(zip(rows[~oriented].tolist(), cols[~oriented].tolist()))
     if ties:
         labels = ", ".join(
             f"{dai.sectors[i].code}/{dai.sectors[j].code}" for i, j in ties

@@ -175,6 +175,79 @@ def enumerate_arborescences(g, orientation="outgoing"):
                         fsum(w for _, _, w in edges))
 
 
+def min_arborescence_by_rounds(
+    n_nodes: int,
+    edges: list[tuple[int, int, int, int]],
+    root: int,
+) -> list[int]:
+    """Chu-Liu/Edmonds in rounds: a drop-in for ``arborescence._min_arborescence``.
+
+    The library's former solver, kept as an independent check.  ``edges``
+    holds (src, dst, cost, edge_id) with exact integer costs, and every
+    node must be reachable from ``root``.  Each round rescans every edge and
+    takes the cheapest in-edge of every other node.  If these close cycles, each cycle
+    becomes one node, every edge entering it is charged the cost of the
+    in-edge it would displace, and the round repeats on the smaller graph.
+    Unwinding the rounds, each cycle keeps its edges except the displaced one.
+    """
+    rounds = []
+    while True:
+        best_cost: list[int] = [0] * n_nodes
+        best_src = [root] * n_nodes
+        best_eid = [-1] * n_nodes
+        for u, v, c, eid in edges:
+            if v != root and (best_eid[v] < 0 or c < best_cost[v]):
+                best_cost[v], best_src[v], best_eid[v] = c, u, eid
+        if best_eid.count(-1) > 1:
+            raise ValueError("node unreachable from the root")
+
+        cycle_of = [-1] * n_nodes
+        cycles: list[list[int]] = []
+        walk_of = [-1] * n_nodes
+        for start in range(n_nodes):
+            v = start
+            while v != root and walk_of[v] < 0:
+                walk_of[v] = start
+                v = best_src[v]
+            if v != root and walk_of[v] == start:  # this walk closed a cycle
+                cycle = [v]
+                u = best_src[v]
+                while u != v:
+                    cycle.append(u)
+                    u = best_src[u]
+                for u in cycle:
+                    cycle_of[u] = len(cycles)
+                cycles.append(cycle)
+        if not cycles:
+            chosen = [eid for v, eid in enumerate(best_eid) if v != root]
+            break
+
+        new_id = list(cycle_of)
+        n_next = len(cycles)
+        for v in range(n_nodes):
+            if new_id[v] < 0:
+                new_id[v] = n_next
+                n_next += 1
+        new_root = new_id[root]
+        head: dict[int, int] = {}  # edge id -> cycle node it enters
+        contracted = []
+        for u, v, c, eid in edges:
+            nu, nv = new_id[u], new_id[v]
+            if nu == nv or nv == new_root:
+                continue
+            if cycle_of[v] >= 0:
+                c -= best_cost[v]
+                head[eid] = v
+            contracted.append((nu, nv, c, eid))
+        rounds.append((cycles, best_eid, head))
+        n_nodes, edges, root = n_next, contracted, new_root
+
+    for cycles, best_eid, head in reversed(rounds):
+        entered = {head[eid] for eid in chosen if eid in head}
+        chosen += [best_eid[v] for cycle in cycles for v in cycle if v not in entered]
+    return chosen
+
+
 def _reaches(pred, start, root, n):
     node = start
     for _ in range(n):

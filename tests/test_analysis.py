@@ -22,7 +22,7 @@ from infoflow.analysis import (
 )
 from infoflow.arborescence import degrees, maximal_information_flow_path
 from infoflow.synth import Coupling, Segment, SyntheticDataset, generate_dataset
-from infoflow.timeseries import PriceSeries, SectorMeta
+from infoflow.timeseries import PriceSeries, SectorMeta, returns_panel
 
 
 def hub_panel(n=6, years=3, coupling=0.75, seed=4):
@@ -215,7 +215,7 @@ class TestSpecificity:
         hub = dataset[0]
         index = PriceSeries(SectorMeta("000001", "composite index"), hub.dates, hub.closes)
         return dataset, reports, index, specificity_study(
-            dataset, reports, index, seed=seed, samples=samples
+            returns_panel([*dataset, index]), reports, seed=seed, samples=samples
         )
 
     def test_index_copy_of_root_sector_gives_unit_correlation(self):
@@ -259,7 +259,7 @@ class TestSpecificity:
         shifted_dates = tuple(d + timedelta(days=1) for d in dataset[0].dates)
         index = PriceSeries(SectorMeta("000001"), shifted_dates, dataset[0].closes)
         with pytest.raises(ValueError, match="aligned"):
-            specificity_study(dataset, reports, index, seed=0)
+            specificity_study(returns_panel([*dataset, index]), reports, seed=0)
 
 
 class TestRenderers:

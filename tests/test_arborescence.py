@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_complete_network
-from oracles import enumerate_arborescences
+from oracles import enumerate_arborescences, min_arborescence_by_rounds
 
+from infoflow import arborescence
 from infoflow.arborescence import (
     Arborescence,
     arborescence_to_dot,
@@ -107,6 +108,21 @@ class TestSolver:
             tree = nx.maximum_spanning_arborescence(graph, attr="weight")
             expected = math.fsum(w for _, _, w in tree.edges(data="weight"))
             assert solved.total_weight == pytest.approx(expected, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [28, 60, 99])
+    def test_matches_rounds_oracle_on_planted_ties(self, n, monkeypatch):
+        # Planted ties at realistic sizes, against the solver that rescans
+        # every edge in rounds: same root and edges, exactly.
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            g = random_complete_network(n, rng, weights=(0.25, 0.5, 0.75))
+            for orientation in ("outgoing", "incoming"):
+                solved = max_spanning_arborescence(g, orientation)
+                with monkeypatch.context() as patched:
+                    patched.setattr(arborescence, "_min_arborescence",
+                                    min_arborescence_by_rounds)
+                    oracle = max_spanning_arborescence(g, orientation)
+                assert (solved.root, solved.edges) == (oracle.root, oracle.edges)
 
     def test_incoming_on_cycle_heavy_graph(self):
         # Cycle 1->2->3->1 plus escape edges; forces contraction logic.

@@ -225,6 +225,19 @@ class TestSpecificity:
         assert run(["specificity", "--input", path, "--out-dir", tmp_path]) == 2
         assert "--index is required" in capsys.readouterr().err
 
+    def test_misaligned_index_exits_2(self, panel_csv, tmp_path, capsys):
+        path, series = panel_csv
+        index_csv = tmp_path / "index.csv"
+        lines = ["date,000001"]
+        for t, day in enumerate(series[0].dates[1:], start=1):  # one close short
+            lines.append(f"{day.isoformat()},{float(series[0].closes[t])!r}")
+        index_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["specificity", "--input", path, "--index", index_csv,
+                    "--out-dir", out]) == 2
+        assert capsys.readouterr().err == "error: price series are not date-aligned\n"
+        assert not out.exists()
+
     def test_seed_repeatability(self, panel_csv, tmp_path):
         path, series = panel_csv
         index_csv = tmp_path / "index.csv"

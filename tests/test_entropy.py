@@ -8,6 +8,7 @@ import pytest
 from conftest import make_prices, make_returns, make_symbols, symbol_panel
 from oracles import te_bruteforce, te_log2_exponents
 
+from infoflow import entropy
 from infoflow.entropy import dai_matrix, te_matrix, transfer_entropy
 from infoflow.network import build_network
 from infoflow.symbolize import encode, make_partition
@@ -128,6 +129,24 @@ class TestTeMatrix:
         m = te_matrix(symbol_panel(series))
         for i in range(6):
             for j in range(6):
+                if i != j:
+                    assert m.te[i, j] == transfer_entropy(series[i], series[j])
+
+    @pytest.mark.parametrize("n, length", [(30, 101), (4, 20001)])
+    def test_entries_equal_pair_values_across_target_blocks(self, rng, n, length):
+        # The matrix kernel counts its targets in blocks; these panels need
+        # more than one block, of several targets (30 x 101) or of one.
+        assert n * n * (length - 1) > entropy._BLOCK_CELLS
+        rows = [rng.integers(1, 5, size=length)]
+        for k in range(1, n):
+            row = rng.integers(1, int(rng.integers(3, 6)), size=length)
+            copy = rng.random(length) < 0.5  # half the time, a lagged copy
+            row[1:][copy[1:]] = rows[int(rng.integers(k))][:-1][copy[1:]]
+            rows.append(row)
+        series = [make_symbols(row, 5, f"{900001 + k}") for k, row in enumerate(rows)]
+        m = te_matrix(symbol_panel(series))
+        for i in range(n):
+            for j in range(n):
                 if i != j:
                     assert m.te[i, j] == transfer_entropy(series[i], series[j])
 

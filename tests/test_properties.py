@@ -1,5 +1,9 @@
-"""Property tests of the pipeline: loading, symbolization, TE invariance, bounds."""
+"""Property tests of the pipeline: loading, symbolization, TE invariance, bounds,
+and CLI outputs under a permutation of the input's sector columns."""
 
+import contextlib
+import functools
+import io
 import math
 import tempfile
 import warnings
@@ -8,13 +12,16 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from infoflow import timeseries
+from infoflow.cli import main
 from infoflow.entropy import dai_matrix, te_matrix
 from infoflow.symbolize import Partition, SymbolPanel, encode, make_partition
+from infoflow.synth import Coupling, Segment, SyntheticDataset, dataset_to_csv, generate_dataset
 from infoflow.timeseries import (
     DatasetError,
     Panel,
@@ -238,3 +245,63 @@ def test_dai_antisymmetric_and_te_bounded(n, length, q, fill, seed):
     assert np.all(te.te <= math.log2(q) + 1e-12)
     dai = dai_matrix(te).dai
     assert np.array_equal(dai, -dai.T)
+
+
+# msa studies whose every output file names sectors by code, never by column.
+MSA_MODES = {
+    "whole": ["--mode", "whole"],
+    "yearly": ["--mode", "yearly"],
+    "range": ["--mode", "range", "--from", "2001-03-01", "--to", "2002-09-30"],
+    "turmoil": ["--mode", "turmoil", "--crash-start", "2002-01-01", "--crash-end", "2002-03-31"],
+}
+N_PERMUTED = 12
+
+
+@functools.lru_cache(maxsize=1)
+def unpermuted_csv() -> str:
+    """Four calendar years of 12 sectors with a few planted couplings."""
+    couplings = (Coupling(0, 3, 0.7), Coupling(3, 7, 0.6), Coupling(5, 1, 0.5),
+                 Coupling(9, 11, 0.6), Coupling(2, 10, 0.4))
+    spec = SyntheticDataset(n_sectors=N_PERMUTED, segments=(Segment(1461, couplings),),
+                            seed=17, start=date(1999, 12, 31))
+    return dataset_to_csv(generate_dataset(spec))
+
+
+def msa_outputs(csv_text: str, mode: str) -> dict[str, bytes]:
+    """Every file one ``msa`` study writes for the CSV, by file name."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        path.write_text(csv_text, encoding="utf-8")
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["msa", "--input", str(path), *MSA_MODES[mode], "--q", "15",
+                         "--format", "csv,json,dot", "--out-dir", str(out)]) == 0
+        return {f.name: f.read_bytes() for f in out.iterdir()}
+
+
+@functools.lru_cache(maxsize=None)
+def unpermuted_outputs(mode: str) -> dict[str, bytes]:
+    return msa_outputs(unpermuted_csv(), mode)
+
+
+def permute_columns(csv_text: str, order) -> str:
+    """The CSV whose k-th sector column is column ``order[k]`` of ``csv_text``."""
+    rows = [line.split(",") for line in csv_text.splitlines()]
+    return "".join(",".join([row[0]] + [row[1 + k] for k in order]) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("mode", sorted(MSA_MODES))
+@settings(deadline=None, max_examples=3)
+@given(order=st.permutations(range(N_PERMUTED)))
+def test_msa_outputs_do_not_depend_on_column_order(mode, order):
+    # Only the degree heatmaps list sectors in input order; with their
+    # columns put back in the original order they match too.
+    want = unpermuted_outputs(mode)
+    got = msa_outputs(permute_columns(unpermuted_csv(), order), mode)
+    assert sorted(got) == sorted(want)
+    for name, data in got.items():
+        if name.startswith("degree_heatmap_"):
+            back = np.argsort(order)
+            data = permute_columns(data.decode(), back).encode()
+        assert data == want[name], name
