@@ -16,7 +16,8 @@ from infoflow import (
     dataset_to_csv,
     degrees,
     demo_dataset,
-    whole_sample_msas,
+    msas_from_returns,
+    returns_panel,
 )
 
 OUT = Path(__file__).resolve().parent / "demo_output"
@@ -40,7 +41,7 @@ def main():
     (OUT / "demo_sectors.csv").write_text(dataset_to_csv(dataset), encoding="utf-8")
     print(f"panel: {len(dataset)} sectors x {len(dataset[0])} trading days")
 
-    bundle = whole_sample_msas(dataset, q=15)
+    bundle = msas_from_returns(returns_panel(dataset), q=15)
     for orientation in ("outgoing", "incoming"):
         arb = bundle.arborescence(orientation)
         path = bundle.path(orientation)

@@ -7,13 +7,18 @@ information-flow path (with path weight in the x100 display unit), root
 occurrence counts, and the year-by-sector degree heat-map matrix.
 """
 
-from infoflow import degree_heatmap, demo_dataset, root_occurrences, yearly_reports
+from infoflow import (
+    degree_heatmap,
+    demo_dataset,
+    returns_panel,
+    root_occurrences,
+    yearly_reports,
+)
 from infoflow.analysis import render_degree_heatmap_csv, render_yearly_csv
 
 
 def main():
-    dataset = demo_dataset()
-    reports = yearly_reports(dataset, q=15)
+    reports = yearly_reports(returns_panel(demo_dataset()), q=15)
 
     for orientation in ("outgoing", "incoming"):
         print(f"\n=== {orientation} maximal information flow paths ===")

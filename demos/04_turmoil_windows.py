@@ -10,7 +10,14 @@ maximal-path weight moves with it.
 
 from datetime import timedelta
 
-from infoflow import Coupling, Segment, SyntheticDataset, generate_dataset, turmoil_study
+from infoflow import (
+    Coupling,
+    Segment,
+    SyntheticDataset,
+    generate_dataset,
+    returns_panel,
+    turmoil_study,
+)
 from infoflow.analysis import render_turmoil_csv
 
 T_LEN = 250  # trading days inside the crash interval
@@ -36,7 +43,8 @@ def build_panel(seed=11):
 
 def main():
     series, crash_start, crash_end = build_panel()
-    study = turmoil_study(series, q=15, crash_start=crash_start, crash_end=crash_end)
+    study = turmoil_study(returns_panel(series), q=15,
+                          crash_start=crash_start, crash_end=crash_end)
 
     w = study.windows
     print(f"crash interval : {w.crash_start} .. {w.crash_end} ({w.crash_days} trading days)")

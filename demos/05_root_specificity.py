@@ -31,7 +31,7 @@ def equal_weight_index(dataset):
 def main():
     dataset = demo_dataset()
     index = equal_weight_index(dataset)
-    reports = yearly_reports(dataset, q=15)
+    reports = yearly_reports(returns_panel(dataset), q=15)
     result = specificity_study(returns_panel([*dataset, index]), reports, seed=12345, samples=5)
 
     print(render_specificity_csv(result))

@@ -20,7 +20,6 @@ from .analysis import (
     root_occurrences,
     specificity_study,
     turmoil_study,
-    whole_sample_msas,
     yearly_reports,
 )
 from .arborescence import (
@@ -32,15 +31,9 @@ from .arborescence import (
     max_spanning_arborescence,
     maximal_information_flow_path,
 )
-from .entropy import (
-    DaiMatrix,
-    TeMatrix,
-    dai_matrix,
-    te_matrix,
-    transfer_entropy,
-)
+from .entropy import DaiMatrix, TeMatrix, dai_matrix, te_matrix
 from .network import InfoFlowNetwork, build_network
-from .symbolize import Partition, SymbolPanel, SymbolSeries, encode, make_partition
+from .symbolize import Partition, SymbolPanel, encode, make_partition
 from .synth import (
     CoupledBinaryProcess,
     Coupling,
@@ -57,12 +50,10 @@ from .timeseries import (
     DatasetError,
     Panel,
     PriceSeries,
-    ReturnSeries,
     SectorMeta,
     SummaryStats,
     load_dataset,
     load_sector_names,
-    log_returns,
     returns_panel,
     slice_returns,
     summary_stats,

@@ -1,12 +1,12 @@
 """Windowed structural studies over the information-flow pipeline.
 
-Every study starts from one ``Panel`` of returns, built once by
-``returns_panel``, and a list of labelled date windows: the whole sample,
-a date range, calendar years, or event windows around a market crash.
-Each window is cut from the panel by ``slice_returns`` and run through the
-one engine, ``msas_from_returns``: symbols for all rows in one step ->
-transfer entropy -> net flows -> network -> both arborescences -> maximal
-paths.  Partitions are recomputed per window by default so each window's
+Every study takes one ``Panel`` of returns, built once per run by
+``returns_panel``, and runs a list of labelled date windows: the whole
+sample, a date range, calendar years, or event windows around a market
+crash.  Each window is cut from the panel by ``slice_returns`` and run
+through the one engine, ``msas_from_returns``: symbols for all rows in one
+step -> transfer entropy -> net flows -> network -> both arborescences ->
+maximal paths.  Partitions are recomputed per window by default so each window's
 symbol alphabet covers its own observed range; pass
 ``global_partition=True`` to reuse the whole-sample bin edges instead.
 """
@@ -34,7 +34,9 @@ from .arborescence import (
 from .entropy import dai_matrix, te_matrix
 from .network import build_network
 from .symbolize import Partition, encode, make_partition
-from .timeseries import Panel, PriceSeries, SectorMeta, returns_panel, slice_returns
+# ``returns_panel`` builds the one panel that every study takes; the CLI
+# calls it from here.
+from .timeseries import Panel, SectorMeta, returns_panel, slice_returns
 
 # Calendar years shorter than this many trading days are skipped: the
 # estimator has nothing to say about a handful of samples.
@@ -212,39 +214,32 @@ def msas_from_returns(
     )
 
 
-def whole_sample_msas(dataset: list[PriceSeries], q: int) -> MsaBundle:
-    """Whole-sample pipeline: both arborescences plus their maximal paths."""
-    return msas_from_returns(returns_panel(dataset), q)
-
-
 def _year(year: int) -> tuple[date, date]:
     return date(year, 1, 1), date(year, 12, 31)
 
 
 def yearly_reports(
-    dataset: list[PriceSeries] | Panel,
+    returns: Panel,
     q: int,
     global_partition: bool = False,
     min_days: int = MIN_YEAR_DAYS,
 ) -> dict[str, list[YearlyMsaReport]]:
-    """Per-calendar-year pipeline runs, keyed by orientation.
+    """Per-calendar-year pipeline runs over the returns panel, keyed by orientation.
 
-    ``dataset`` is the sectors' price series or their returns panel.
     Years with fewer than ``min_days`` trading days are skipped with a
     warning; if every year is, the study fails.  ``global_partition``
     reuses whole-sample bin edges for every year instead of the default
     per-year recomputation.
     """
-    panel = dataset if isinstance(dataset, Panel) else returns_panel(dataset)
-    partitions = _partition(panel, q, "whole sample") if global_partition else None
+    partitions = _partition(returns, q, "whole sample") if global_partition else None
     reports: dict[str, list[YearlyMsaReport]] = {o: [] for o in ORIENTATIONS}
-    for year in sorted({d.year for d in panel.dates}):
-        returns = slice_returns(panel, _year(year))
-        if len(returns.dates) < min_days:
-            warnings.warn(f"skipping year {year}: only {len(returns.dates)} trading day(s)",
+    for year in sorted({d.year for d in returns.dates}):
+        year_returns = slice_returns(returns, _year(year))
+        if len(year_returns.dates) < min_days:
+            warnings.warn(f"skipping year {year}: only {len(year_returns.dates)} trading day(s)",
                           stacklevel=2)
             continue
-        bundle = msas_from_returns(returns, q, partitions, window=f"year {year}")
+        bundle = msas_from_returns(year_returns, q, partitions, window=f"year {year}")
         for orientation in ORIENTATIONS:
             arb = bundle.arborescence(orientation)
             path = bundle.path(orientation)
@@ -294,12 +289,12 @@ def degree_heatmap(reports: list[YearlyMsaReport]) -> DegreeHeatmap:
 
 
 def turmoil_study(
-    dataset: list[PriceSeries],
+    returns: Panel,
     q: int,
     crash_start: date,
     crash_end: date,
 ) -> TurmoilStudy:
-    """Pipeline over the before/during/after windows around one crash.
+    """Pipeline over the before/during/after windows of ``returns`` around one crash.
 
     T is the number of trading days inside [crash_start, crash_end]; the
     during window covers the 2T trading days centered on the crash start,
@@ -307,8 +302,7 @@ def turmoil_study(
     """
     if crash_start > crash_end:
         raise ValueError("crash_start must not be after crash_end")
-    panel = returns_panel(dataset)
-    dates = panel.dates
+    dates = returns.dates
     i0 = bisect_left(dates, crash_start)
     t_len = bisect_right(dates, crash_end) - i0
     if t_len == 0:
@@ -328,7 +322,7 @@ def turmoil_study(
     )
     results = tuple(
         WindowResult(label, interval,
-                      msas_from_returns(slice_returns(panel, interval), q,
+                      msas_from_returns(slice_returns(returns, interval), q,
                                         window=f"{label} window"))
         for label, interval in intervals.items()
     )

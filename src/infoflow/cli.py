@@ -29,7 +29,6 @@ from .timeseries import (
     PriceSeries,
     load_dataset,
     load_sector_names,
-    log_returns,
     slice_returns,
     summary_stats,
 )
@@ -200,11 +199,11 @@ def _write(out_dir: Path, filename: str, text: str) -> Path:
 
 
 def _cmd_stats(cfg: dict) -> list[Path]:
-    dataset = _load_input(cfg)
+    returns = analysis.returns_panel(_load_input(cfg))
     formats = _formats(cfg)
     out_dir = Path(cfg["out_dir"])
     report = bool(cfg.get("report"))
-    rows = [(p.sector, summary_stats(log_returns(p))) for p in dataset]
+    rows = [(sector, summary_stats(row)) for sector, row in zip(returns.sectors, returns.values)]
 
     written = []
     if "csv" in formats:
@@ -293,11 +292,10 @@ def _cmd_msa(cfg: dict) -> list[Path]:
     if mode == "range" and not (cfg.get("date_from") and cfg.get("date_to")):
         raise CliError("range mode requires --from and --to")
 
-    dataset = _load_input(cfg)
+    returns = analysis.returns_panel(_load_input(cfg))
     written: list[Path] = []
 
     if mode in ("whole", "range"):
-        returns = analysis.returns_panel(dataset)
         stem = "msa_whole"
         label = "whole sample"
         if mode == "range":
@@ -313,7 +311,7 @@ def _cmd_msa(cfg: dict) -> list[Path]:
 
     elif mode == "yearly":
         reports = analysis.yearly_reports(
-            dataset, q,
+            returns, q,
             global_partition=bool(cfg.get("global_partition")),
         )
         for orientation in orientations:
@@ -345,7 +343,7 @@ def _cmd_msa(cfg: dict) -> list[Path]:
 
     else:  # turmoil
         study = analysis.turmoil_study(
-            dataset, q,
+            returns, q,
             _parse_date(cfg["crash_start"], "--crash-start"),
             _parse_date(cfg["crash_end"], "--crash-end"),
         )

@@ -15,15 +15,16 @@ and n_* their counts, the sample sizes cancel and
 
     N * TE = S(n_abc) - S(n_ab) - S(n_bc) + S(n_b),   S(n) = sum n log2 n.
 
-One kernel evaluates this for a whole window, every target against every
-source: ``te_matrix`` runs it on a ``SymbolPanel`` and ``transfer_entropy``
-on one pair of ``SymbolSeries``.  The targets' own counts n_ab and n_b
-come from one bincount over all series.  Each observed (target, now, next)
-state gets one global column, and n_abc comes from one bincount per block
-of targets, keyed by (source, source symbol) and column; one reduceat over
-the columns that share (target, now) gives n_bc.  Blocks are sized from
-the window's shape, so short windows take many targets per call and long
-ones keep their arrays bounded.  All counts are exact integers.
+One kernel, behind ``te_matrix``, evaluates this for a whole window of a
+``SymbolPanel``, every target against every source; the estimate for one
+pair is ``te_matrix(pair).te[0, 1]`` of its 2-row panel.  The targets' own
+counts n_ab and n_b come from one bincount over all series.  Each observed
+(target, now, next) state gets one global column, and n_abc comes from one
+bincount per block of targets, keyed by (source, source symbol) and
+column; one reduceat over the columns that share (target, now) gives
+n_bc.  Blocks are sized from the window's shape, so short windows take
+many targets per call and long ones keep their arrays bounded.  All counts
+are exact integers.
 
 The n log2 n sums are not added up in floating point.  Each count k is
 factored into primes, k log2 k = sum_p k e_p(k) log2 p, so N * TE is an
@@ -36,7 +37,7 @@ Hence an estimate is exactly 0.0 when the counts factor exactly; two equal
 estimates (such as the two directions of an exactly tied pair) give the
 same float, so their net flow is exactly 0.0 and the network records a
 tie; and te[i, j] does not depend on which other series share the call, so
-a single pair equals its entry in a full matrix bit for bit.
+the 2-row panel of a pair gives its entry in a full matrix bit for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symbolize import SymbolPanel, SymbolSeries
+from .symbolize import SymbolPanel
 from .timeseries import SectorMeta, _freeze
 
 
@@ -212,28 +213,15 @@ def _te_columns(symbols: np.ndarray, q: int) -> np.ndarray:
     return te
 
 
-def transfer_entropy(source: SymbolSeries, target: SymbolSeries) -> float:
-    """Symbolic transfer entropy from ``source`` to ``target``, in bits."""
-    if len(source) != len(target):
-        raise ValueError("symbol series differ in length")
-    if len(target) < 2:
-        raise ValueError("need at least 2 aligned samples")
-    if source.dates != target.dates:
-        raise ValueError("symbol series are not date-aligned")
-    if source.partition.q != target.partition.q:
-        raise ValueError("symbol series use different bin counts")
-    symbols = np.stack([source.symbols, target.symbols])
-    return float(_te_columns(symbols, target.partition.q)[0, 1])
-
-
 def te_matrix(all_series: SymbolPanel) -> TeMatrix:
     """Transfer entropy for every ordered sector pair; te[i, j] is i -> j.
 
-    The panel's rows share one date axis by construction, so no per-pair
-    alignment check is needed.
+    The panel's rows share one date axis and one q by construction, so no
+    per-pair check is needed.  A pair's estimate is ``te[0, 1]`` of its
+    2-row panel.
     """
     if len(all_series) < 2:
-        raise ValueError("need at least 2 series")
+        raise ValueError("need at least 2 sectors")
     if all_series.symbols.shape[1] < 2:
         raise ValueError("need at least 2 aligned samples")
     te = _te_columns(all_series.symbols, all_series.partition.q)

@@ -19,7 +19,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .symbolize import Partition, SymbolSeries
+from .symbolize import Partition, SymbolPanel
 from .timeseries import PriceSeries, SectorMeta
 
 
@@ -106,10 +106,11 @@ class SyntheticDataset:
         return sum(seg.length for seg in self.segments)
 
 
-def generate_coupled_binary(
-    coupling: float, length: int, seed: int
-) -> tuple[SymbolSeries, SymbolSeries]:
-    """Sample the coupled binary process; returns (source, target) symbols."""
+def generate_coupled_binary(coupling: float, length: int, seed: int) -> SymbolPanel:
+    """Sample the coupled binary process as a 2-row panel: source, then target.
+
+    Its transfer entropy estimate is ``te_matrix(pair).te[0, 1]``.
+    """
     proc = CoupledBinaryProcess(coupling, length, seed)
     rng = np.random.default_rng(proc.seed)
     u_source = rng.random(length)
@@ -122,12 +123,8 @@ def generate_coupled_binary(
     copy_mask[0] = False  # no predecessor at the first step
     x[1:] = np.where(copy_mask[1:], y[:-1], x[1:])
 
-    start = date(2000, 1, 3)
-    dates = tuple(start + timedelta(days=t) for t in range(length))
-    partition = Partition(q=2, x_min=-1.0, x_max=1.0)
-    source = SymbolSeries(SectorMeta("900001", "coupled source"), partition, dates, y)
-    target = SymbolSeries(SectorMeta("900002", "coupled target"), partition, dates, x)
-    return source, target
+    sectors = (SectorMeta("900001", "coupled source"), SectorMeta("900002", "coupled target"))
+    return SymbolPanel(sectors, Partition(q=2, x_min=-1.0, x_max=1.0), np.stack([y, x]))
 
 
 def analytic_te_coupled_binary(coupling: float) -> float:

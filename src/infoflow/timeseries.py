@@ -15,9 +15,10 @@ would return.
 
 ``returns_panel`` checks that alignment once and turns the whole dataset
 into one ``Panel``: the sectors, the return dates and an n x L matrix of
-log returns.  Every study window is a column span of that matrix, cut by
-``slice_returns``, which bisects the date axis of a panel or of a single
-``ReturnSeries`` alike.
+log returns.  The panel is the only return type: one sector's returns are
+a 1-row panel, and ``summary_stats`` takes one row of its matrix.  Every
+study window is a column span of that matrix, cut by ``slice_returns``,
+which bisects the panel's date axis.
 """
 
 from __future__ import annotations
@@ -91,17 +92,6 @@ def _check_increasing(dates: tuple[date, ...]) -> None:
         raise ValueError("dates not strictly increasing")
 
 
-def _check_returns(r, rows: tuple[int, ...]) -> None:
-    """Freeze the dates and values of ``r``: finite, ``rows`` x dates, dates increasing."""
-    object.__setattr__(r, "dates", tuple(r.dates))
-    object.__setattr__(r, "values", _freeze(r.values, np.float64))
-    if r.values.shape != (*rows, len(r.dates)):
-        raise ValueError("values do not match the dates")
-    if not np.all(np.isfinite(r.values)):
-        raise ValueError("non-finite return value")
-    _check_increasing(r.dates)
-
-
 @dataclass(frozen=True)
 class PriceSeries:
     """Daily closing prices of one sector on a strictly increasing date axis."""
@@ -127,25 +117,11 @@ class PriceSeries:
 
 
 @dataclass(frozen=True)
-class ReturnSeries:
-    """Daily log returns, each dated by the later close; dates strictly increase."""
-
-    sector: SectorMeta
-    dates: tuple[date, ...]
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        _check_returns(self, ())
-
-    def __len__(self) -> int:
-        return len(self.dates)
-
-
-@dataclass(frozen=True)
 class Panel:
-    """Log returns of n sectors on one strictly increasing date axis.
+    """Daily log returns of n sectors on one strictly increasing date axis.
 
-    Row i of the n x L matrix ``values`` holds the returns of ``sectors[i]``.
+    Row i of the n x L matrix ``values`` holds the returns of ``sectors[i]``,
+    each dated by the later close.  One sector is a 1-row panel.
     """
 
     sectors: tuple[SectorMeta, ...]
@@ -154,7 +130,13 @@ class Panel:
 
     def __post_init__(self):
         object.__setattr__(self, "sectors", tuple(self.sectors))
-        _check_returns(self, (len(self.sectors),))
+        object.__setattr__(self, "dates", tuple(self.dates))
+        object.__setattr__(self, "values", _freeze(self.values, np.float64))
+        if self.values.shape != (len(self.sectors), len(self.dates)):
+            raise ValueError("values do not match the sectors and dates")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("non-finite return value")
+        _check_increasing(self.dates)
 
 
 @dataclass(frozen=True)
@@ -252,6 +234,13 @@ def _sector_codes(header: list[str] | None) -> list[str]:
     codes = [c.strip() for c in header[1:]]
     if any(not c for c in codes) or len(set(codes)) != len(codes):
         raise DatasetError("malformed header: empty or duplicate sector codes")
+    # Outputs name a sector by the last three characters of its code.
+    labels: dict[str, str] = {}
+    for code in codes:
+        other = labels.setdefault(code[-3:], code)
+        if other != code:
+            raise DatasetError(f"malformed header: sector codes {other} and {code} "
+                               f"share the display label {code[-3:]!r}")
     return codes
 
 
@@ -371,20 +360,14 @@ def _read_rows(path: Path) -> _Table:
     return _Table(codes, _IncreasingDates(kept_dates), closes, dropped)
 
 
-def log_returns(p: PriceSeries) -> ReturnSeries:
-    """Log returns ln(close[t+1]) - ln(close[t]), dated by the later close."""
-    values = np.diff(np.log(p.closes))
-    return ReturnSeries(p.sector, p.dates[1:], values)
-
-
 def returns_panel(dataset: list[PriceSeries]) -> Panel:
-    """Log returns of every sector as one panel, dated by the later close.
+    """Log returns ln(close[t+1]) - ln(close[t]) of every sector as one panel.
 
-    All series must share one date axis; this is the one place that
-    checks it.
+    Each return is dated by the later close.  All series must share one
+    date axis; this is the one place that checks it.
     """
-    if len(dataset) < 2:
-        raise ValueError("need at least 2 sectors")
+    if not dataset:
+        raise ValueError("need at least 1 sector")
     dates = dataset[0].dates
     if any(p.dates != dates for p in dataset[1:]):
         raise ValueError("price series are not date-aligned")
@@ -392,14 +375,14 @@ def returns_panel(dataset: list[PriceSeries]) -> Panel:
     return Panel(tuple(p.sector for p in dataset), dates[1:], np.diff(np.log(closes), axis=1))
 
 
-def summary_stats(r: ReturnSeries) -> SummaryStats:
-    """Moment summary and Jarque-Bera test of a return series.
+def summary_stats(returns: np.ndarray) -> SummaryStats:
+    """Moment summary and Jarque-Bera test of one row of returns.
 
     Standard deviation uses the 1/(n-1) normalization; skewness and
     kurtosis are the standardized third and fourth sample moments on the
     1/n central moments, which is the convention the JB statistic assumes.
     """
-    v = r.values
+    v = np.asarray(returns, dtype=np.float64)
     n = len(v)
     if n < 4:
         raise ValueError("summary_stats needs at least 4 observations")
@@ -425,13 +408,13 @@ def summary_stats(r: ReturnSeries) -> SummaryStats:
     )
 
 
-def slice_returns(r: ReturnSeries | Panel, window: tuple[date, date]) -> ReturnSeries | Panel:
-    """Restrict a return series or panel to the closed date interval ``window``."""
+def slice_returns(returns: Panel, window: tuple[date, date]) -> Panel:
+    """Restrict a panel to the closed date interval ``window``."""
     start, end = window
     if start > end:
         raise ValueError("empty interval")
-    lo = bisect_left(r.dates, start)
-    hi = bisect_right(r.dates, end)
+    lo = bisect_left(returns.dates, start)
+    hi = bisect_right(returns.dates, end)
     if lo >= hi:
         raise ValueError("empty result")
-    return replace(r, dates=r.dates[lo:hi], values=r.values[..., lo:hi])
+    return replace(returns, dates=returns.dates[lo:hi], values=returns.values[:, lo:hi])

@@ -5,27 +5,33 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from infoflow.entropy import te_matrix
 from infoflow.network import InfoFlowNetwork
-from infoflow.symbolize import Partition, SymbolPanel, SymbolSeries
-from infoflow.timeseries import PriceSeries, ReturnSeries, SectorMeta
+from infoflow.symbolize import Partition, SymbolPanel
+from infoflow.timeseries import Panel, PriceSeries, SectorMeta
 
 
-def make_symbols(values, q, code="900001", start=date(2000, 1, 3)):
-    """SymbolSeries from a raw 1..q integer list on a consecutive date axis."""
-    dates = tuple(start + timedelta(days=t) for t in range(len(values)))
+def make_symbols(values, q, code="900001"):
+    """1-row SymbolPanel from a raw 1..q integer list."""
     partition = Partition(q=q, x_min=0.0, x_max=float(q))
-    return SymbolSeries(SectorMeta(code), partition, dates, np.asarray(values))
+    return SymbolPanel((SectorMeta(code),), partition, np.asarray(values)[None, :])
 
 
-def symbol_panel(series):
-    """SymbolPanel whose rows are the given aligned SymbolSeries (one q)."""
-    return SymbolPanel(tuple(s.sector for s in series), series[0].partition,
-                       np.stack([s.symbols for s in series]))
+def symbol_panel(rows):
+    """SymbolPanel stacking the rows of the given aligned panels (one q)."""
+    return SymbolPanel(tuple(s for r in rows for s in r.sectors), rows[0].partition,
+                       np.concatenate([r.symbols for r in rows]))
+
+
+def pair_te(source, target):
+    """TE from 1-row panel ``source`` to ``target``: te[0, 1] of their 2-row panel."""
+    return te_matrix(symbol_panel([source, target])).te[0, 1]
 
 
 def make_returns(values, code="900001", start=date(2000, 1, 3)):
+    """1-row return Panel on a consecutive date axis."""
     dates = tuple(start + timedelta(days=t) for t in range(len(values)))
-    return ReturnSeries(SectorMeta(code), dates, np.asarray(values, dtype=float))
+    return Panel((SectorMeta(code),), dates, np.asarray(values, dtype=float)[None, :])
 
 
 def make_prices(closes, code="900001", start=date(2000, 1, 3)):

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    make_returns,
     make_symbols,
+    pair_te,
     random_complete_network,
     symbol_panel,
     turmoil_dataset,
@@ -24,14 +24,14 @@ from conftest import (
 from oracles import enumerate_arborescences, pearson_mpmath, stats_mpmath, te_bruteforce
 
 from infoflow.analysis import (
+    msas_from_returns,
     pearson,
     turmoil_study,
-    whole_sample_msas,
     yearly_reports,
 )
 from infoflow.arborescence import degrees, max_spanning_arborescence
 from infoflow.cli import main as cli_main
-from infoflow.entropy import dai_matrix, te_matrix, transfer_entropy
+from infoflow.entropy import dai_matrix, te_matrix
 from infoflow.network import InfoFlowNetwork
 from infoflow.synth import (
     Coupling,
@@ -43,7 +43,7 @@ from infoflow.synth import (
     generate_coupled_binary,
     generate_dataset,
 )
-from infoflow.timeseries import load_dataset, log_returns, summary_stats
+from infoflow.timeseries import load_dataset, returns_panel, summary_stats
 
 
 @contextmanager
@@ -67,8 +67,8 @@ def test_criterion_01_te_oracle_equivalence():
             n = int(rng.integers(2, 13))
             src = make_symbols(rng.integers(1, q + 1, size=n), q, "900001")
             tgt = make_symbols(rng.integers(1, q + 1, size=n), q, "900002")
-            got = transfer_entropy(src, tgt)
-            want = te_bruteforce(src.symbols.tolist(), tgt.symbols.tolist(), q)
+            got = pair_te(src, tgt)
+            want = te_bruteforce(src[0].tolist(), tgt[0].tolist(), q)
             assert abs(got - want) <= 1e-12
         assert time.perf_counter() - started < 10.0
 
@@ -77,8 +77,7 @@ def test_criterion_02_te_analytic_convergence():
     with criterion(2, "TE converges to the closed form of the coupled binary process"):
         started = time.perf_counter()
         for k, c in enumerate((0.0, 0.25, 0.5, 0.75, 1.0)):
-            y, x = generate_coupled_binary(c, 100_000, seed=300 + k)
-            estimate = transfer_entropy(y, x)
+            estimate = te_matrix(generate_coupled_binary(c, 100_000, seed=300 + k)).te[0, 1]
             exact = analytic_te_coupled_binary(c)
             assert abs(estimate - exact) < 0.01, (c, estimate, exact)
         assert abs(analytic_te_coupled_binary(0.5) - 0.18872) < 5e-6
@@ -93,7 +92,7 @@ def test_criterion_03_nonnegativity_and_bound():
             n = int(rng.integers(2, 31))
             src = make_symbols(rng.integers(1, q + 1, size=n), q, "900001")
             tgt = make_symbols(rng.integers(1, q + 1, size=n), q, "900002")
-            te = transfer_entropy(src, tgt)
+            te = pair_te(src, tgt)
             assert te >= -1e-12
             assert te <= math.log2(q) + 1e-12
         for trial in range(5):
@@ -162,7 +161,7 @@ def test_criterion_06_direction_recovery():
                 seed=seed,
             )
             series = generate_dataset(spec)
-            bundle = whole_sample_msas(series, q=15)
+            bundle = msas_from_returns(returns_panel(series), q=15)
             root = bundle.outgoing.sectors[bundle.outgoing.root]
             hits += root.code == series[0].sector.code
         assert hits >= 19, f"only {hits}/20 seeds recovered the hub"
@@ -173,7 +172,7 @@ def test_criterion_07_turmoil_synchronization():
         hits = 0
         for seed in range(20):
             series, crash_start, crash_end = turmoil_dataset(seed=seed)
-            study = turmoil_study(series, q=15,
+            study = turmoil_study(returns_panel(series), q=15,
                                   crash_start=crash_start, crash_end=crash_end)
             during = study.result("during").root_degree["outgoing"]
             before = study.result("before").root_degree["outgoing"]
@@ -217,7 +216,7 @@ def test_criterion_09_statistics_correctness():
         rng = np.random.default_rng(909)
         for _ in range(100):
             values = rng.normal(rng.uniform(-0.01, 0.01), rng.uniform(0.005, 0.05), 200)
-            s = summary_stats(make_returns(values))
+            s = summary_stats(values)
             mean, vmax, vmin, std, skew, kurt, jb = stats_mpmath(values)
             assert abs(s.mean - mean) <= 1e-12
             assert s.max == vmax and s.min == vmin
@@ -231,9 +230,7 @@ def test_criterion_09_statistics_correctness():
             assert abs(pearson(x, y) - pearson_mpmath(x, y)) <= 1e-12
 
         rejections = sum(
-            summary_stats(
-                make_returns(np.random.default_rng(seed).standard_normal(2000))
-            ).jb_reject_at_1pct
+            summary_stats(np.random.default_rng(seed).standard_normal(2000)).jb_reject_at_1pct
             for seed in range(100)
         )
         assert rejections <= 5
@@ -293,12 +290,12 @@ def _close(got, want, decimals):
 )
 def test_criterion_10_bring_your_own_data():
     with criterion(10, "externally supplied sector panel reproduces headline results"):
-        dataset = load_dataset(os.environ[_DATA_ENV])
-        by_code = {p.sector.code: p for p in dataset}
+        returns = returns_panel(load_dataset(os.environ[_DATA_ENV]))
+        by_code = {s.code: row for s, row in zip(returns.sectors, returns.values)}
         assert set(_REFERENCE_STATS) <= set(by_code), "panel must carry all 28 codes"
 
         for code, (mean3, vmax, vmin, std, skew, kurt, jb) in _REFERENCE_STATS.items():
-            s = summary_stats(log_returns(by_code[code]))
+            s = summary_stats(by_code[code])
             assert _close(s.mean * 1e3, mean3, 3), (code, "mean", s.mean)
             assert _close(s.max, vmax, 3), (code, "max", s.max)
             assert _close(s.min, vmin, 3), (code, "min", s.min)
@@ -307,11 +304,11 @@ def test_criterion_10_bring_your_own_data():
             assert _close(s.kurtosis, kurt, 3), (code, "kurtosis", s.kurtosis)
             assert _close(s.jb_statistic, jb, 1), (code, "jb", s.jb_statistic)
 
-        reports = yearly_reports(dataset, q=15)
+        reports = yearly_reports(returns, q=15)
         r2001 = next(r for r in reports["outgoing"] if r.year == 2001)
         assert r2001.path.codes == _EXPECTED_2001_PATH
         assert abs(r2001.path_dai_x100 - _EXPECTED_2001_DAI_X100) <= 0.01 * _EXPECTED_2001_DAI_X100
 
-        bundle = whole_sample_msas(dataset, q=15)
+        bundle = msas_from_returns(returns, q=15)
         assert bundle.outgoing.sectors[bundle.outgoing.root].code == "801230"
         assert bundle.incoming.sectors[bundle.incoming.root].code == "801790"

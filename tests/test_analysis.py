@@ -8,6 +8,7 @@ from oracles import pearson_mpmath
 
 from infoflow.analysis import (
     degree_heatmap,
+    msas_from_returns,
     pearson,
     render_degree_heatmap_csv,
     render_root_occurrences_csv,
@@ -17,7 +18,6 @@ from infoflow.analysis import (
     root_occurrences,
     specificity_study,
     turmoil_study,
-    whole_sample_msas,
     yearly_reports,
 )
 from infoflow.arborescence import degrees, maximal_information_flow_path
@@ -44,13 +44,13 @@ class TestWholeSample:
             segments=(Segment(400, (Coupling(0, 1, 0.9),)),),
             seed=1,
         )
-        bundle = whole_sample_msas(generate_dataset(spec), q=5)
+        bundle = msas_from_returns(returns_panel(generate_dataset(spec)), q=5)
         assert len(bundle.outgoing.edges) == 1
         assert len(bundle.incoming.edges) == 1
         assert bundle.outgoing_path.length == 2
 
     def test_bundle_paths_belong_to_trees(self):
-        bundle = whole_sample_msas(hub_panel(), q=10)
+        bundle = msas_from_returns(returns_panel(hub_panel()), q=10)
         for orientation in ("outgoing", "incoming"):
             arb = bundle.arborescence(orientation)
             path = bundle.path(orientation)
@@ -61,7 +61,7 @@ class TestWholeSample:
 
 class TestYearlyReports:
     def test_one_report_per_year_per_orientation(self):
-        reports = yearly_reports(hub_panel(years=3), q=10)
+        reports = yearly_reports(returns_panel(hub_panel(years=3)), q=10)
         assert [r.year for r in reports["outgoing"]] == [2001, 2002, 2003]
         assert [r.year for r in reports["incoming"]] == [2001, 2002, 2003]
         for r in reports["outgoing"] + reports["incoming"]:
@@ -78,51 +78,51 @@ class TestYearlyReports:
             start=date(2000, 12, 31),
         )
         with pytest.warns(UserWarning, match="skipping year 2002"):
-            reports = yearly_reports(generate_dataset(spec), q=5)
+            reports = yearly_reports(returns_panel(generate_dataset(spec)), q=5)
         assert [r.year for r in reports["outgoing"]] == [2001]
 
     def test_paths_revalidate_against_trees(self):
-        reports = yearly_reports(hub_panel(years=2), q=10)
+        reports = yearly_reports(returns_panel(hub_panel(years=2)), q=10)
         for r in reports["outgoing"]:
             again = maximal_information_flow_path(r.arborescence)
             assert again.codes == r.path.codes
 
     def test_global_partition_mode_runs(self):
         dataset = hub_panel(years=2)
-        local = yearly_reports(dataset, q=10)
-        shared = yearly_reports(dataset, q=10, global_partition=True)
+        local = yearly_reports(returns_panel(dataset), q=10)
+        shared = yearly_reports(returns_panel(dataset), q=10, global_partition=True)
         assert len(shared["outgoing"]) == len(local["outgoing"])
 
 
 class TestRootOccurrences:
     def test_counts_sum_to_reports(self):
-        reports = yearly_reports(hub_panel(years=3), q=10)
+        reports = yearly_reports(returns_panel(hub_panel(years=3)), q=10)
         for orientation in ("outgoing", "incoming"):
             counts = root_occurrences(reports[orientation])
             assert sum(counts.values()) == len(reports[orientation])
 
     def test_single_report(self):
-        reports = yearly_reports(hub_panel(years=1), q=10)
+        reports = yearly_reports(returns_panel(hub_panel(years=1)), q=10)
         counts = root_occurrences(reports["outgoing"])
         root = reports["outgoing"][0].root.code
         assert counts == {root: 1}
 
     def test_persistent_hub_dominates(self):
         dataset = hub_panel(years=3, coupling=0.85)
-        reports = yearly_reports(dataset, q=10)
+        reports = yearly_reports(returns_panel(dataset), q=10)
         counts = root_occurrences(reports["outgoing"])
         assert counts.get(dataset[0].sector.code, 0) == 3
 
 
 class TestDegreeHeatmap:
     def test_rows_sum_to_tree_degree_total(self):
-        reports = yearly_reports(hub_panel(n=6, years=3), q=10)
+        reports = yearly_reports(returns_panel(hub_panel(n=6, years=3)), q=10)
         hm = degree_heatmap(reports["outgoing"])
         assert hm.total_degree.shape == (3, 6)
         np.testing.assert_array_equal(hm.total_degree.sum(axis=1), [10, 10, 10])
 
     def test_matches_degrees_per_year(self):
-        reports = yearly_reports(hub_panel(years=2), q=10)
+        reports = yearly_reports(returns_panel(hub_panel(years=2)), q=10)
         hm = degree_heatmap(reports["incoming"])
         for row, report in enumerate(reports["incoming"]):
             deg = degrees(report.arborescence)
@@ -132,7 +132,7 @@ class TestDegreeHeatmap:
                 ) == deg[code]
 
     def test_csv_layout(self):
-        reports = yearly_reports(hub_panel(years=2), q=10)
+        reports = yearly_reports(returns_panel(hub_panel(years=2)), q=10)
         text = render_degree_heatmap_csv(degree_heatmap(reports["outgoing"]))
         lines = text.strip().split("\n")
         assert lines[0].startswith("year,")
@@ -142,7 +142,8 @@ class TestDegreeHeatmap:
 class TestTurmoil:
     def test_window_partition(self):
         series, crash_start, crash_end = turmoil_dataset(seed=0, t_len=100, n=4)
-        study = turmoil_study(series, q=10, crash_start=crash_start, crash_end=crash_end)
+        study = turmoil_study(returns_panel(series), q=10,
+                              crash_start=crash_start, crash_end=crash_end)
         w = study.windows
         assert w.crash_days == 100
         assert w.window_days == 200
@@ -158,7 +159,8 @@ class TestTurmoil:
 
     def test_elevated_middle_coupling_raises_root_degree(self):
         series, crash_start, crash_end = turmoil_dataset(seed=3)
-        study = turmoil_study(series, q=15, crash_start=crash_start, crash_end=crash_end)
+        study = turmoil_study(returns_panel(series), q=15,
+                              crash_start=crash_start, crash_end=crash_end)
         during = study.result("during").root_degree["outgoing"]
         before = study.result("before").root_degree["outgoing"]
         after = study.result("after").root_degree["outgoing"]
@@ -166,20 +168,22 @@ class TestTurmoil:
 
     def test_during_root_is_planted_hub(self):
         series, crash_start, crash_end = turmoil_dataset(seed=1)
-        study = turmoil_study(series, q=15, crash_start=crash_start, crash_end=crash_end)
+        study = turmoil_study(returns_panel(series), q=15,
+                              crash_start=crash_start, crash_end=crash_end)
         arb = study.result("during").msas.outgoing
         assert arb.sectors[arb.root].code == series[0].sector.code
 
     def test_insufficient_coverage(self):
         series, crash_start, crash_end = turmoil_dataset(seed=0, t_len=100, n=4)
         with pytest.raises(ValueError, match="cover"):
-            turmoil_study(series, q=10,
+            turmoil_study(returns_panel(series), q=10,
                           crash_start=crash_start - timedelta(days=300),
                           crash_end=crash_end)
 
     def test_csv_shape(self):
         series, crash_start, crash_end = turmoil_dataset(seed=0, t_len=60, n=4)
-        study = turmoil_study(series, q=8, crash_start=crash_start, crash_end=crash_end)
+        study = turmoil_study(returns_panel(series), q=8,
+                              crash_start=crash_start, crash_end=crash_end)
         lines = render_turmoil_csv(study).strip().split("\n")
         assert lines[0].split(",")[:4] == ["window", "start", "end", "orientation"]
         assert len(lines) == 1 + 6  # 3 windows x 2 orientations
@@ -211,7 +215,7 @@ class TestPearson:
 class TestSpecificity:
     def make_study(self, seed=0, samples=1):
         dataset = hub_panel(n=6, years=3, coupling=0.85)
-        reports = yearly_reports(dataset, q=10)
+        reports = yearly_reports(returns_panel(dataset), q=10)
         hub = dataset[0]
         index = PriceSeries(SectorMeta("000001", "composite index"), hub.dates, hub.closes)
         return dataset, reports, index, specificity_study(
@@ -255,7 +259,7 @@ class TestSpecificity:
 
     def test_misaligned_index_rejected(self):
         dataset = hub_panel(n=4, years=1)
-        reports = yearly_reports(dataset, q=10)
+        reports = yearly_reports(returns_panel(dataset), q=10)
         shifted_dates = tuple(d + timedelta(days=1) for d in dataset[0].dates)
         index = PriceSeries(SectorMeta("000001"), shifted_dates, dataset[0].closes)
         with pytest.raises(ValueError, match="aligned"):
@@ -264,7 +268,7 @@ class TestSpecificity:
 
 class TestRenderers:
     def test_yearly_csv_columns(self):
-        reports = yearly_reports(hub_panel(years=2), q=10)
+        reports = yearly_reports(returns_panel(hub_panel(years=2)), q=10)
         text = render_yearly_csv(reports["outgoing"])
         lines = text.strip().split("\n")
         assert lines[0] == "year,root_sector,maximal_information_path,n_sectors,dai_x100"
@@ -276,13 +280,13 @@ class TestRenderers:
         assert float(dai) > 0
 
     def test_yearly_csv_report_mode_rounds(self):
-        reports = yearly_reports(hub_panel(years=1), q=10)
+        reports = yearly_reports(returns_panel(hub_panel(years=1)), q=10)
         text = render_yearly_csv(reports["outgoing"], report_mode=True)
         dai = text.strip().split("\n")[1].split(",")[-1]
         assert len(dai.split(".")[1]) == 2
 
     def test_root_occurrence_csv(self):
-        reports = yearly_reports(hub_panel(years=2), q=10)
+        reports = yearly_reports(returns_panel(hub_panel(years=2)), q=10)
         lines = render_root_occurrences_csv(reports).strip().split("\n")
         assert lines[0] == "orientation,sector,count"
         assert any(line.startswith("outgoing,") for line in lines[1:])

@@ -35,6 +35,14 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def one_sector_csv(path, tmp_path):
+    """The first sector column of the price CSV at ``path``, as a file of its own."""
+    one = tmp_path / "one.csv"
+    one.write_text("".join(",".join(line.split(",")[:2]) + "\n"
+                           for line in path.read_text().splitlines()), encoding="utf-8")
+    return one
+
+
 class TestStats:
     def test_writes_csv_and_json(self, panel_csv, tmp_path):
         path, series = panel_csv
@@ -54,6 +62,27 @@ class TestStats:
                     "--format", "csv", "--report"]) == 0
         header = (out / "summary_stats.csv").read_text().split("\n")[0]
         assert "mean_x1000" in header
+
+    def test_one_sector_file(self, panel_csv, tmp_path):
+        # Its one row is byte for byte the first row of the full panel's tables.
+        path, _ = panel_csv
+        one = one_sector_csv(path, tmp_path)
+        assert run(["stats", "--input", path, "--out-dir", tmp_path / "all"]) == 0
+        assert run(["stats", "--input", one, "--out-dir", tmp_path / "one"]) == 0
+        full_csv = (tmp_path / "all" / "summary_stats.csv").read_text().split("\n")
+        full_json = json.loads((tmp_path / "all" / "summary_stats.json").read_text())
+        assert ((tmp_path / "one" / "summary_stats.csv").read_text()
+                == "\n".join(full_csv[:2]) + "\n")
+        assert ((tmp_path / "one" / "summary_stats.json").read_text()
+                == json.dumps(full_json[:1], indent=2) + "\n")
+
+    def test_codes_sharing_a_display_label_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "prices.csv"
+        path.write_text("date,801010,802010\n2000-01-04,1.0,2.0\n2000-01-05,1.5,2.5\n")
+        assert run(["stats", "--input", path, "--out-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == (
+            "error: malformed header: sector codes 801010 and 802010 "
+            "share the display label '010'\n")
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert run(["stats", "--input", tmp_path / "nope.csv"]) == 2
@@ -139,6 +168,13 @@ class TestMsa:
         err = capsys.readouterr().err.strip()
         assert err == ("error: range 2000-01-10 to 2000-01-12 (3 trading days, "
                        "6 tied pairs): no root reaches all nodes")
+
+    @pytest.mark.parametrize("mode", ["whole", "yearly"])
+    def test_one_sector_file_exits_2(self, panel_csv, tmp_path, capsys, mode):
+        path, _ = panel_csv
+        one = one_sector_csv(path, tmp_path)
+        assert run(["msa", "--input", one, "--mode", mode, "--out-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == "error: need at least 2 sectors\n"
 
     def test_range_mode_needs_dates(self, panel_csv, tmp_path, capsys):
         path, _ = panel_csv

@@ -5,11 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_prices, make_returns, make_symbols, symbol_panel
+from conftest import make_prices, make_returns, make_symbols, pair_te, symbol_panel
 from oracles import te_bruteforce, te_log2_exponents
 
 from infoflow import entropy
-from infoflow.entropy import dai_matrix, te_matrix, transfer_entropy
+from infoflow.entropy import dai_matrix, te_matrix
 from infoflow.network import build_network
 from infoflow.symbolize import encode, make_partition
 from infoflow.synth import generate_coupled_binary
@@ -36,43 +36,39 @@ def random_symbol_pair(rng, max_len=12, max_q=3, min_len=2):
 
 
 class TestTransferEntropy:
+    """A pair's estimate: te[0, 1] of its 2-row panel (source, then target)."""
+
     def test_self_transfer_is_zero(self, rng):
         for _ in range(10):
             x, _, _ = random_symbol_pair(rng, max_len=40, max_q=4)
-            assert abs(transfer_entropy(x, x)) < 1e-12
+            assert abs(pair_te(x, x)) < 1e-12
 
     def test_deterministic_copy_near_one_bit(self):
-        y, x = generate_coupled_binary(1.0, 100_000, seed=5)
-        te = transfer_entropy(y, x)
-        assert 0.97 <= te <= 1.0
+        te = te_matrix(generate_coupled_binary(1.0, 100_000, seed=5)).te
+        assert 0.97 <= te[0, 1] <= 1.0
         # Asymmetry: the reverse direction carries almost nothing.
-        assert transfer_entropy(x, y) < 0.03
+        assert te[1, 0] < 0.03
 
     def test_independent_streams_near_zero(self):
-        y, x = generate_coupled_binary(0.0, 100_000, seed=11)
-        assert transfer_entropy(y, x) < 0.001
+        assert te_matrix(generate_coupled_binary(0.0, 100_000, seed=11)).te[0, 1] < 0.001
 
     def test_matches_bruteforce_oracle(self, rng):
         for _ in range(200):
             src, tgt, q = random_symbol_pair(rng)
-            got = transfer_entropy(src, tgt)
-            want = te_bruteforce(src.symbols.tolist(), tgt.symbols.tolist(), q)
+            got = pair_te(src, tgt)
+            want = te_bruteforce(src[0].tolist(), tgt[0].tolist(), q)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_nonnegative_and_bounded(self, rng):
         for _ in range(300):
             src, tgt, q = random_symbol_pair(rng, max_len=25, max_q=5)
-            te = transfer_entropy(src, tgt)
+            te = pair_te(src, tgt)
             assert te >= -1e-12
             assert te <= math.log2(q) + 1e-12
 
     def test_misaligned_dates_rejected(self):
         from datetime import date
 
-        x = make_symbols([1, 2, 1], 2, "900001")
-        y = make_symbols([1, 2, 1], 2, "900002", start=date(2001, 1, 1))
-        with pytest.raises(ValueError, match="aligned"):
-            transfer_entropy(x, y)
         # te_matrix takes one panel; the panel's one alignment check is here.
         a = make_prices([1.0, 2.0, 1.5], "900001")
         b = make_prices([1.0, 2.0, 1.5], "900002", start=date(2001, 1, 1))
@@ -80,10 +76,6 @@ class TestTransferEntropy:
             returns_panel([a, b])
 
     def test_length_mismatch_rejected(self):
-        x = make_symbols([1, 2, 1], 2, "900001")
-        y = make_symbols([1, 2], 2, "900002")
-        with pytest.raises(ValueError, match="length"):
-            transfer_entropy(x, y)
         # A shorter price series fails the panel's one alignment check.
         a = make_prices([1.0, 2.0, 1.5], "900001")
         b = make_prices([1.0, 2.0], "900002")
@@ -91,21 +83,22 @@ class TestTransferEntropy:
             returns_panel([a, b])
 
     def test_effective_te_reduces_copy_bias(self):
-        y, x = generate_coupled_binary(0.0, 2_000, seed=3)
-        raw = transfer_entropy(y, x)
-        eff = effective_transfer_entropy(y, x, n_surrogates=50, seed=0)
+        pair = generate_coupled_binary(0.0, 2_000, seed=3)
+        raw = te_matrix(pair).te[0, 1]
+        eff = effective_transfer_entropy(pair, n_surrogates=50, seed=0)
         assert abs(eff) < raw  # surrogate mean removes most of the plug-in bias
 
     def test_effective_te_matches_a_loop_over_surrogates(self):
-        y, x = generate_coupled_binary(0.3, 500, seed=4)
+        pair = generate_coupled_binary(0.3, 500, seed=4)
+        target = make_symbols(pair[1], 2, "900002")
         rng = np.random.default_rng(9)
-        shuffled = y.symbols.copy()
+        shuffled = pair[0].copy()
         surrogates = []
         for _ in range(20):
             rng.shuffle(shuffled)
-            surrogates.append(transfer_entropy(make_symbols(shuffled, 2, y.sector.code), x))
-        want = transfer_entropy(y, x) - math.fsum(surrogates) / len(surrogates)
-        got = effective_transfer_entropy(y, x, n_surrogates=20, seed=9)
+            surrogates.append(pair_te(make_symbols(shuffled, 2, "900001"), target))
+        want = te_matrix(pair).te[0, 1] - math.fsum(surrogates) / len(surrogates)
+        got = effective_transfer_entropy(pair, n_surrogates=20, seed=9)
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -113,8 +106,9 @@ class TestTeMatrix:
     def test_pairwise_consistency(self, rng):
         a, b, q = random_symbol_pair(rng, max_len=40)
         m = te_matrix(symbol_panel([a, b]))
-        assert m.te[0, 1] == transfer_entropy(a, b)
-        assert m.te[1, 0] == transfer_entropy(b, a)
+        swapped = te_matrix(symbol_panel([b, a]))
+        assert m.te[0, 1] == swapped.te[1, 0]
+        assert m.te[1, 0] == swapped.te[0, 1]
         assert m.te[0, 0] == 0.0 and m.te[1, 1] == 0.0
 
     @pytest.mark.parametrize("length", [60, 3000])
@@ -130,7 +124,7 @@ class TestTeMatrix:
         for i in range(6):
             for j in range(6):
                 if i != j:
-                    assert m.te[i, j] == transfer_entropy(series[i], series[j])
+                    assert m.te[i, j] == pair_te(series[i], series[j])
 
     @pytest.mark.parametrize("n, length", [(30, 101), (4, 20001)])
     def test_entries_equal_pair_values_across_target_blocks(self, rng, n, length):
@@ -148,7 +142,7 @@ class TestTeMatrix:
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    assert m.te[i, j] == transfer_entropy(series[i], series[j])
+                    assert m.te[i, j] == pair_te(series[i], series[j])
 
     @pytest.mark.parametrize("length", [260, 4400])
     def test_matches_bruteforce_oracle_at_panel_size(self, rng, length):
@@ -159,7 +153,7 @@ class TestTeMatrix:
         m = te_matrix(symbol_panel(series))
         for _ in range(20):
             i, j = rng.choice(28, size=2, replace=False)
-            want = te_bruteforce(series[i].symbols.tolist(), series[j].symbols.tolist(), q)
+            want = te_bruteforce(series[i][0].tolist(), series[j][0].tolist(), q)
             assert m.te[i, j] == pytest.approx(want, abs=1e-12)
 
 
@@ -200,7 +194,7 @@ class TestDaiMatrix:
             ]
             m = te_matrix(symbol_panel(series))
             d = dai_matrix(m)
-            symbols = [s.symbols.tolist() for s in series]
+            symbols = [s[0].tolist() for s in series]
             exact = {
                 (i, j): te_log2_exponents(symbols[i], symbols[j])
                 for i in range(6) for j in range(6) if i != j

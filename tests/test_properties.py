@@ -25,7 +25,6 @@ from infoflow.synth import Coupling, Segment, SyntheticDataset, dataset_to_csv, 
 from infoflow.timeseries import (
     DatasetError,
     Panel,
-    ReturnSeries,
     SectorMeta,
     load_dataset,
     slice_returns,
@@ -154,7 +153,8 @@ def return_panels(draw, max_n=6, max_len=40):
 
 
 def row_series(panel, i):
-    return ReturnSeries(panel.sectors[i], panel.dates, panel.values[i])
+    """Row i of ``panel`` as a 1-row panel."""
+    return Panel(panel.sectors[i:i + 1], panel.dates, panel.values[i:i + 1])
 
 
 def partition_or_error(r, q):
@@ -183,7 +183,7 @@ def test_panel_symbols_equal_per_series_encoding(panel, q):
     symbols = encode(panel, partition).symbols
     for i in range(len(panel.sectors)):
         r = row_series(panel, i)
-        assert np.array_equal(symbols[i], encode(r, make_partition(r, q)).symbols)
+        assert np.array_equal(symbols[i], encode(r, make_partition(r, q))[0])
 
 
 @settings(deadline=None)
@@ -199,7 +199,7 @@ def test_window_symbols_under_the_global_partition(panel, q, data):
     symbols = encode(slice_returns(panel, interval), partition).symbols
     for i in range(len(panel.sectors)):
         whole = row_series(panel, i)
-        want = encode(slice_returns(whole, interval), make_partition(whole, q)).symbols
+        want = encode(slice_returns(whole, interval), make_partition(whole, q))[0]
         assert np.array_equal(symbols[i], want)
 
 

@@ -7,7 +7,7 @@ from infoflow.symbolize import encode, make_partition
 
 
 def symbolize(r, q):
-    """Encode ``r`` against its own range."""
+    """Encode the 1-row panel ``r`` against its own range."""
     return encode(r, make_partition(r, q))
 
 
@@ -40,13 +40,13 @@ class TestEncode:
     def test_boundary_convention(self):
         # Interior bins are half-open; the maximum clamps into the top bin.
         r = make_returns([0.0, 0.5, 1.0])
-        symbols = encode(r, make_partition(r, q=2)).symbols
+        symbols = encode(r, make_partition(r, q=2))[0]
         np.testing.assert_array_equal(symbols, [1, 2, 2])
 
     def test_floor_formula_hand_case(self):
         # width 0.25: 0 -> bin1, 0.24 -> bin1, 0.26 -> bin2, 1.0 -> bin4.
         r = make_returns([0.0, 0.24, 0.26, 1.0])
-        symbols = encode(r, make_partition(r, q=4)).symbols
+        symbols = encode(r, make_partition(r, q=4))[0]
         np.testing.assert_array_equal(symbols, [1, 1, 2, 4])
 
     def test_value_outside_partition(self):
@@ -58,7 +58,7 @@ class TestEncode:
     def test_superset_partition_allowed(self):
         r = make_returns([0.2, 0.4])
         p = make_partition(make_returns([0.0, 1.0]), q=5)
-        symbols = encode(r, p).symbols
+        symbols = encode(r, p)[0]
         np.testing.assert_array_equal(symbols, [2, 3])
 
     def test_midpoint_decode_error_below_width(self, rng):
@@ -66,7 +66,7 @@ class TestEncode:
         r = make_returns(values)
         s = symbolize(r, q=15)
         p = s.partition
-        decoded = p.x_min + (s.symbols - 0.5) * p.width
+        decoded = p.x_min + (s[0] - 0.5) * p.width
         assert np.max(np.abs(decoded - values)) < p.width
 
 
@@ -76,7 +76,7 @@ class TestProperties:
         r = make_returns(values)
         s = symbolize(r, q=7)
         order = np.argsort(values)
-        assert np.all(np.diff(s.symbols[order]) >= 0)
+        assert np.all(np.diff(s[0][order]) >= 0)
 
     def test_affine_invariance(self, rng):
         values = rng.uniform(-0.1, 0.1, 400)
@@ -87,7 +87,7 @@ class TestProperties:
     def test_histogram_mass(self, rng):
         values = rng.uniform(-1, 1, 321)
         s = symbolize(make_returns(values), q=6)
-        hist = np.bincount(s.symbols, minlength=7)
+        hist = np.bincount(s[0], minlength=7)
         assert hist.sum() == len(values)
         assert hist[0] == 0  # symbols start at 1
 
@@ -97,5 +97,5 @@ class TestProperties:
             s = symbolize(make_returns(values), q=q)
             assert s.symbols.min() == 1
             assert s.symbols.max() == q
-            assert s.symbols[np.argmin(values)] == 1
-            assert s.symbols[np.argmax(values)] == q
+            assert s[0][np.argmin(values)] == 1
+            assert s[0][np.argmax(values)] == q

@@ -12,12 +12,12 @@ from infoflow import timeseries
 from infoflow.timeseries import (
     JB_CRITICAL_1PCT,
     DatasetError,
+    Panel,
     PriceSeries,
-    ReturnSeries,
     SectorMeta,
     load_dataset,
     load_sector_names,
-    log_returns,
+    returns_panel,
     slice_returns,
     summary_stats,
 )
@@ -65,6 +65,15 @@ class TestLoadDataset:
     def test_duplicate_codes(self, tmp_path):
         path = write_csv(tmp_path, "date,801010,801010\n2000-01-04,10.0,11.0\n")
         with pytest.raises(DatasetError, match="duplicate"):
+            load_dataset(path)
+
+    def test_codes_sharing_a_display_label(self, tmp_path):
+        # Outputs name a sector by the last three characters of its code.
+        path = write_csv(tmp_path, "date,801010,802010,801020\n2000-01-04,10.0,11.0,12.0\n"
+                                   "2000-01-05,10.5,11.5,12.5\n")
+        with pytest.raises(DatasetError, match=(
+                r"^malformed header: sector codes 801010 and 802010 "
+                r"share the display label '010'$")):
             load_dataset(path)
 
     def test_non_positive_price(self, tmp_path):
@@ -205,30 +214,32 @@ class TestLoadDataset:
 
 
 class TestLogReturns:
+    """One sector's log returns: the 1-row panel of ``returns_panel``."""
+
     def test_constant_prices(self):
-        r = log_returns(make_prices([5.0, 5.0, 5.0]))
-        np.testing.assert_array_equal(r.values, [0.0, 0.0])
+        r = returns_panel([make_prices([5.0, 5.0, 5.0])])
+        np.testing.assert_array_equal(r.values, [[0.0, 0.0]])
         assert len(r.dates) == 2
 
     def test_unit_e_step(self):
-        r = log_returns(make_prices([1.0, math.e]))
-        assert r.values[0] == pytest.approx(1.0, abs=1e-15)
+        r = returns_panel([make_prices([1.0, math.e])])
+        assert r.values[0, 0] == pytest.approx(1.0, abs=1e-15)
 
     def test_dates_shift_to_later_close(self):
         p = make_prices([1.0, 2.0, 3.0])
-        r = log_returns(p)
+        r = returns_panel([p])
         assert r.dates == p.dates[1:]
 
     def test_matches_high_precision_oracle(self, rng):
         closes = np.exp(rng.normal(0, 0.05, 100).cumsum()) * 30
-        r = log_returns(make_prices(closes))
+        r = returns_panel([make_prices(closes)])
         expected = log_returns_mpmath(closes)
-        np.testing.assert_allclose(r.values, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(r.values[0], expected, rtol=0, atol=1e-12)
 
     def test_roundtrip_recovers_prices(self, rng):
         closes = np.exp(rng.normal(0, 0.03, 50).cumsum()) * 10
-        r = log_returns(make_prices(closes))
-        rebuilt = closes[0] * np.exp(np.concatenate([[0.0], np.cumsum(r.values)]))
+        r = returns_panel([make_prices(closes)])
+        rebuilt = closes[0] * np.exp(np.concatenate([[0.0], np.cumsum(r.values[0])]))
         np.testing.assert_allclose(rebuilt, closes, rtol=1e-9)
 
     def test_rejects_nonpositive(self):
@@ -245,15 +256,15 @@ class TestLogReturns:
 class TestSummaryStats:
     def test_zero_variance_is_degenerate(self):
         with pytest.raises(ValueError, match="degenerate series"):
-            summary_stats(make_returns([0.0, 0.0, 0.0, 0.0]))
+            summary_stats(np.zeros(4))
 
     def test_too_short(self):
         with pytest.raises(ValueError, match="at least 4"):
-            summary_stats(make_returns([0.1, 0.2, 0.3]))
+            summary_stats(np.array([0.1, 0.2, 0.3]))
 
     def test_matches_mpmath_oracle(self, rng):
         values = rng.normal(0.0003, 0.02, 500)
-        s = summary_stats(make_returns(values))
+        s = summary_stats(values)
         mean, vmax, vmin, std, skew, kurt, jb = stats_mpmath(values)
         assert s.mean == pytest.approx(mean, abs=1e-12)
         assert s.max == vmax and s.min == vmin
@@ -268,7 +279,7 @@ class TestSummaryStats:
         kurts = []
         for seed in range(100):
             values = np.random.default_rng(seed).standard_normal(4000)
-            s = summary_stats(make_returns(values))
+            s = summary_stats(values)
             kurts.append(s.kurtosis)
             rejections += s.jb_reject_at_1pct
         assert rejections <= 5
@@ -276,8 +287,8 @@ class TestSummaryStats:
 
     def test_reorder_invariance(self, rng):
         values = rng.normal(0, 0.01, 200)
-        s1 = summary_stats(make_returns(values))
-        s2 = summary_stats(make_returns(values[::-1].copy()))
+        s1 = summary_stats(values)
+        s2 = summary_stats(values[::-1].copy())
         for field in ("mean", "std", "skewness", "kurtosis", "jb_statistic"):
             assert getattr(s1, field) == pytest.approx(getattr(s2, field), abs=1e-13)
 
@@ -291,7 +302,7 @@ class TestSlice:
         out = slice_returns(r, (r.dates[0], r.dates[-1]))
         assert out.dates == r.dates
         np.testing.assert_array_equal(out.values, r.values)
-        assert out.sector == r.sector
+        assert out.sectors == r.sectors
 
     def test_interior_window(self):
         r = make_returns([0.1, -0.2, 0.3, 0.4])
@@ -310,6 +321,7 @@ class TestSlice:
 
     @pytest.mark.parametrize("order", [(0, 2, 1), (0, 1, 1)])
     def test_return_series_rejects_unsorted_dates(self, order):
+        # One sector's returns are a 1-row panel.
         days = tuple(date(2001, 1, 2 + k) for k in order)
         with pytest.raises(ValueError, match="strictly increasing"):
-            ReturnSeries(SectorMeta("900001"), days, [0.1, -0.2, 0.3])
+            Panel((SectorMeta("900001"),), days, [[0.1, -0.2, 0.3]])
