@@ -130,13 +130,11 @@ class TurmoilStudy:
 
 @dataclass(frozen=True)
 class DegreeHeatmap:
-    """Per-year, per-sector arborescence degrees for one orientation."""
+    """Per-year, per-sector total arborescence degrees for one orientation."""
 
     orientation: str
     years: tuple[int, ...]
     sectors: tuple[SectorMeta, ...]
-    in_degree: np.ndarray
-    out_degree: np.ndarray
     total_degree: np.ndarray
 
     @property
@@ -275,16 +273,13 @@ def degree_heatmap(reports: list[YearlyMsaReport]) -> DegreeHeatmap:
         raise ValueError("reports mix orientations")
     sectors = reports[0].arborescence.sectors
     degs = [degrees(r.arborescence) for r in reports]
-    # table[row, col] = (in, out, total) degree of sector col in year row.
-    table = np.array([[d[s.code] for s in sectors] for d in degs], dtype=np.int64)
-    in_deg, out_deg = table[..., 0], table[..., 1]
+    # total[row, col] = total degree of sector col in year row.
+    total = np.array([[d[s.code][2] for s in sectors] for d in degs], dtype=np.int64)
     return DegreeHeatmap(
         orientation=orientations.pop(),
         years=tuple(r.year for r in reports),
         sectors=sectors,
-        in_degree=in_deg,
-        out_degree=out_deg,
-        total_degree=in_deg + out_deg,
+        total_degree=total,
     )
 
 
@@ -447,18 +442,11 @@ def render_root_occurrences_csv(
     return "\n".join(lines) + "\n"
 
 
-def render_degree_heatmap_csv(hm: DegreeHeatmap, kind: str = "total") -> str:
-    """One row per year, one column per sector; values are tree degrees."""
-    table = {
-        "in": hm.in_degree,
-        "out": hm.out_degree,
-        "total": hm.total_degree,
-    }.get(kind)
-    if table is None:
-        raise ValueError("kind must be 'in', 'out', or 'total'")
+def render_degree_heatmap_csv(hm: DegreeHeatmap) -> str:
+    """One row per year, one column per sector; values are total tree degrees."""
     lines = ["year," + ",".join(s.short_code for s in hm.sectors)]
     for row, year in enumerate(hm.years):
-        lines.append(f"{year}," + ",".join(str(int(v)) for v in table[row]))
+        lines.append(f"{year}," + ",".join(str(int(v)) for v in hm.total_degree[row]))
     return "\n".join(lines) + "\n"
 
 

@@ -5,8 +5,13 @@ Three subcommands cover the studies: ``stats`` (per-sector summary table),
 ``specificity`` (root-vs-index correlation study).  A JSON config file can
 hold any long-form option, keyed by its dest; its values pass the flags'
 own types and choices, an unknown key is an error, and explicit flags
-override file values.  All
-outputs are written atomically (temp file + rename) and every command is
+override file values.
+
+Each command runs its study and returns every file it can produce as an
+ordered ``{filename: renderer}`` mapping of zero-argument callables.
+``main`` is the one writer: it checks ``--format`` before any command
+runs, renders only the files whose suffix is a requested format, in order,
+and writes each atomically (temp file + rename).  Every command is
 deterministic given input bytes, configuration, and seed.
 """
 
@@ -18,8 +23,10 @@ import json
 import os
 import sys
 import tempfile
+from collections.abc import Callable
 from dataclasses import replace
 from datetime import date
+from functools import partial
 from pathlib import Path
 
 from . import analysis
@@ -41,9 +48,14 @@ _DEFAULTS = {
     "mode": "whole",
     "orientation": "both",
     "samples": 1,
+    "report": False,
+    "global_partition": False,
 }
 
 _FORMATS = ("csv", "json", "dot")
+
+# Output file name -> zero-argument renderer of its text, in output order.
+Files = dict[str, Callable[[], str]]
 
 # Config keys whose feature is gone, with what to tell a user who sets one.
 _REMOVED_KEYS = {"denominators": "was removed with the literal TE mode"}
@@ -165,12 +177,8 @@ def _formats(cfg: dict) -> set[str]:
     return requested
 
 
-def _orientations(cfg: dict) -> list[str]:
-    return {
-        "out": ["outgoing"],
-        "in": ["incoming"],
-        "both": list(ORIENTATIONS),
-    }[cfg["orientation"]]
+def _orientations(cfg: dict) -> tuple[str, ...]:
+    return {"out": ("outgoing",), "in": ("incoming",), "both": ORIENTATIONS}[cfg["orientation"]]
 
 
 def _load_input(cfg: dict) -> list[PriceSeries]:
@@ -198,20 +206,13 @@ def _write(out_dir: Path, filename: str, text: str) -> Path:
     return target
 
 
-def _cmd_stats(cfg: dict) -> list[Path]:
+def _cmd_stats(cfg: dict) -> Files:
     returns = analysis.returns_panel(_load_input(cfg))
-    formats = _formats(cfg)
-    out_dir = Path(cfg["out_dir"])
-    report = bool(cfg.get("report"))
     rows = [(sector, summary_stats(row)) for sector, row in zip(returns.sectors, returns.values)]
-
-    written = []
-    if "csv" in formats:
-        written.append(_write(out_dir, "summary_stats.csv",
-                              _render_stats_csv(rows, report)))
-    if "json" in formats:
-        written.append(_write(out_dir, "summary_stats.json", _render_stats_json(rows)))
-    return written
+    return {
+        "summary_stats.csv": partial(_render_stats_csv, rows, cfg["report"]),
+        "summary_stats.json": partial(_render_stats_json, rows),
+    }
 
 
 def _render_stats_csv(rows, report_mode: bool) -> str:
@@ -254,37 +255,14 @@ def _render_stats_json(rows) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _emit_bundle(
-    out_dir: Path,
-    formats: set[str],
-    orientations: list[str],
-    bundle: analysis.MsaBundle,
-    stem: str,
-    report: bool,
-) -> list[Path]:
-    written = []
-    if "csv" in formats:
-        written.append(_write(out_dir, f"{stem}.csv",
-                              analysis.render_msa_bundle_csv(
-                                  bundle, stem, report, tuple(orientations))))
-    for orientation in orientations:
-        arb = bundle.arborescence(orientation)
-        path = bundle.path(orientation)
-        if "json" in formats:
-            written.append(_write(out_dir, f"{stem}_{orientation}.json",
-                                  arborescence_to_json(arb, path)))
-        if "dot" in formats:
-            written.append(_write(out_dir, f"{stem}_{orientation}.dot",
-                                  arborescence_to_dot(arb, path, name=stem)))
-    return written
+def _render_heatmap_csv(reports: list[analysis.YearlyMsaReport]) -> str:
+    return analysis.render_degree_heatmap_csv(analysis.degree_heatmap(reports))
 
 
-def _cmd_msa(cfg: dict) -> list[Path]:
+def _cmd_msa(cfg: dict) -> Files:
     mode = cfg["mode"]
-    formats = _formats(cfg)
     orientations = _orientations(cfg)
-    out_dir = Path(cfg["out_dir"])
-    report = bool(cfg.get("report"))
+    report = cfg["report"]
     q = int(cfg["q"])
 
     if mode == "turmoil" and not (cfg.get("crash_start") and cfg.get("crash_end")):
@@ -293,7 +271,6 @@ def _cmd_msa(cfg: dict) -> list[Path]:
         raise CliError("range mode requires --from and --to")
 
     returns = analysis.returns_panel(_load_input(cfg))
-    written: list[Path] = []
 
     if mode in ("whole", "range"):
         stem = "msa_whole"
@@ -307,103 +284,78 @@ def _cmd_msa(cfg: dict) -> list[Path]:
             stem = "msa_range"
             label = f"range {window[0]} to {window[1]}"
         bundle = analysis.msas_from_returns(returns, q, window=label)
-        written += _emit_bundle(out_dir, formats, orientations, bundle, stem, report)
-
-    elif mode == "yearly":
-        reports = analysis.yearly_reports(
-            returns, q,
-            global_partition=bool(cfg.get("global_partition")),
-        )
+        files = {f"{stem}.csv": partial(analysis.render_msa_bundle_csv,
+                                        bundle, stem, report, orientations)}
         for orientation in orientations:
-            if "csv" in formats:
-                written.append(_write(
-                    out_dir, f"yearly_{orientation}.csv",
-                    analysis.render_yearly_csv(reports[orientation], report),
-                ))
-                heatmap = analysis.degree_heatmap(reports[orientation])
-                written.append(_write(
-                    out_dir, f"degree_heatmap_{orientation}.csv",
-                    analysis.render_degree_heatmap_csv(heatmap, kind="total"),
-                ))
-            if "dot" in formats:
-                for r in reports[orientation]:
-                    written.append(_write(
-                        out_dir, f"msa_{r.year}_{orientation}.dot",
-                        arborescence_to_dot(r.arborescence, r.path,
-                                            name=f"msa_{r.year}"),
-                    ))
-        if "csv" in formats:
-            written.append(_write(out_dir, "root_occurrences.csv",
-                                  analysis.render_root_occurrences_csv(
-                                      reports, tuple(orientations))))
-        if "json" in formats:
-            written.append(_write(out_dir, "yearly_reports.json",
-                                  analysis.render_yearly_json(
-                                      reports, tuple(orientations))))
+            arb, path = bundle.arborescence(orientation), bundle.path(orientation)
+            files[f"{stem}_{orientation}.json"] = partial(arborescence_to_json, arb, path)
+            files[f"{stem}_{orientation}.dot"] = partial(arborescence_to_dot, arb, path,
+                                                         name=stem)
+        return files
 
-    else:  # turmoil
-        study = analysis.turmoil_study(
-            returns, q,
-            _parse_date(cfg["crash_start"], "--crash-start"),
-            _parse_date(cfg["crash_end"], "--crash-end"),
-        )
-        if "csv" in formats:
-            written.append(_write(out_dir, "turmoil.csv",
-                                  analysis.render_turmoil_csv(study, report)))
-        if "json" in formats:
-            written.append(_write(out_dir, "turmoil.json",
-                                  analysis.render_turmoil_json(study)))
-        if "dot" in formats:
-            for result in study.results:
-                for orientation in orientations:
-                    written.append(_write(
-                        out_dir, f"turmoil_{result.label}_{orientation}.dot",
-                        arborescence_to_dot(
-                            result.msas.arborescence(orientation),
-                            result.msas.path(orientation),
-                            name=f"turmoil_{result.label}",
-                        ),
-                    ))
-    return written
+    if mode == "yearly":
+        reports = analysis.yearly_reports(returns, q,
+                                          global_partition=cfg["global_partition"])
+        files = {}
+        for orientation in orientations:
+            files[f"yearly_{orientation}.csv"] = partial(
+                analysis.render_yearly_csv, reports[orientation], report)
+            files[f"degree_heatmap_{orientation}.csv"] = partial(
+                _render_heatmap_csv, reports[orientation])
+            for r in reports[orientation]:
+                files[f"msa_{r.year}_{orientation}.dot"] = partial(
+                    arborescence_to_dot, r.arborescence, r.path, name=f"msa_{r.year}")
+        files["root_occurrences.csv"] = partial(analysis.render_root_occurrences_csv,
+                                                reports, orientations)
+        files["yearly_reports.json"] = partial(analysis.render_yearly_json,
+                                               reports, orientations)
+        return files
+
+    study = analysis.turmoil_study(
+        returns, q,
+        _parse_date(cfg["crash_start"], "--crash-start"),
+        _parse_date(cfg["crash_end"], "--crash-end"),
+    )
+    files = {"turmoil.csv": partial(analysis.render_turmoil_csv, study, report),
+             "turmoil.json": partial(analysis.render_turmoil_json, study)}
+    for result in study.results:
+        stem = f"turmoil_{result.label}"
+        for orientation in orientations:
+            files[f"{stem}_{orientation}.dot"] = partial(
+                arborescence_to_dot, result.msas.arborescence(orientation),
+                result.msas.path(orientation), name=stem)
+    return files
 
 
-def _cmd_specificity(cfg: dict) -> list[Path]:
+def _cmd_specificity(cfg: dict) -> Files:
     if not cfg.get("index"):
         raise CliError("--index is required for the specificity study")
-    formats = _formats(cfg)
-    out_dir = Path(cfg["out_dir"])
-    q = int(cfg["q"])
-
     dataset = _load_input(cfg)
     # One panel with the index as its last row; the yearly study runs on the
     # sector rows above it.
     returns = analysis.returns_panel([*dataset, load_dataset(cfg["index"])[0]])
     sectors = replace(returns, sectors=returns.sectors[:-1], values=returns.values[:-1])
-    reports = analysis.yearly_reports(sectors, q)
+    reports = analysis.yearly_reports(sectors, int(cfg["q"]))
     result = analysis.specificity_study(
         returns, reports, seed=int(cfg["seed"]), samples=int(cfg["samples"]),
     )
-    written = []
-    if "csv" in formats:
-        written.append(_write(out_dir, "specificity.csv",
-                              analysis.render_specificity_csv(result)))
-    if "json" in formats:
-        written.append(_write(out_dir, "specificity.json",
-                              analysis.render_specificity_json(result)))
-    return written
+    return {"specificity.csv": partial(analysis.render_specificity_csv, result),
+            "specificity.json": partial(analysis.render_specificity_json, result)}
+
+
+_COMMANDS = {"stats": _cmd_stats, "msa": _cmd_msa, "specificity": _cmd_specificity}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args)
-        if args.command == "stats":
-            written = _cmd_stats(cfg)
-        elif args.command == "msa":
-            written = _cmd_msa(cfg)
-        else:
-            written = _cmd_specificity(cfg)
+        requested = _formats(cfg)
+        files = _COMMANDS[args.command](cfg)
+        out_dir = Path(cfg["out_dir"])
+        # Renderers run here, in file order, and only for requested formats.
+        written = [_write(out_dir, name, render()) for name, render in files.items()
+                   if name.rsplit(".", 1)[1] in requested]
     except (CliError, DatasetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,6 +18,9 @@ import numpy as np
 from .entropy import DaiMatrix
 from .timeseries import SectorMeta
 
+# The tie warning names at most this many code pairs; its count is exact.
+_LISTED_TIES = 10
+
 
 @dataclass(frozen=True)
 class InfoFlowNetwork:
@@ -62,8 +65,10 @@ def build_network(dai: DaiMatrix) -> InfoFlowNetwork:
     ties = list(zip(rows[~oriented].tolist(), cols[~oriented].tolist()))
     if ties:
         labels = ", ".join(
-            f"{dai.sectors[i].code}/{dai.sectors[j].code}" for i, j in ties
+            f"{dai.sectors[i].code}/{dai.sectors[j].code}" for i, j in ties[:_LISTED_TIES]
         )
+        if len(ties) > _LISTED_TIES:
+            labels += f", … and {len(ties) - _LISTED_TIES} more"
         warnings.warn(f"dropped {len(ties)} tied pair(s) with zero net flow: {labels}",
                       stacklevel=2)
     return InfoFlowNetwork(sectors=dai.sectors, edges=tuple(edges), ties=tuple(ties))

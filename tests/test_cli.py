@@ -1,5 +1,6 @@
 import json
 from datetime import timedelta
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +34,16 @@ def panel_csv(tmp_path):
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def copy_as_index(series, tmp_path):
+    """An index price CSV holding the closes of one sector's series."""
+    index_csv = tmp_path / "index.csv"
+    lines = ["date,000001"]
+    for t, day in enumerate(series.dates):
+        lines.append(f"{day.isoformat()},{float(series.closes[t])!r}")
+    index_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return index_csv
 
 
 def one_sector_csv(path, tmp_path):
@@ -241,11 +252,7 @@ class TestMsa:
 class TestSpecificity:
     def test_outputs_and_seed_recorded(self, panel_csv, tmp_path):
         path, series = panel_csv
-        index_csv = tmp_path / "index.csv"
-        lines = ["date,000001"]
-        for t, day in enumerate(series[0].dates):
-            lines.append(f"{day.isoformat()},{float(series[0].closes[t])!r}")
-        index_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        index_csv = copy_as_index(series[0], tmp_path)
 
         out = tmp_path / "out"
         assert run(["specificity", "--input", path, "--index", index_csv,
@@ -276,11 +283,7 @@ class TestSpecificity:
 
     def test_seed_repeatability(self, panel_csv, tmp_path):
         path, series = panel_csv
-        index_csv = tmp_path / "index.csv"
-        lines = ["date,000001"]
-        for t, day in enumerate(series[0].dates):
-            lines.append(f"{day.isoformat()},{float(series[0].closes[t])!r}")
-        index_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        index_csv = copy_as_index(series[0], tmp_path)
         blobs = []
         for k in range(2):
             out = tmp_path / f"out{k}"
@@ -361,3 +364,70 @@ class TestConfigFile:
         assert run(["msa", "--input", path, "--out-dir", tmp_path,
                     "--format", "csv,yaml"]) == 2
         assert "unknown format" in capsys.readouterr().err
+
+
+# Every command and msa mode, as run on the ``panel_csv`` fixture; "{index}"
+# stands for an index CSV.
+STUDIES = {
+    "stats": ["stats"],
+    "stats_report": ["stats", "--report"],
+    "whole": ["msa", "--mode", "whole"],
+    "range": ["msa", "--mode", "range", "--from", "2000-03-01", "--to", "2000-12-29"],
+    "yearly": ["msa", "--mode", "yearly"],
+    "yearly_report": ["msa", "--mode", "yearly", "--report"],
+    "turmoil": ["msa", "--mode", "turmoil", "--crash-start", "2000-09-01",
+                "--crash-end", "2000-10-31"],
+    "specificity": ["specificity", "--index", "{index}"],
+}
+
+
+class TestOutputFormats:
+    @staticmethod
+    def outputs(argv, out, capsys):
+        """The names a run prints, in order, and the bytes of each named file."""
+        assert run([*argv, "--out-dir", out]) == 0
+        printed = [Path(line) for line in capsys.readouterr().out.splitlines()]
+        assert all(p.parent == out for p in printed)
+        names = [p.name for p in printed]
+        assert sorted(names) == sorted(p.name for p in out.glob("*"))  # no stray files
+        return names, {name: (out / name).read_bytes() for name in names}
+
+    @pytest.mark.parametrize("study, orientation", [
+        *((study, None) for study in STUDIES),
+        *((study, "in") for study, argv in STUDIES.items() if argv[0] == "msa"),
+    ])
+    def test_a_format_subset_is_the_full_run_filtered_by_suffix(
+            self, panel_csv, tmp_path, capsys, study, orientation):
+        path, series = panel_csv
+        index = str(copy_as_index(series[0], tmp_path))
+        argv = [a.replace("{index}", index) for a in STUDIES[study]] + ["--input", path]
+        if orientation:
+            argv += ["--orientation", orientation]
+        full_names, full_bytes = self.outputs(
+            argv + ["--format", "csv,json,dot"], tmp_path / "all", capsys)
+        assert full_names
+        for formats in ("csv", "json", "dot", "json,dot"):
+            names, blobs = self.outputs(
+                argv + ["--format", formats], tmp_path / formats, capsys)
+            expected = [n for n in full_names if n.rsplit(".", 1)[1] in formats.split(",")]
+            assert names == expected
+            assert blobs == {name: full_bytes[name] for name in expected}
+
+    def test_unrequested_formats_are_never_rendered(self, panel_csv, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("rendered a file whose format was not requested")
+
+        monkeypatch.setattr("infoflow.cli.arborescence_to_dot", refuse)
+        monkeypatch.setattr("infoflow.analysis.render_yearly_json", refuse)
+        path, _ = panel_csv
+        out = tmp_path / "out"
+        assert run(["msa", "--input", path, "--out-dir", out, "--mode", "yearly",
+                    "--format", "csv"]) == 0
+        assert (out / "yearly_outgoing.csv").exists()
+
+    @pytest.mark.parametrize("command", ["stats", "msa", "specificity"])
+    def test_unknown_format_is_reported_before_missing_input(self, command, tmp_path,
+                                                             capsys):
+        assert run([command, "--format", "csv,yaml", "--out-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == "error: unknown format(s): yaml\n"
+        assert not (tmp_path / "out").exists()

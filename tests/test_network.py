@@ -41,6 +41,19 @@ class TestBuildNetwork:
         assert len(net.edges) == 2
         assert net.ties == ((0, 1),)
 
+    @pytest.mark.parametrize("n", [5, 6, 28])
+    def test_tie_warning_counts_every_pair_and_lists_at_most_ten(self, n):
+        ties = n * (n - 1) // 2  # 10, 15 and 378: every pair has zero net flow
+        codes = [str(900000 + k) for k in range(1, n + 1)]
+        with pytest.warns(UserWarning, match=f"dropped {ties} tied pair") as caught:
+            net = build_network(dai_from(np.zeros((n, n)), codes))
+        assert len(net.ties) == ties and not net.edges
+        message = str(caught[0].message)
+        listed = message.split(": ", 1)[1].split(", ")
+        assert listed[:10] == [f"{codes[i]}/{codes[j]}" for i, j in net.ties[:10]]
+        assert listed[10:] == ([f"… and {ties - 10} more"] if ties > 10 else [])
+        assert len(message) < 256
+
     def test_weights_are_dai_magnitudes(self, rng):
         n = 6
         te = rng.uniform(0, 1, size=(n, n))
