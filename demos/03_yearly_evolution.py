@@ -18,19 +18,19 @@ from infoflow.analysis import render_degree_heatmap_csv, render_yearly_csv
 
 
 def main():
-    reports = yearly_reports(returns_panel(demo_dataset()), q=15)
+    windows = yearly_reports(returns_panel(demo_dataset()), q=15)  # one per year
 
     for orientation in ("outgoing", "incoming"):
         print(f"\n=== {orientation} maximal information flow paths ===")
-        print(render_yearly_csv(reports[orientation], report_mode=True))
+        print(render_yearly_csv(windows, orientation, report_mode=True))
 
-        counts = root_occurrences(reports[orientation])
+        counts = root_occurrences(windows, orientation)
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
         print(f"{orientation} root occurrences: "
               + ", ".join(f"{code[-3:]} x{n}" for code, n in ranked))
 
         print(f"\n{orientation} degree heat map (total degree):")
-        print(render_degree_heatmap_csv(degree_heatmap(reports[orientation])))
+        print(render_degree_heatmap_csv(degree_heatmap(windows, orientation)))
 
 
 if __name__ == "__main__":

@@ -46,11 +46,11 @@ def main():
     study = turmoil_study(returns_panel(series), q=15,
                           crash_start=crash_start, crash_end=crash_end)
 
-    w = study.windows
-    print(f"crash interval : {w.crash_start} .. {w.crash_end} ({w.crash_days} trading days)")
-    print(f"before window  : {w.before[0]} .. {w.before[1]}")
-    print(f"during window  : {w.during[0]} .. {w.during[1]}")
-    print(f"after window   : {w.after[0]} .. {w.after[1]}\n")
+    print(f"crash interval : {study.crash_start} .. {study.crash_end} "
+          f"({study.crash_days} trading days)")
+    for r in study.results:
+        print(f"{r.label + ' window':<15}: {r.interval[0]} .. {r.interval[1]}")
+    print()
 
     print(render_turmoil_csv(study, report_mode=True))
 

@@ -31,8 +31,8 @@ def equal_weight_index(dataset):
 def main():
     dataset = demo_dataset()
     index = equal_weight_index(dataset)
-    reports = yearly_reports(returns_panel(dataset), q=15)
-    result = specificity_study(returns_panel([*dataset, index]), reports, seed=12345, samples=5)
+    windows = yearly_reports(returns_panel(dataset), q=15)
+    result = specificity_study(returns_panel([*dataset, index]), windows, seed=12345, samples=5)
 
     print(render_specificity_csv(result))
     print(f"source-root mean correlation : {result.source_mean:.4f}")

@@ -12,8 +12,7 @@ from .analysis import (
     MsaBundle,
     SpecificityResult,
     TurmoilStudy,
-    TurmoilWindows,
-    YearlyMsaReport,
+    WindowResult,
     degree_heatmap,
     msas_from_returns,
     pearson,

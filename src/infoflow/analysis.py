@@ -9,6 +9,13 @@ step -> transfer entropy -> net flows -> network -> both arborescences ->
 maximal paths.  Partitions are recomputed per window by default so each window's
 symbol alphabet covers its own observed range; pass
 ``global_partition=True`` to reuse the whole-sample bin edges instead.
+
+A windowed study returns one record per window, ``WindowResult(label,
+interval, msas)``: its label (a year such as ``"2001"``, or ``"before"``,
+``"during"``, ``"after"``), its first and last trading day, and the
+``MsaBundle`` with both trees and both paths.  Consumers that read one
+orientation (root occurrences, degree heat maps, yearly tables) take the
+windows and the orientation as arguments.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date
+from functools import cached_property
 
 import numpy as np
 
@@ -65,50 +73,14 @@ class MsaBundle:
 
 
 @dataclass(frozen=True)
-class YearlyMsaReport:
-    """One calendar year, one orientation: root, maximal path, and tree."""
-
-    year: int
-    orientation: str
-    root: SectorMeta
-    path: InfoFlowPath
-    path_dai_bits: float
-    arborescence: Arborescence
-
-    @property
-    def path_sector_count(self) -> int:
-        return self.path.length
-
-    @property
-    def path_dai_x100(self) -> float:
-        """Path weight in the display unit of the report tables (bits * 100)."""
-        return self.path_dai_bits * 100.0
-
-
-@dataclass(frozen=True)
-class TurmoilWindows:
-    """Event windows around a crash, in trading-day index space."""
-
-    crash_start: date
-    crash_end: date
-    crash_days: int
-    before: tuple[date, date]
-    during: tuple[date, date]
-    after: tuple[date, date]
-
-    @property
-    def window_days(self) -> int:
-        """Trading days per window: T before the crash start plus T after."""
-        return 2 * self.crash_days
-
-
-@dataclass(frozen=True)
 class WindowResult:
+    """One window's label, first and last trading day, and both trees and paths."""
+
     label: str
     interval: tuple[date, date]
     msas: MsaBundle
 
-    @property
+    @cached_property
     def root_degree(self) -> dict[str, int]:
         """Total tree degree of each orientation's root."""
         trees = {o: self.msas.arborescence(o) for o in ORIENTATIONS}
@@ -117,9 +89,18 @@ class WindowResult:
 
 @dataclass(frozen=True)
 class TurmoilStudy:
-    windows: TurmoilWindows
+    """Before/during/after windows around a crash of ``crash_days`` trading days."""
+
+    crash_start: date
+    crash_end: date
+    crash_days: int
     q: int
     results: tuple[WindowResult, ...]  # before, during, after
+
+    @property
+    def window_days(self) -> int:
+        """Trading days per window: T before the crash start plus T after."""
+        return 2 * self.crash_days
 
     def result(self, label: str) -> WindowResult:
         for r in self.results:
@@ -212,72 +193,57 @@ def msas_from_returns(
     )
 
 
-def _year(year: int) -> tuple[date, date]:
-    return date(year, 1, 1), date(year, 12, 31)
-
-
 def yearly_reports(
     returns: Panel,
     q: int,
     global_partition: bool = False,
     min_days: int = MIN_YEAR_DAYS,
-) -> dict[str, list[YearlyMsaReport]]:
-    """Per-calendar-year pipeline runs over the returns panel, keyed by orientation.
+) -> list[WindowResult]:
+    """One pipeline run per calendar year of the returns panel, in year order.
 
-    Years with fewer than ``min_days`` trading days are skipped with a
-    warning; if every year is, the study fails.  ``global_partition``
-    reuses whole-sample bin edges for every year instead of the default
-    per-year recomputation.
+    Each result is labelled by its year.  Years with fewer than
+    ``min_days`` trading days are skipped with a warning; if every year
+    is, the study fails.  ``global_partition`` reuses whole-sample bin
+    edges for every year instead of the default per-year recomputation.
     """
     partitions = _partition(returns, q, "whole sample") if global_partition else None
-    reports: dict[str, list[YearlyMsaReport]] = {o: [] for o in ORIENTATIONS}
+    windows = []
     for year in sorted({d.year for d in returns.dates}):
-        year_returns = slice_returns(returns, _year(year))
-        if len(year_returns.dates) < min_days:
-            warnings.warn(f"skipping year {year}: only {len(year_returns.dates)} trading day(s)",
+        year_returns = slice_returns(returns, (date(year, 1, 1), date(year, 12, 31)))
+        days = year_returns.dates
+        if len(days) < min_days:
+            warnings.warn(f"skipping year {year}: only {len(days)} trading day(s)",
                           stacklevel=2)
             continue
-        bundle = msas_from_returns(year_returns, q, partitions, window=f"year {year}")
-        for orientation in ORIENTATIONS:
-            arb = bundle.arborescence(orientation)
-            path = bundle.path(orientation)
-            reports[orientation].append(
-                YearlyMsaReport(
-                    year=year,
-                    orientation=orientation,
-                    root=arb.root_sector,
-                    path=path,
-                    path_dai_bits=path.total_weight,
-                    arborescence=arb,
-                )
-            )
-    if not reports["outgoing"]:
+        windows.append(WindowResult(
+            str(year), (days[0], days[-1]),
+            msas_from_returns(year_returns, q, partitions, window=f"year {year}")))
+    if not windows:
         raise ValueError(f"no calendar year has the minimum of {min_days} trading days")
-    return reports
+    return windows
 
 
-def root_occurrences(reports: list[YearlyMsaReport]) -> dict[str, int]:
-    """How often each sector appears as the root across the given reports."""
+def root_occurrences(windows: list[WindowResult], orientation: str) -> dict[str, int]:
+    """How often each sector is the ``orientation`` root across the windows."""
     counts: dict[str, int] = {}
-    for report in reports:
-        counts[report.root.code] = counts.get(report.root.code, 0) + 1
+    for w in windows:
+        code = w.msas.arborescence(orientation).root_sector.code
+        counts[code] = counts.get(code, 0) + 1
     return counts
 
 
-def degree_heatmap(reports: list[YearlyMsaReport]) -> DegreeHeatmap:
+def degree_heatmap(windows: list[WindowResult], orientation: str) -> DegreeHeatmap:
     """Year-by-sector degree table over one orientation's yearly trees."""
-    if not reports:
-        raise ValueError("no reports")
-    orientations = {r.orientation for r in reports}
-    if len(orientations) != 1:
-        raise ValueError("reports mix orientations")
-    sectors = reports[0].arborescence.sectors
-    degs = [degrees(r.arborescence) for r in reports]
+    if not windows:
+        raise ValueError("no windows")
+    trees = [w.msas.arborescence(orientation) for w in windows]
+    sectors = trees[0].sectors
+    degs = [degrees(a) for a in trees]
     # total[row, col] = total degree of sector col in year row.
     total = np.array([[d[s.code][2] for s in sectors] for d in degs], dtype=np.int64)
     return DegreeHeatmap(
-        orientation=orientations.pop(),
-        years=tuple(r.year for r in reports),
+        orientation=orientation,
+        years=tuple(w.interval[0].year for w in windows),
         sectors=sectors,
         total_degree=total,
     )
@@ -309,19 +275,13 @@ def turmoil_study(
         label: (dates[i0 + k * t_len], dates[i0 + (k + 2) * t_len - 1])
         for label, k in (("before", -3), ("during", -1), ("after", 1))
     }
-    windows = TurmoilWindows(
-        crash_start=crash_start,
-        crash_end=crash_end,
-        crash_days=t_len,
-        **intervals,
-    )
     results = tuple(
         WindowResult(label, interval,
                       msas_from_returns(slice_returns(returns, interval), q,
                                         window=f"{label} window"))
         for label, interval in intervals.items()
     )
-    return TurmoilStudy(windows=windows, q=q, results=results)
+    return TurmoilStudy(crash_start, crash_end, t_len, q, results)
 
 
 def pearson(x, y) -> float:
@@ -344,43 +304,37 @@ def pearson(x, y) -> float:
 
 def specificity_study(
     returns: Panel,
-    reports: dict[str, list[YearlyMsaReport]],
+    windows: list[WindowResult],
     seed: int,
     samples: int = 1,
 ) -> SpecificityResult:
-    """Correlate each year's root sectors with the market index.
+    """Correlate each yearly window's root sectors with the market index.
 
     ``returns`` holds the sectors' returns with the index's as its last
     row, as ``returns_panel([*dataset, index])`` builds them; that one
     call checks that the index is date-aligned with the sectors.  For
-    every year that has both an outgoing and an incoming report, the
-    daily returns of the source root and the sink root are correlated with
-    the index returns within that year.  A control group of ``samples``
-    uniformly drawn non-root sectors per year (excluding both roots, PCG64
-    seeded with ``seed``) provides the comparison distribution.
+    every window of ``yearly_reports``, the daily returns of the source
+    root and the sink root are correlated with the index returns within
+    that window.  A control group of ``samples`` uniformly drawn non-root
+    sectors per year (excluding both roots, PCG64 seeded with ``seed``)
+    provides the comparison distribution.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     row = {s.code: k for k, s in enumerate(returns.sectors[:-1])}
 
-    out_by_year = {r.year: r for r in reports.get("outgoing", [])}
-    in_by_year = {r.year: r for r in reports.get("incoming", [])}
-    years = sorted(set(out_by_year) & set(in_by_year))
-    if not years:
-        raise ValueError("no years with reports for both orientations")
-
     rng = np.random.default_rng(seed)
     source_roots, source_corr = [], []
     sink_roots, sink_corr = [], []
     control_sectors, control_corr = [], []
-    for year in years:
-        values = slice_returns(returns, _year(year)).values
+    for w in windows:
+        values = slice_returns(returns, w.interval).values
 
         def year_corr(code: str) -> float:
             return pearson(values[row[code]], values[-1])
 
-        src = out_by_year[year].root.code
-        snk = in_by_year[year].root.code
+        src = w.msas.outgoing.root_sector.code
+        snk = w.msas.incoming.root_sector.code
         source_roots.append(src)
         source_corr.append(year_corr(src))
         sink_roots.append(snk)
@@ -397,7 +351,7 @@ def specificity_study(
     return SpecificityResult(
         seed=seed,
         samples_per_year=samples,
-        years=tuple(years),
+        years=tuple(w.interval[0].year for w in windows),
         source_roots=tuple(source_roots),
         source_correlations=tuple(source_corr),
         sink_roots=tuple(sink_roots),
@@ -418,27 +372,31 @@ def _path_str(path: InfoFlowPath) -> str:
     return "->".join(path.codes)
 
 
-def render_yearly_csv(reports: list[YearlyMsaReport], report_mode: bool = False) -> str:
+def render_yearly_csv(
+    windows: list[WindowResult],
+    orientation: str,
+    report_mode: bool = False,
+) -> str:
     """Year / root / maximal path / sector count / path weight (x100) table."""
     lines = ["year,root_sector,maximal_information_path,n_sectors,dai_x100"]
-    for r in reports:
+    for w in windows:
+        path = w.msas.path(orientation)
         lines.append(
-            f"{r.year},{r.root.short_code},{_path_str(r.path)},"
-            f"{r.path_sector_count},{_fmt(r.path_dai_x100, report_mode)}"
+            f"{w.label},{w.msas.arborescence(orientation).root_sector.short_code},"
+            f"{_path_str(path)},{path.length},{_fmt(path.total_weight * 100.0, report_mode)}"
         )
     return "\n".join(lines) + "\n"
 
 
 def render_root_occurrences_csv(
-    reports: dict[str, list[YearlyMsaReport]],
+    windows: list[WindowResult],
     orientations: tuple[str, ...] = ORIENTATIONS,
 ) -> str:
     lines = ["orientation,sector,count"]
     for orientation in orientations:
-        roots = {r.root.code: r.root for r in reports.get(orientation, [])}
-        counts = root_occurrences(reports.get(orientation, []))
+        counts = root_occurrences(windows, orientation)
         for code in sorted(counts):
-            lines.append(f"{orientation},{roots[code].short_code},{counts[code]}")
+            lines.append(f"{orientation},{SectorMeta(code).short_code},{counts[code]}")
     return "\n".join(lines) + "\n"
 
 
@@ -451,23 +409,23 @@ def render_degree_heatmap_csv(hm: DegreeHeatmap) -> str:
 
 
 def render_yearly_json(
-    reports: dict[str, list[YearlyMsaReport]],
+    windows: list[WindowResult],
     orientations: tuple[str, ...] = ORIENTATIONS,
 ) -> str:
     payload = {}
     for orientation in orientations:
-        payload[orientation] = [
-            {
-                "year": r.year,
-                "root": r.root.code,
-                "path": list(r.path.codes),
-                "n_sectors": r.path_sector_count,
-                "dai_bits": r.path_dai_bits,
-                "dai_x100": r.path_dai_x100,
-                "edges": edge_list(r.arborescence),
-            }
-            for r in reports.get(orientation, [])
-        ]
+        payload[orientation] = []
+        for w in windows:
+            arb, path = w.msas.arborescence(orientation), w.msas.path(orientation)
+            payload[orientation].append({
+                "year": w.interval[0].year,
+                "root": arb.root_sector.code,
+                "path": list(path.codes),
+                "n_sectors": path.length,
+                "dai_bits": path.total_weight,
+                "dai_x100": path.total_weight * 100.0,
+                "edges": edge_list(arb),
+            })
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -491,10 +449,10 @@ def render_turmoil_csv(study: TurmoilStudy, report_mode: bool = False) -> str:
 
 def render_turmoil_json(study: TurmoilStudy) -> str:
     payload = {
-        "crash_start": study.windows.crash_start.isoformat(),
-        "crash_end": study.windows.crash_end.isoformat(),
-        "crash_trading_days": study.windows.crash_days,
-        "window_trading_days": study.windows.window_days,
+        "crash_start": study.crash_start.isoformat(),
+        "crash_end": study.crash_end.isoformat(),
+        "crash_trading_days": study.crash_days,
+        "window_trading_days": study.window_days,
         "window_rule": _WINDOW_RULE,
         "q": study.q,
         "windows": {},

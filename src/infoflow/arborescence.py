@@ -245,49 +245,33 @@ def maximal_information_flow_path(a: Arborescence) -> InfoFlowPath:
 
     Outgoing trees: root-to-leaf path of maximum total weight.  Incoming
     trees: leaf-to-root path, reported in flow order.  Exact weight ties
-    go to the lexicographically smallest sector-code sequence.
+    go to the lexicographically smallest sector-code sequence.  An incoming
+    tree's leaf-to-root paths are the root-to-leaf paths of its reversed
+    edges, read backwards, so one walk from the root serves both.  Totals
+    are ``math.fsum``s, exactly rounded, so the walking order cannot
+    change them.
     """
-    n = len(a.sectors)
-    if n == 1:
-        return InfoFlowPath(nodes=(a.root_sector,), total_weight=0.0)
+    forward = a.orientation == "outgoing"
+    children: dict[int, list[tuple[int, float]]] = {}
+    for i, j, w in a.edges:
+        parent, child = (i, j) if forward else (j, i)
+        children.setdefault(parent, []).append((child, w))
 
-    weight = {(i, j): w for i, j, w in a.edges}
-    if a.orientation == "outgoing":
-        children: dict[int, list[int]] = {}
-        for i, j, _ in a.edges:
-            children.setdefault(i, []).append(j)
-        candidates = []
-        stack = [(a.root, [a.root])]
-        while stack:
-            node, trail = stack.pop()
-            kids = children.get(node)
-            if not kids:
-                candidates.append(trail)
-                continue
-            for kid in kids:
-                stack.append((kid, trail + [kid]))
-    else:
-        next_hop = {i: j for i, j, _ in a.edges}
-        has_inflow = {j for _, j, _ in a.edges}
-        sources = [v for v in range(n) if v not in has_inflow]
-        candidates = []
-        for src in sources:
-            trail = [src]
-            while trail[-1] != a.root:
-                trail.append(next_hop[trail[-1]])
-            candidates.append(trail)
-
-    best = None
-    best_key = None
-    for trail in candidates:
-        total = math.fsum(weight[(u, v)] for u, v in zip(trail, trail[1:]))
-        codes = tuple(a.sectors[v].code for v in trail)
-        key = (-total, codes)
+    best_key = best = None
+    stack = [([a.root], [])]
+    while stack:
+        trail, weights = stack.pop()
+        kids = children.get(trail[-1])
+        if kids:
+            stack.extend((trail + [kid], weights + [w]) for kid, w in kids)
+            continue
+        flow = trail if forward else trail[::-1]
+        total = math.fsum(weights)
+        key = (-total, tuple(a.sectors[v].code for v in flow))
         if best_key is None or key < best_key:
-            best_key = key
-            best = (trail, total)
-    trail, total = best
-    return InfoFlowPath(nodes=tuple(a.sectors[v] for v in trail), total_weight=total)
+            best_key, best = key, (flow, total)
+    flow, total = best
+    return InfoFlowPath(nodes=tuple(a.sectors[v] for v in flow), total_weight=total)
 
 
 def degrees(a: Arborescence) -> dict[str, tuple[int, int, int]]:

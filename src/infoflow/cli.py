@@ -11,8 +11,9 @@ Each command runs its study and returns every file it can produce as an
 ordered ``{filename: renderer}`` mapping of zero-argument callables.
 ``main`` is the one writer: it checks ``--format`` before any command
 runs, renders only the files whose suffix is a requested format, in order,
-and writes each atomically (temp file + rename).  Every command is
-deterministic given input bytes, configuration, and seed.
+and writes each atomically (temp file + rename); a format that selects
+none of the command's files is an error.  Every command is deterministic
+given input bytes, configuration, and seed.
 """
 
 from __future__ import annotations
@@ -255,8 +256,8 @@ def _render_stats_json(rows) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _render_heatmap_csv(reports: list[analysis.YearlyMsaReport]) -> str:
-    return analysis.render_degree_heatmap_csv(analysis.degree_heatmap(reports))
+def _render_heatmap_csv(windows: list[analysis.WindowResult], orientation: str) -> str:
+    return analysis.render_degree_heatmap_csv(analysis.degree_heatmap(windows, orientation))
 
 
 def _cmd_msa(cfg: dict) -> Files:
@@ -294,21 +295,22 @@ def _cmd_msa(cfg: dict) -> Files:
         return files
 
     if mode == "yearly":
-        reports = analysis.yearly_reports(returns, q,
+        windows = analysis.yearly_reports(returns, q,
                                           global_partition=cfg["global_partition"])
         files = {}
         for orientation in orientations:
             files[f"yearly_{orientation}.csv"] = partial(
-                analysis.render_yearly_csv, reports[orientation], report)
+                analysis.render_yearly_csv, windows, orientation, report)
             files[f"degree_heatmap_{orientation}.csv"] = partial(
-                _render_heatmap_csv, reports[orientation])
-            for r in reports[orientation]:
-                files[f"msa_{r.year}_{orientation}.dot"] = partial(
-                    arborescence_to_dot, r.arborescence, r.path, name=f"msa_{r.year}")
+                _render_heatmap_csv, windows, orientation)
+            for w in windows:
+                files[f"msa_{w.label}_{orientation}.dot"] = partial(
+                    arborescence_to_dot, w.msas.arborescence(orientation),
+                    w.msas.path(orientation), name=f"msa_{w.label}")
         files["root_occurrences.csv"] = partial(analysis.render_root_occurrences_csv,
-                                                reports, orientations)
+                                                windows, orientations)
         files["yearly_reports.json"] = partial(analysis.render_yearly_json,
-                                               reports, orientations)
+                                               windows, orientations)
         return files
 
     study = analysis.turmoil_study(
@@ -335,9 +337,9 @@ def _cmd_specificity(cfg: dict) -> Files:
     # sector rows above it.
     returns = analysis.returns_panel([*dataset, load_dataset(cfg["index"])[0]])
     sectors = replace(returns, sectors=returns.sectors[:-1], values=returns.values[:-1])
-    reports = analysis.yearly_reports(sectors, int(cfg["q"]))
+    windows = analysis.yearly_reports(sectors, int(cfg["q"]))
     result = analysis.specificity_study(
-        returns, reports, seed=int(cfg["seed"]), samples=int(cfg["samples"]),
+        returns, windows, seed=int(cfg["seed"]), samples=int(cfg["samples"]),
     )
     return {"specificity.csv": partial(analysis.render_specificity_csv, result),
             "specificity.json": partial(analysis.render_specificity_json, result)}
@@ -352,10 +354,12 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _merge_config(args)
         requested = _formats(cfg)
         files = _COMMANDS[args.command](cfg)
+        selected = [name for name in files if name.rsplit(".", 1)[1] in requested]
+        if not selected:
+            raise CliError(f"--format {cfg['format']} selects no output of {args.command}")
         out_dir = Path(cfg["out_dir"])
         # Renderers run here, in file order, and only for requested formats.
-        written = [_write(out_dir, name, render()) for name, render in files.items()
-                   if name.rsplit(".", 1)[1] in requested]
+        written = [_write(out_dir, name, files[name]()) for name in selected]
     except (CliError, DatasetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -175,6 +175,42 @@ def enumerate_arborescences(g, orientation="outgoing"):
                         fsum(w for _, _, w in edges))
 
 
+def path_candidates(a):
+    """Every documented maximal-path candidate: (total, sector codes, nodes).
+
+    Candidates are the paths between the root and each tree leaf: root to
+    leaf in an outgoing tree, leaf to root in an incoming one, listed in
+    flow order.  Each is walked from its leaf up the tree-predecessor
+    links and weighed with ``math.fsum``.
+    """
+    # pred[child] = (tree predecessor, edge weight); a leaf is no predecessor.
+    pred = {}
+    for i, j, w in a.edges:
+        child, parent = (j, i) if a.orientation == "outgoing" else (i, j)
+        pred[child] = (parent, w)
+    parents = {parent for parent, _ in pred.values()}
+    candidates = []
+    for leaf in (v for v in range(len(a.sectors)) if v not in parents):
+        nodes, weights = [leaf], []
+        while nodes[-1] != a.root:
+            parent, w = pred[nodes[-1]]
+            nodes.append(parent)
+            weights.append(w)
+        if a.orientation == "outgoing":
+            nodes.reverse()
+        candidates.append((fsum(weights), [a.sectors[v].code for v in nodes], nodes))
+    return candidates
+
+
+def maximal_path_by_leaves(a):
+    """The candidate with the largest total, then the smallest codes in flow order.
+
+    Returns (sectors in flow order, total).
+    """
+    total, _, nodes = min(path_candidates(a), key=lambda c: (-c[0], c[1]))
+    return tuple(a.sectors[v] for v in nodes), total
+
+
 def min_arborescence_by_rounds(
     n_nodes: int,
     edges: list[tuple[int, int, int, int]],

@@ -304,10 +304,11 @@ def test_criterion_10_bring_your_own_data():
             assert _close(s.kurtosis, kurt, 3), (code, "kurtosis", s.kurtosis)
             assert _close(s.jb_statistic, jb, 1), (code, "jb", s.jb_statistic)
 
-        reports = yearly_reports(returns, q=15)
-        r2001 = next(r for r in reports["outgoing"] if r.year == 2001)
-        assert r2001.path.codes == _EXPECTED_2001_PATH
-        assert abs(r2001.path_dai_x100 - _EXPECTED_2001_DAI_X100) <= 0.01 * _EXPECTED_2001_DAI_X100
+        windows = {w.label: w for w in yearly_reports(returns, q=15)}
+        path2001 = windows["2001"].msas.outgoing_path
+        assert path2001.codes == _EXPECTED_2001_PATH
+        dai_x100 = path2001.total_weight * 100.0
+        assert abs(dai_x100 - _EXPECTED_2001_DAI_X100) <= 0.01 * _EXPECTED_2001_DAI_X100
 
         bundle = msas_from_returns(returns, q=15)
         assert bundle.outgoing.sectors[bundle.outgoing.root].code == "801230"

@@ -61,13 +61,16 @@ class TestWholeSample:
 
 class TestYearlyReports:
     def test_one_report_per_year_per_orientation(self):
-        reports = yearly_reports(returns_panel(hub_panel(years=3)), q=10)
-        assert [r.year for r in reports["outgoing"]] == [2001, 2002, 2003]
-        assert [r.year for r in reports["incoming"]] == [2001, 2002, 2003]
-        for r in reports["outgoing"] + reports["incoming"]:
-            assert r.path_sector_count == r.path.length
-            assert r.path_dai_bits > 0
-            assert r.path_dai_x100 == r.path_dai_bits * 100.0
+        returns = returns_panel(hub_panel(years=3))
+        windows = yearly_reports(returns, q=10)
+        assert [w.label for w in windows] == ["2001", "2002", "2003"]
+        for w in windows:
+            # The interval is the year's first and last trading day.
+            year = [d for d in returns.dates if d.year == int(w.label)]
+            assert w.interval == (year[0], year[-1])
+            for orientation in ("outgoing", "incoming"):
+                assert w.msas.arborescence(orientation).orientation == orientation
+                assert w.msas.path(orientation).total_weight > 0
 
     def test_short_year_skipped_with_warning(self):
         # 365 + 10 returns: the second calendar year has only 10 trading days.
@@ -78,60 +81,61 @@ class TestYearlyReports:
             start=date(2000, 12, 31),
         )
         with pytest.warns(UserWarning, match="skipping year 2002"):
-            reports = yearly_reports(returns_panel(generate_dataset(spec)), q=5)
-        assert [r.year for r in reports["outgoing"]] == [2001]
+            windows = yearly_reports(returns_panel(generate_dataset(spec)), q=5)
+        assert [w.label for w in windows] == ["2001"]
 
     def test_paths_revalidate_against_trees(self):
-        reports = yearly_reports(returns_panel(hub_panel(years=2)), q=10)
-        for r in reports["outgoing"]:
-            again = maximal_information_flow_path(r.arborescence)
-            assert again.codes == r.path.codes
+        for w in yearly_reports(returns_panel(hub_panel(years=2)), q=10):
+            for orientation in ("outgoing", "incoming"):
+                again = maximal_information_flow_path(w.msas.arborescence(orientation))
+                assert again == w.msas.path(orientation)
 
     def test_global_partition_mode_runs(self):
         dataset = hub_panel(years=2)
         local = yearly_reports(returns_panel(dataset), q=10)
         shared = yearly_reports(returns_panel(dataset), q=10, global_partition=True)
-        assert len(shared["outgoing"]) == len(local["outgoing"])
+        assert [w.interval for w in shared] == [w.interval for w in local]
 
 
 class TestRootOccurrences:
     def test_counts_sum_to_reports(self):
-        reports = yearly_reports(returns_panel(hub_panel(years=3)), q=10)
+        windows = yearly_reports(returns_panel(hub_panel(years=3)), q=10)
         for orientation in ("outgoing", "incoming"):
-            counts = root_occurrences(reports[orientation])
-            assert sum(counts.values()) == len(reports[orientation])
+            counts = root_occurrences(windows, orientation)
+            assert sum(counts.values()) == len(windows)
 
     def test_single_report(self):
-        reports = yearly_reports(returns_panel(hub_panel(years=1)), q=10)
-        counts = root_occurrences(reports["outgoing"])
-        root = reports["outgoing"][0].root.code
-        assert counts == {root: 1}
+        windows = yearly_reports(returns_panel(hub_panel(years=1)), q=10)
+        for orientation in ("outgoing", "incoming"):
+            root = windows[0].msas.arborescence(orientation).root_sector.code
+            assert root_occurrences(windows, orientation) == {root: 1}
 
     def test_persistent_hub_dominates(self):
         dataset = hub_panel(years=3, coupling=0.85)
-        reports = yearly_reports(returns_panel(dataset), q=10)
-        counts = root_occurrences(reports["outgoing"])
+        windows = yearly_reports(returns_panel(dataset), q=10)
+        counts = root_occurrences(windows, "outgoing")
         assert counts.get(dataset[0].sector.code, 0) == 3
 
 
 class TestDegreeHeatmap:
     def test_rows_sum_to_tree_degree_total(self):
-        reports = yearly_reports(returns_panel(hub_panel(n=6, years=3)), q=10)
-        hm = degree_heatmap(reports["outgoing"])
+        windows = yearly_reports(returns_panel(hub_panel(n=6, years=3)), q=10)
+        hm = degree_heatmap(windows, "outgoing")
+        assert hm.orientation == "outgoing" and hm.years == (2001, 2002, 2003)
         assert hm.total_degree.shape == (3, 6)
         np.testing.assert_array_equal(hm.total_degree.sum(axis=1), [10, 10, 10])
 
     def test_matches_degrees_per_year(self):
-        reports = yearly_reports(returns_panel(hub_panel(years=2)), q=10)
-        hm = degree_heatmap(reports["incoming"])
-        for row, report in enumerate(reports["incoming"]):
-            deg = degrees(report.arborescence)
+        windows = yearly_reports(returns_panel(hub_panel(years=2)), q=10)
+        hm = degree_heatmap(windows, "incoming")
+        for row, w in enumerate(windows):
+            deg = degrees(w.msas.incoming)
             for col, code in enumerate(hm.codes):
                 assert hm.total_degree[row, col] == deg[code][2]
 
     def test_csv_layout(self):
-        reports = yearly_reports(returns_panel(hub_panel(years=2)), q=10)
-        text = render_degree_heatmap_csv(degree_heatmap(reports["outgoing"]))
+        windows = yearly_reports(returns_panel(hub_panel(years=2)), q=10)
+        text = render_degree_heatmap_csv(degree_heatmap(windows, "outgoing"))
         lines = text.strip().split("\n")
         assert lines[0].startswith("year,")
         assert len(lines) == 3
@@ -142,18 +146,20 @@ class TestTurmoil:
         series, crash_start, crash_end = turmoil_dataset(seed=0, t_len=100, n=4)
         study = turmoil_study(returns_panel(series), q=10,
                               crash_start=crash_start, crash_end=crash_end)
-        w = study.windows
-        assert w.crash_days == 100
-        assert w.window_days == 200
+        assert (study.crash_start, study.crash_end) == (crash_start, crash_end)
+        assert study.crash_days == 100
+        assert study.window_days == 200
         # Windows tile the index space: contiguous ranges of 2T trading days.
-        assert w.before[1] < w.during[0] <= crash_start
-        assert w.during[1] < w.after[0]
+        before, during, after = (study.result(k).interval
+                                 for k in ("before", "during", "after"))
+        assert before[1] < during[0] <= crash_start
+        assert during[1] < after[0]
         for r in study.results:
             lo, hi = r.interval
             n_days = sum(
                 1 for d in series[0].dates[1:] if lo <= d <= hi
             )
-            assert n_days == w.window_days
+            assert n_days == study.window_days
 
     def test_elevated_middle_coupling_raises_root_degree(self):
         series, crash_start, crash_end = turmoil_dataset(seed=3)
@@ -213,16 +219,17 @@ class TestPearson:
 class TestSpecificity:
     def make_study(self, seed=0, samples=1):
         dataset = hub_panel(n=6, years=3, coupling=0.85)
-        reports = yearly_reports(returns_panel(dataset), q=10)
+        windows = yearly_reports(returns_panel(dataset), q=10)
         hub = dataset[0]
         index = PriceSeries(SectorMeta("000001", "composite index"), hub.dates, hub.closes)
-        return dataset, reports, index, specificity_study(
-            returns_panel([*dataset, index]), reports, seed=seed, samples=samples
+        return dataset, windows, index, specificity_study(
+            returns_panel([*dataset, index]), windows, seed=seed, samples=samples
         )
 
     def test_index_copy_of_root_sector_gives_unit_correlation(self):
-        dataset, reports, index, result = self.make_study()
+        dataset, _, _, result = self.make_study()
         # The planted hub is the outgoing root every year; the index is its copy.
+        assert result.years == (2001, 2002, 2003)
         assert result.source_roots == (dataset[0].sector.code,) * 3
         assert result.source_correlations == (1.0, 1.0, 1.0)
 
@@ -257,17 +264,17 @@ class TestSpecificity:
 
     def test_misaligned_index_rejected(self):
         dataset = hub_panel(n=4, years=1)
-        reports = yearly_reports(returns_panel(dataset), q=10)
+        windows = yearly_reports(returns_panel(dataset), q=10)
         shifted_dates = tuple(d + timedelta(days=1) for d in dataset[0].dates)
         index = PriceSeries(SectorMeta("000001"), shifted_dates, dataset[0].closes)
         with pytest.raises(ValueError, match="aligned"):
-            specificity_study(returns_panel([*dataset, index]), reports, seed=0)
+            specificity_study(returns_panel([*dataset, index]), windows, seed=0)
 
 
 class TestRenderers:
     def test_yearly_csv_columns(self):
-        reports = yearly_reports(returns_panel(hub_panel(years=2)), q=10)
-        text = render_yearly_csv(reports["outgoing"])
+        windows = yearly_reports(returns_panel(hub_panel(years=2)), q=10)
+        text = render_yearly_csv(windows, "outgoing")
         lines = text.strip().split("\n")
         assert lines[0] == "year,root_sector,maximal_information_path,n_sectors,dai_x100"
         assert len(lines) == 3
@@ -278,14 +285,14 @@ class TestRenderers:
         assert float(dai) > 0
 
     def test_yearly_csv_report_mode_rounds(self):
-        reports = yearly_reports(returns_panel(hub_panel(years=1)), q=10)
-        text = render_yearly_csv(reports["outgoing"], report_mode=True)
+        windows = yearly_reports(returns_panel(hub_panel(years=1)), q=10)
+        text = render_yearly_csv(windows, "outgoing", report_mode=True)
         dai = text.strip().split("\n")[1].split(",")[-1]
         assert len(dai.split(".")[1]) == 2
 
     def test_root_occurrence_csv(self):
-        reports = yearly_reports(returns_panel(hub_panel(years=2)), q=10)
-        lines = render_root_occurrences_csv(reports).strip().split("\n")
+        windows = yearly_reports(returns_panel(hub_panel(years=2)), q=10)
+        lines = render_root_occurrences_csv(windows).strip().split("\n")
         assert lines[0] == "orientation,sector,count"
         assert any(line.startswith("outgoing,") for line in lines[1:])
 

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_complete_network
-from oracles import enumerate_arborescences, min_arborescence_by_rounds
+from oracles import (
+    enumerate_arborescences,
+    maximal_path_by_leaves,
+    min_arborescence_by_rounds,
+    path_candidates,
+)
 
 from infoflow import arborescence
 from infoflow.arborescence import (
@@ -240,6 +245,30 @@ class TestPaths:
             chain = len(p.nodes) == n
             if chain:
                 assert p.total_weight == pytest.approx(a.total_weight, abs=1e-12)
+
+    @pytest.mark.parametrize("orientation", ["outgoing", "incoming"])
+    def test_matches_candidate_enumeration_with_planted_ties(self, rng, orientation):
+        # Weights from a three-value set: many paths have equal totals, which
+        # the sector codes in flow order must settle; 0.1 + 0.2 != 0.3 in
+        # floating point, so near-ties must not be mistaken for ties.
+        settled_by_codes = 0
+        for _ in range(300):
+            n = int(rng.integers(1, 29))
+            sectors = tuple(SectorMeta(str(c)) for c in rng.choice(900, n, replace=False) + 900100)
+            order = rng.permutation(n)
+            edges = []
+            for k in range(1, n):
+                parent, child = int(order[rng.integers(k)]), int(order[k])
+                w = float(rng.choice([0.1, 0.2, 0.3]))
+                edges.append((parent, child, w) if orientation == "outgoing"
+                             else (child, parent, w))
+            a = Arborescence(orientation, int(order[0]), sectors, tuple(edges),
+                             math.fsum(w for _, _, w in edges))
+            p = maximal_information_flow_path(a)
+            assert (p.nodes, p.total_weight) == maximal_path_by_leaves(a)
+            totals = [total for total, _, _ in path_candidates(a)]
+            settled_by_codes += totals.count(p.total_weight) > 1
+        assert settled_by_codes > 20
 
     def test_single_node_path(self):
         a = max_spanning_arborescence(net(["900001"], []), "outgoing")

@@ -407,9 +407,15 @@ class TestOutputFormats:
             argv + ["--format", "csv,json,dot"], tmp_path / "all", capsys)
         assert full_names
         for formats in ("csv", "json", "dot", "json,dot"):
+            expected = [n for n in full_names if n.rsplit(".", 1)[1] in formats.split(",")]
+            if not expected:  # stats and specificity write no dot file
+                assert run([*argv, "--format", formats, "--out-dir", tmp_path / formats]) == 2
+                assert capsys.readouterr() == (
+                    "", f"error: --format {formats} selects no output of {argv[0]}\n")
+                assert not (tmp_path / formats).exists()
+                continue
             names, blobs = self.outputs(
                 argv + ["--format", formats], tmp_path / formats, capsys)
-            expected = [n for n in full_names if n.rsplit(".", 1)[1] in formats.split(",")]
             assert names == expected
             assert blobs == {name: full_bytes[name] for name in expected}
 
