@@ -41,10 +41,9 @@ def main():
     (OUT / "demo_sectors.csv").write_text(dataset_to_csv(dataset), encoding="utf-8")
     print(f"panel: {len(dataset)} sectors x {len(dataset[0])} trading days")
 
-    bundle = msas_from_returns(returns_panel(dataset), q=15)
-    for orientation in ("outgoing", "incoming"):
-        arb = bundle.arborescence(orientation)
-        path = bundle.path(orientation)
+    window = msas_from_returns(returns_panel(dataset), q=15)
+    for orientation, arb in window.trees.items():
+        path = window.paths[orientation]
         describe(arb, path, orientation)
         (OUT / f"msa_{orientation}.dot").write_text(
             arborescence_to_dot(arb, path), encoding="utf-8"

@@ -9,7 +9,6 @@ and root-specificity studies on top.
 
 from .analysis import (
     DegreeHeatmap,
-    MsaBundle,
     SpecificityResult,
     TurmoilStudy,
     WindowResult,

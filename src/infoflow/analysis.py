@@ -5,15 +5,21 @@ Every study takes one ``Panel`` of returns, built once per run by
 sample, a date range, calendar years, or event windows around a market
 crash.  Each window is cut from the panel by ``slice_returns`` and run
 through the one engine, ``msas_from_returns``: symbols for all rows in one
-step -> transfer entropy -> net flows -> network -> both arborescences ->
-maximal paths.  Partitions are recomputed per window by default so each window's
-symbol alphabet covers its own observed range; pass
-``global_partition=True`` to reuse the whole-sample bin edges instead.
+step -> transfer entropy -> net flows -> network -> the requested
+arborescences -> their maximal paths.  Partitions are recomputed per
+window by default so each window's symbol alphabet covers its own observed
+range; pass ``global_partition=True`` to reuse the whole-sample bin edges
+instead.  A window shorter than ``MIN_WINDOW_DAYS`` trading days is
+refused before any estimate; a yearly study skips such years with a
+warning instead.
 
-A windowed study returns one record per window, ``WindowResult(label,
-interval, msas)``: its label (a year such as ``"2001"``, or ``"before"``,
-``"during"``, ``"after"``), its first and last trading day, and the
-``MsaBundle`` with both trees and both paths.  Consumers that read one
+The engine returns one record per window, ``WindowResult(label, interval,
+trees, paths)``: its label (a year such as ``"2001"``, or ``"before"``,
+``"during"``, ``"after"``), its first and last trading day, and its
+arborescences and maximal paths, each a dict keyed by orientation.  The
+dicts hold only the orientations the caller asked for, in
+``ORIENTATIONS`` order, so no tree is solved that no output reads.
+Renderers write every orientation a window holds; consumers that read one
 orientation (root occurrences, degree heat maps, yearly tables) take the
 windows and the orientation as arguments.
 """
@@ -46,9 +52,10 @@ from .symbolize import Partition, encode, make_partition
 # calls it from here.
 from .timeseries import Panel, SectorMeta, returns_panel, slice_returns
 
-# Calendar years shorter than this many trading days are skipped: the
-# estimator has nothing to say about a handful of samples.
-MIN_YEAR_DAYS = 30
+# Windows shorter than this many trading days are refused (calendar years
+# are skipped): the estimator has nothing to say about a handful of samples,
+# and such windows tie so often that no spanning tree is left.
+MIN_WINDOW_DAYS = 30
 
 _WINDOW_RULE = (
     "during = [crash_start - T, crash_start + T) trading days, T = crash length; "
@@ -57,34 +64,18 @@ _WINDOW_RULE = (
 
 
 @dataclass(frozen=True)
-class MsaBundle:
-    """Both arborescences of one window plus their maximal flow paths."""
-
-    outgoing: Arborescence
-    incoming: Arborescence
-    outgoing_path: InfoFlowPath
-    incoming_path: InfoFlowPath
-
-    def arborescence(self, orientation: str) -> Arborescence:
-        return self.outgoing if orientation == "outgoing" else self.incoming
-
-    def path(self, orientation: str) -> InfoFlowPath:
-        return self.outgoing_path if orientation == "outgoing" else self.incoming_path
-
-
-@dataclass(frozen=True)
 class WindowResult:
-    """One window's label, first and last trading day, and both trees and paths."""
+    """One window's label, first and last trading day, and trees and paths by orientation."""
 
     label: str
     interval: tuple[date, date]
-    msas: MsaBundle
+    trees: dict[str, Arborescence]
+    paths: dict[str, InfoFlowPath]
 
     @cached_property
     def root_degree(self) -> dict[str, int]:
         """Total tree degree of each orientation's root."""
-        trees = {o: self.msas.arborescence(o) for o in ORIENTATIONS}
-        return {o: degrees(a)[a.root_sector.code][2] for o, a in trees.items()}
+        return {o: degrees(a)[a.root_sector.code][2] for o, a in self.trees.items()}
 
 
 @dataclass(frozen=True)
@@ -166,60 +157,67 @@ def msas_from_returns(
     q: int,
     partitions: Partition | None = None,
     window: str = "whole sample",
-) -> MsaBundle:
+    label: str = "whole sample",
+    orientations: tuple[str, ...] = ORIENTATIONS,
+) -> WindowResult:
     """Run the estimation pipeline on one window of the returns panel.
 
     Every row is symbolized at once, against its own range in this window
     or against ``partitions`` (per-row bin edges, e.g. the whole sample's).
-    ``window`` labels the window in errors: a sector whose returns are
-    constant there, or a network with so many tied pairs that no root
+    Only the arborescences in ``orientations`` are solved, each with its
+    maximal path.  The result is labelled ``label`` and spans the panel's
+    first and last trading day.  ``window`` names the window in errors: one
+    shorter than ``MIN_WINDOW_DAYS`` trading days, a sector whose returns
+    are constant there, or a network with so many tied pairs that no root
     reaches every sector (the message gives the window's trading days and
     tied pairs).
     """
+    if not orientations or not set(orientations) <= set(ORIENTATIONS):
+        raise ValueError(f"orientations must be a non-empty subset of {ORIENTATIONS}")
+    days = returns.dates
+    if len(days) < MIN_WINDOW_DAYS:
+        raise ValueError(f"{window} ({len(days)} trading days): fewer than the "
+                         f"minimum of {MIN_WINDOW_DAYS}")
     if partitions is None:
         partitions = _partition(returns, q, window)
     net = build_network(dai_matrix(te_matrix(encode(returns, partitions))))
     try:
-        outgoing = max_spanning_arborescence(net, "outgoing")
-        incoming = max_spanning_arborescence(net, "incoming")
+        trees = {o: max_spanning_arborescence(net, o)
+                 for o in ORIENTATIONS if o in orientations}
     except ValueError as exc:
-        raise ValueError(f"{window} ({len(returns.dates)} trading days, "
+        raise ValueError(f"{window} ({len(days)} trading days, "
                          f"{len(net.ties)} tied pairs): {exc}") from None
-    return MsaBundle(
-        outgoing=outgoing,
-        incoming=incoming,
-        outgoing_path=maximal_information_flow_path(outgoing),
-        incoming_path=maximal_information_flow_path(incoming),
-    )
+    paths = {o: maximal_information_flow_path(a) for o, a in trees.items()}
+    return WindowResult(label, (days[0], days[-1]), trees, paths)
 
 
 def yearly_reports(
     returns: Panel,
     q: int,
     global_partition: bool = False,
-    min_days: int = MIN_YEAR_DAYS,
+    orientations: tuple[str, ...] = ORIENTATIONS,
 ) -> list[WindowResult]:
     """One pipeline run per calendar year of the returns panel, in year order.
 
-    Each result is labelled by its year.  Years with fewer than
-    ``min_days`` trading days are skipped with a warning; if every year
-    is, the study fails.  ``global_partition`` reuses whole-sample bin
-    edges for every year instead of the default per-year recomputation.
+    Each result is labelled by its year and holds the trees of
+    ``orientations``.  Years with fewer than ``MIN_WINDOW_DAYS`` trading
+    days are skipped with a warning; if every year is, the study fails.
+    ``global_partition`` reuses whole-sample bin edges for every year
+    instead of the default per-year recomputation.
     """
     partitions = _partition(returns, q, "whole sample") if global_partition else None
     windows = []
     for year in sorted({d.year for d in returns.dates}):
         year_returns = slice_returns(returns, (date(year, 1, 1), date(year, 12, 31)))
         days = year_returns.dates
-        if len(days) < min_days:
+        if len(days) < MIN_WINDOW_DAYS:
             warnings.warn(f"skipping year {year}: only {len(days)} trading day(s)",
                           stacklevel=2)
             continue
-        windows.append(WindowResult(
-            str(year), (days[0], days[-1]),
-            msas_from_returns(year_returns, q, partitions, window=f"year {year}")))
+        windows.append(msas_from_returns(year_returns, q, partitions, window=f"year {year}",
+                                         label=str(year), orientations=orientations))
     if not windows:
-        raise ValueError(f"no calendar year has the minimum of {min_days} trading days")
+        raise ValueError(f"no calendar year has the minimum of {MIN_WINDOW_DAYS} trading days")
     return windows
 
 
@@ -227,7 +225,7 @@ def root_occurrences(windows: list[WindowResult], orientation: str) -> dict[str,
     """How often each sector is the ``orientation`` root across the windows."""
     counts: dict[str, int] = {}
     for w in windows:
-        code = w.msas.arborescence(orientation).root_sector.code
+        code = w.trees[orientation].root_sector.code
         counts[code] = counts.get(code, 0) + 1
     return counts
 
@@ -236,7 +234,7 @@ def degree_heatmap(windows: list[WindowResult], orientation: str) -> DegreeHeatm
     """Year-by-sector degree table over one orientation's yearly trees."""
     if not windows:
         raise ValueError("no windows")
-    trees = [w.msas.arborescence(orientation) for w in windows]
+    trees = [w.trees[orientation] for w in windows]
     sectors = trees[0].sectors
     degs = [degrees(a) for a in trees]
     # total[row, col] = total degree of sector col in year row.
@@ -276,9 +274,8 @@ def turmoil_study(
         for label, k in (("before", -3), ("during", -1), ("after", 1))
     }
     results = tuple(
-        WindowResult(label, interval,
-                      msas_from_returns(slice_returns(returns, interval), q,
-                                        window=f"{label} window"))
+        msas_from_returns(slice_returns(returns, interval), q,
+                          window=f"{label} window", label=label)
         for label, interval in intervals.items()
     )
     return TurmoilStudy(crash_start, crash_end, t_len, q, results)
@@ -333,8 +330,8 @@ def specificity_study(
         def year_corr(code: str) -> float:
             return pearson(values[row[code]], values[-1])
 
-        src = w.msas.outgoing.root_sector.code
-        snk = w.msas.incoming.root_sector.code
+        src = w.trees["outgoing"].root_sector.code
+        snk = w.trees["incoming"].root_sector.code
         source_roots.append(src)
         source_corr.append(year_corr(src))
         sink_roots.append(snk)
@@ -380,20 +377,17 @@ def render_yearly_csv(
     """Year / root / maximal path / sector count / path weight (x100) table."""
     lines = ["year,root_sector,maximal_information_path,n_sectors,dai_x100"]
     for w in windows:
-        path = w.msas.path(orientation)
+        path = w.paths[orientation]
         lines.append(
-            f"{w.label},{w.msas.arborescence(orientation).root_sector.short_code},"
+            f"{w.label},{w.trees[orientation].root_sector.short_code},"
             f"{_path_str(path)},{path.length},{_fmt(path.total_weight * 100.0, report_mode)}"
         )
     return "\n".join(lines) + "\n"
 
 
-def render_root_occurrences_csv(
-    windows: list[WindowResult],
-    orientations: tuple[str, ...] = ORIENTATIONS,
-) -> str:
+def render_root_occurrences_csv(windows: list[WindowResult]) -> str:
     lines = ["orientation,sector,count"]
-    for orientation in orientations:
+    for orientation in windows[0].trees:
         counts = root_occurrences(windows, orientation)
         for code in sorted(counts):
             lines.append(f"{orientation},{SectorMeta(code).short_code},{counts[code]}")
@@ -408,15 +402,12 @@ def render_degree_heatmap_csv(hm: DegreeHeatmap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_yearly_json(
-    windows: list[WindowResult],
-    orientations: tuple[str, ...] = ORIENTATIONS,
-) -> str:
+def render_yearly_json(windows: list[WindowResult]) -> str:
     payload = {}
-    for orientation in orientations:
+    for orientation in windows[0].trees:
         payload[orientation] = []
         for w in windows:
-            arb, path = w.msas.arborescence(orientation), w.msas.path(orientation)
+            arb, path = w.trees[orientation], w.paths[orientation]
             payload[orientation].append({
                 "year": w.interval[0].year,
                 "root": arb.root_sector.code,
@@ -435,9 +426,8 @@ def render_turmoil_csv(study: TurmoilStudy, report_mode: bool = False) -> str:
         "path_sectors,path_weight_bits"
     ]
     for r in study.results:
-        for orientation in ORIENTATIONS:
-            arb = r.msas.arborescence(orientation)
-            path = r.msas.path(orientation)
+        for orientation, arb in r.trees.items():
+            path = r.paths[orientation]
             lines.append(
                 f"{r.label},{r.interval[0].isoformat()},{r.interval[1].isoformat()},"
                 f"{orientation},{arb.root_sector.short_code},"
@@ -462,9 +452,8 @@ def render_turmoil_json(study: TurmoilStudy) -> str:
             "start": r.interval[0].isoformat(),
             "end": r.interval[1].isoformat(),
         }
-        for orientation in ORIENTATIONS:
-            arb = r.msas.arborescence(orientation)
-            path = r.msas.path(orientation)
+        for orientation, arb in r.trees.items():
+            path = r.paths[orientation]
             entry[orientation] = {
                 "root": arb.root_sector.code,
                 "root_degree": r.root_degree[orientation],
@@ -522,18 +511,12 @@ def render_specificity_json(result: SpecificityResult) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def render_msa_bundle_csv(
-    bundle: MsaBundle,
-    label: str,
-    report_mode: bool = False,
-    orientations: tuple[str, ...] = ORIENTATIONS,
-) -> str:
+def render_msa_bundle_csv(window: WindowResult, report_mode: bool = False) -> str:
     lines = ["window,orientation,root_sector,maximal_information_path,n_sectors,dai_x100"]
-    for orientation in orientations:
-        arb = bundle.arborescence(orientation)
-        path = bundle.path(orientation)
+    for orientation, arb in window.trees.items():
+        path = window.paths[orientation]
         lines.append(
-            f"{label},{orientation},{arb.root_sector.short_code},"
+            f"{window.label},{orientation},{arb.root_sector.short_code},"
             f"{_path_str(path)},{path.length},"
             f"{_fmt(path.total_weight * 100.0, report_mode)}"
         )

@@ -14,6 +14,13 @@ runs, renders only the files whose suffix is a requested format, in order,
 and writes each atomically (temp file + rename); a format that selects
 none of the command's files is an error.  Every command is deterministic
 given input bytes, configuration, and seed.
+
+``--orientation`` selects the trees a command writes, and ``whole``,
+``range`` and ``yearly`` solve only those; ``turmoil`` and ``specificity``
+always solve both, because ``turmoil.csv``/``turmoil.json`` and the
+specificity study read both.  A configuration, input or file-system error
+(say, an input or config path that is a directory, or an output directory
+that is a file) is reported as one ``error:`` line on stderr, exit status 2.
 """
 
 from __future__ import annotations
@@ -275,20 +282,20 @@ def _cmd_msa(cfg: dict) -> Files:
 
     if mode in ("whole", "range"):
         stem = "msa_whole"
-        label = "whole sample"
+        window = "whole sample"
         if mode == "range":
-            window = (
+            span = (
                 _parse_date(cfg["date_from"], "--from"),
                 _parse_date(cfg["date_to"], "--to"),
             )
-            returns = slice_returns(returns, window)
+            returns = slice_returns(returns, span)
             stem = "msa_range"
-            label = f"range {window[0]} to {window[1]}"
-        bundle = analysis.msas_from_returns(returns, q, window=label)
-        files = {f"{stem}.csv": partial(analysis.render_msa_bundle_csv,
-                                        bundle, stem, report, orientations)}
-        for orientation in orientations:
-            arb, path = bundle.arborescence(orientation), bundle.path(orientation)
+            window = f"range {span[0]} to {span[1]}"
+        result = analysis.msas_from_returns(returns, q, window=window, label=stem,
+                                            orientations=orientations)
+        files = {f"{stem}.csv": partial(analysis.render_msa_bundle_csv, result, report)}
+        for orientation, arb in result.trees.items():
+            path = result.paths[orientation]
             files[f"{stem}_{orientation}.json"] = partial(arborescence_to_json, arb, path)
             files[f"{stem}_{orientation}.dot"] = partial(arborescence_to_dot, arb, path,
                                                          name=stem)
@@ -296,7 +303,8 @@ def _cmd_msa(cfg: dict) -> Files:
 
     if mode == "yearly":
         windows = analysis.yearly_reports(returns, q,
-                                          global_partition=cfg["global_partition"])
+                                          global_partition=cfg["global_partition"],
+                                          orientations=orientations)
         files = {}
         for orientation in orientations:
             files[f"yearly_{orientation}.csv"] = partial(
@@ -305,12 +313,11 @@ def _cmd_msa(cfg: dict) -> Files:
                 _render_heatmap_csv, windows, orientation)
             for w in windows:
                 files[f"msa_{w.label}_{orientation}.dot"] = partial(
-                    arborescence_to_dot, w.msas.arborescence(orientation),
-                    w.msas.path(orientation), name=f"msa_{w.label}")
+                    arborescence_to_dot, w.trees[orientation], w.paths[orientation],
+                    name=f"msa_{w.label}")
         files["root_occurrences.csv"] = partial(analysis.render_root_occurrences_csv,
-                                                windows, orientations)
-        files["yearly_reports.json"] = partial(analysis.render_yearly_json,
-                                               windows, orientations)
+                                                windows)
+        files["yearly_reports.json"] = partial(analysis.render_yearly_json, windows)
         return files
 
     study = analysis.turmoil_study(
@@ -324,8 +331,8 @@ def _cmd_msa(cfg: dict) -> Files:
         stem = f"turmoil_{result.label}"
         for orientation in orientations:
             files[f"{stem}_{orientation}.dot"] = partial(
-                arborescence_to_dot, result.msas.arborescence(orientation),
-                result.msas.path(orientation), name=stem)
+                arborescence_to_dot, result.trees[orientation], result.paths[orientation],
+                name=stem)
     return files
 
 
@@ -360,7 +367,7 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(cfg["out_dir"])
         # Renderers run here, in file order, and only for requested formats.
         written = [_write(out_dir, name, files[name]()) for name in selected]
-    except (CliError, DatasetError, ValueError) as exc:
+    except (CliError, DatasetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for path in written:

@@ -161,8 +161,8 @@ def test_criterion_06_direction_recovery():
                 seed=seed,
             )
             series = generate_dataset(spec)
-            bundle = msas_from_returns(returns_panel(series), q=15)
-            root = bundle.outgoing.sectors[bundle.outgoing.root]
+            tree = msas_from_returns(returns_panel(series), q=15).trees["outgoing"]
+            root = tree.sectors[tree.root]
             hits += root.code == series[0].sector.code
         assert hits >= 19, f"only {hits}/20 seeds recovered the hub"
 
@@ -305,11 +305,11 @@ def test_criterion_10_bring_your_own_data():
             assert _close(s.jb_statistic, jb, 1), (code, "jb", s.jb_statistic)
 
         windows = {w.label: w for w in yearly_reports(returns, q=15)}
-        path2001 = windows["2001"].msas.outgoing_path
+        path2001 = windows["2001"].paths["outgoing"]
         assert path2001.codes == _EXPECTED_2001_PATH
         dai_x100 = path2001.total_weight * 100.0
         assert abs(dai_x100 - _EXPECTED_2001_DAI_X100) <= 0.01 * _EXPECTED_2001_DAI_X100
 
-        bundle = msas_from_returns(returns, q=15)
-        assert bundle.outgoing.sectors[bundle.outgoing.root].code == "801230"
-        assert bundle.incoming.sectors[bundle.incoming.root].code == "801790"
+        trees = msas_from_returns(returns, q=15).trees
+        assert trees["outgoing"].root_sector.code == "801230"
+        assert trees["incoming"].root_sector.code == "801790"

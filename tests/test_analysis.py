@@ -21,6 +21,7 @@ from infoflow.analysis import (
     yearly_reports,
 )
 from infoflow.arborescence import degrees, maximal_information_flow_path
+from infoflow.network import InfoFlowNetwork
 from infoflow.synth import Coupling, Segment, SyntheticDataset, generate_dataset
 from infoflow.timeseries import PriceSeries, SectorMeta, returns_panel
 
@@ -44,19 +45,40 @@ class TestWholeSample:
             segments=(Segment(400, (Coupling(0, 1, 0.9),)),),
             seed=1,
         )
-        bundle = msas_from_returns(returns_panel(generate_dataset(spec)), q=5)
-        assert len(bundle.outgoing.edges) == 1
-        assert len(bundle.incoming.edges) == 1
-        assert bundle.outgoing_path.length == 2
+        w = msas_from_returns(returns_panel(generate_dataset(spec)), q=5)
+        assert len(w.trees["outgoing"].edges) == 1
+        assert len(w.trees["incoming"].edges) == 1
+        assert w.paths["outgoing"].length == 2
 
     def test_bundle_paths_belong_to_trees(self):
-        bundle = msas_from_returns(returns_panel(hub_panel()), q=10)
+        w = msas_from_returns(returns_panel(hub_panel()), q=10)
         for orientation in ("outgoing", "incoming"):
-            arb = bundle.arborescence(orientation)
-            path = bundle.path(orientation)
+            arb = w.trees[orientation]
+            path = w.paths[orientation]
             recomputed = maximal_information_flow_path(arb)
             assert recomputed.codes == path.codes
             assert recomputed.total_weight == path.total_weight
+
+    def test_only_requested_orientations_are_solved(self, monkeypatch):
+        # A -> C and B -> C: no root reaches every sector along the edges, but
+        # every sector reaches C, so only the incoming tree exists.
+        sectors = tuple(SectorMeta(code) for code in ("900001", "900002", "900003"))
+        net = InfoFlowNetwork(sectors, ((0, 2, 0.5), (1, 2, 0.25)))
+        monkeypatch.setattr("infoflow.analysis.build_network", lambda dai: net)
+        returns = returns_panel(hub_panel(n=3, years=1))
+        w = msas_from_returns(returns, q=5, orientations=("incoming",))
+        assert list(w.trees) == list(w.paths) == ["incoming"]
+        assert w.trees["incoming"].root_sector.code == "900003"
+        assert w.interval == (returns.dates[0], returns.dates[-1])
+        with pytest.raises(ValueError, match="no root reaches all nodes"):
+            msas_from_returns(returns, q=5)
+
+    def test_orientations_keep_their_order(self):
+        w = msas_from_returns(returns_panel(hub_panel(years=1)), q=10,
+                              orientations=("incoming", "outgoing"))
+        assert list(w.trees) == list(w.paths) == ["outgoing", "incoming"]
+        with pytest.raises(ValueError, match="orientations"):
+            msas_from_returns(returns_panel(hub_panel(years=1)), q=10, orientations=("in",))
 
 
 class TestYearlyReports:
@@ -69,8 +91,8 @@ class TestYearlyReports:
             year = [d for d in returns.dates if d.year == int(w.label)]
             assert w.interval == (year[0], year[-1])
             for orientation in ("outgoing", "incoming"):
-                assert w.msas.arborescence(orientation).orientation == orientation
-                assert w.msas.path(orientation).total_weight > 0
+                assert w.trees[orientation].orientation == orientation
+                assert w.paths[orientation].total_weight > 0
 
     def test_short_year_skipped_with_warning(self):
         # 365 + 10 returns: the second calendar year has only 10 trading days.
@@ -87,8 +109,8 @@ class TestYearlyReports:
     def test_paths_revalidate_against_trees(self):
         for w in yearly_reports(returns_panel(hub_panel(years=2)), q=10):
             for orientation in ("outgoing", "incoming"):
-                again = maximal_information_flow_path(w.msas.arborescence(orientation))
-                assert again == w.msas.path(orientation)
+                again = maximal_information_flow_path(w.trees[orientation])
+                assert again == w.paths[orientation]
 
     def test_global_partition_mode_runs(self):
         dataset = hub_panel(years=2)
@@ -107,7 +129,7 @@ class TestRootOccurrences:
     def test_single_report(self):
         windows = yearly_reports(returns_panel(hub_panel(years=1)), q=10)
         for orientation in ("outgoing", "incoming"):
-            root = windows[0].msas.arborescence(orientation).root_sector.code
+            root = windows[0].trees[orientation].root_sector.code
             assert root_occurrences(windows, orientation) == {root: 1}
 
     def test_persistent_hub_dominates(self):
@@ -129,7 +151,7 @@ class TestDegreeHeatmap:
         windows = yearly_reports(returns_panel(hub_panel(years=2)), q=10)
         hm = degree_heatmap(windows, "incoming")
         for row, w in enumerate(windows):
-            deg = degrees(w.msas.incoming)
+            deg = degrees(w.trees["incoming"])
             for col, code in enumerate(hm.codes):
                 assert hm.total_degree[row, col] == deg[code][2]
 
@@ -174,7 +196,7 @@ class TestTurmoil:
         series, crash_start, crash_end = turmoil_dataset(seed=1)
         study = turmoil_study(returns_panel(series), q=15,
                               crash_start=crash_start, crash_end=crash_end)
-        arb = study.result("during").msas.outgoing
+        arb = study.result("during").trees["outgoing"]
         assert arb.sectors[arb.root].code == series[0].sector.code
 
     def test_insufficient_coverage(self):

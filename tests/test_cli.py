@@ -168,17 +168,40 @@ class TestMsa:
                     "--to", dates[400].isoformat()]) == 0
         assert (out / "msa_range_outgoing.json").exists()
 
-    def test_short_range_failure_names_window_days_and_ties(self, panel_csv, tmp_path,
-                                                            capsys):
+    def test_short_range_failure_names_window_days_and_minimum(self, panel_csv, tmp_path,
+                                                               capsys):
         path, series = panel_csv
         dates = series[0].dates
-        with pytest.warns(UserWarning, match="6 tied pair"):
-            assert run(["msa", "--input", path, "--out-dir", tmp_path, "--mode", "range",
-                        "--from", dates[10].isoformat(),
-                        "--to", dates[12].isoformat()]) == 2
+        assert run(["msa", "--input", path, "--out-dir", tmp_path / "out", "--mode", "range",
+                    "--from", dates[10].isoformat(), "--to", dates[12].isoformat()]) == 2
         err = capsys.readouterr().err.strip()
-        assert err == ("error: range 2000-01-10 to 2000-01-12 (3 trading days, "
-                       "6 tied pairs): no root reaches all nodes")
+        assert err == ("error: range 2000-01-10 to 2000-01-12 (3 trading days): "
+                       "fewer than the minimum of 30")
+        assert not (tmp_path / "out").exists()
+
+    def test_short_whole_sample_is_refused_up_front(self, panel_csv, tmp_path, capsys):
+        path, _ = panel_csv
+        short = tmp_path / "short.csv"
+        short.write_text("\n".join(path.read_text().splitlines()[:21]) + "\n")  # 20 rows
+        assert run(["msa", "--input", short, "--out-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == (
+            "error: whole sample (19 trading days): fewer than the minimum of 30\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_all_pairs_tied_failure_names_window_days_and_ties(self, tmp_path, capsys):
+        from datetime import date
+
+        # Five identical sector columns: every net flow is exactly zero.
+        closes = [100.0 * 1.01 ** ((t * 7) % 11) for t in range(40)]
+        lines = ["date,910010,910020,910030,910040,910050"]
+        lines += [f"{date(2000, 1, 1) + timedelta(days=t)},{','.join([repr(c)] * 5)}"
+                  for t, c in enumerate(closes)]
+        path = tmp_path / "tied.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.warns(UserWarning, match="10 tied pair"):
+            assert run(["msa", "--input", path, "--out-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == ("error: whole sample (39 trading days, "
+                                           "10 tied pairs): no root reaches all nodes\n")
 
     @pytest.mark.parametrize("mode", ["whole", "yearly"])
     def test_one_sector_file_exits_2(self, panel_csv, tmp_path, capsys, mode):
@@ -210,12 +233,10 @@ class TestMsa:
     def test_one_day_crash_failure_names_window(self, panel_csv, tmp_path, capsys):
         path, series = panel_csv
         day = series[0].dates[300].isoformat()
-        with pytest.warns(UserWarning, match="10 tied pair"):
-            assert run(["msa", "--input", path, "--out-dir", tmp_path, "--mode", "turmoil",
-                        "--crash-start", day, "--crash-end", day]) == 2
+        assert run(["msa", "--input", path, "--out-dir", tmp_path, "--mode", "turmoil",
+                    "--crash-start", day, "--crash-end", day]) == 2
         err = capsys.readouterr().err.strip()
-        assert err == ("error: before window (2 trading days, 10 tied pairs): "
-                       "no root reaches all nodes")
+        assert err == "error: before window (2 trading days): fewer than the minimum of 30"
 
     def test_yearly_mode_without_a_full_year_names_the_minimum(self, tmp_path, capsys):
         from datetime import date
@@ -236,6 +257,26 @@ class TestMsa:
                     "--mode", "turmoil"]) == 2
         assert "turmoil mode requires" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, solves", [
+        (["--mode", "yearly", "--orientation", "in"], ["incoming"] * 2),
+        (["--mode", "whole", "--orientation", "out"], ["outgoing"]),
+    ])
+    def test_one_orientation_solves_only_its_trees(self, panel_csv, tmp_path, monkeypatch,
+                                                   argv, solves):
+        from infoflow import analysis
+
+        calls = []
+
+        def solve(net, orientation):
+            calls.append(orientation)
+            return solver(net, orientation)
+
+        solver = analysis.max_spanning_arborescence
+        monkeypatch.setattr(analysis, "max_spanning_arborescence", solve)
+        path, _ = panel_csv
+        assert run(["msa", "--input", path, "--out-dir", tmp_path / "out", *argv]) == 0
+        assert calls == solves
+
     def test_deterministic_bytes_across_runs_and_workers(self, panel_csv, tmp_path):
         path, _ = panel_csv
         outputs = []
@@ -247,6 +288,29 @@ class TestMsa:
                 p.name: p.read_bytes() for p in sorted(out.iterdir())
             })
         assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("argv", [
+    ["msa", "--input", "{dir}"],
+    ["stats", "--input", "{csv}", "--names", "{dir}"],
+    ["msa", "--input", "{csv}", "--config", "{dir}"],
+    ["msa", "--input", "{csv}", "--out-dir", "{file}"],
+], ids=["input_dir", "names_dir", "config_dir", "out_dir_is_a_file"])
+def test_file_system_errors_exit_2_on_one_line(panel_csv, tmp_path, capsys, argv):
+    path, _ = panel_csv
+    paths = {"{dir}": tmp_path / "a_dir", "{csv}": path, "{file}": tmp_path / "a_file"}
+    paths["{dir}"].mkdir()
+    paths["{file}"].write_text("")
+    out = tmp_path / "out"
+    argv = [str(paths.get(a, a)) for a in argv]
+    if "--out-dir" not in argv:
+        argv += ["--out-dir", str(out)]
+    before = sorted(tmp_path.rglob("*"))
+    assert run(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert paths["{file}"].read_text() == ""
 
 
 class TestSpecificity:

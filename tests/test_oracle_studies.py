@@ -18,7 +18,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from infoflow.analysis import MIN_YEAR_DAYS
+from infoflow.analysis import MIN_WINDOW_DAYS
 from infoflow.cli import main
 
 pytest.importorskip("networkx")
@@ -61,7 +61,7 @@ def test_msa_outputs_pass_the_bench_oracle(mode, n, years, last, q, seed):
                          "--format", "csv,json,dot", "--out-dir", str(out)])
         if code == 0:
             event("written")
-            assert oracle.check_study(out, mode, codes, dates, closes, q, MIN_YEAR_DAYS) == []
+            assert oracle.check_study(out, mode, codes, dates, closes, q, MIN_WINDOW_DAYS) == []
         else:
             event("refused")
             lines = errors.getvalue().splitlines()

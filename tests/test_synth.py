@@ -88,8 +88,8 @@ class TestGenerateDataset:
         hits = 0
         for seed in range(5):
             series = generate_dataset(self.star_spec(length=20_000, seed=seed))
-            bundle = msas_from_returns(returns_panel(series), q=15)
-            root = bundle.outgoing.sectors[bundle.outgoing.root]
+            tree = msas_from_returns(returns_panel(series), q=15).trees["outgoing"]
+            root = tree.sectors[tree.root]
             hits += root.code == series[0].sector.code
         assert hits >= 4
 
