@@ -7,13 +7,7 @@ information-flow path (with path weight in the x100 display unit), root
 occurrence counts, and the year-by-sector degree heat-map matrix.
 """
 
-from infoflow import (
-    degree_heatmap,
-    demo_dataset,
-    returns_panel,
-    root_occurrences,
-    yearly_reports,
-)
+from infoflow import demo_dataset, returns_panel, root_occurrences, yearly_reports
 from infoflow.analysis import render_degree_heatmap_csv, render_yearly_csv
 
 
@@ -30,7 +24,7 @@ def main():
               + ", ".join(f"{code[-3:]} x{n}" for code, n in ranked))
 
         print(f"\n{orientation} degree heat map (total degree):")
-        print(render_degree_heatmap_csv(degree_heatmap(windows, orientation)))
+        print(render_degree_heatmap_csv(windows, orientation))
 
 
 if __name__ == "__main__":

@@ -48,15 +48,15 @@ def main():
 
     print(f"crash interval : {study.crash_start} .. {study.crash_end} "
           f"({study.crash_days} trading days)")
-    for r in study.results:
+    for r in study.results.values():
         print(f"{r.label + ' window':<15}: {r.interval[0]} .. {r.interval[1]}")
     print()
 
     print(render_turmoil_csv(study, report_mode=True))
 
     print("outgoing root degree across windows (rise and fall):")
-    degs = [study.result(k).root_degree["outgoing"] for k in ("before", "during", "after")]
-    for label, deg in zip(("before", "during", "after"), degs):
+    for label, r in study.results.items():
+        deg = r.root_degree["outgoing"]
         print(f"  {label:<7} {'#' * deg} ({deg})")
 
 

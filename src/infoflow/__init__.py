@@ -8,7 +8,6 @@ and root-specificity studies on top.
 """
 
 from .analysis import (
-    DegreeHeatmap,
     SpecificityResult,
     TurmoilStudy,
     WindowResult,
@@ -33,7 +32,6 @@ from .entropy import DaiMatrix, TeMatrix, dai_matrix, te_matrix
 from .network import InfoFlowNetwork, build_network
 from .symbolize import Partition, SymbolPanel, encode, make_partition
 from .synth import (
-    CoupledBinaryProcess,
     Coupling,
     Segment,
     SyntheticDataset,

@@ -21,7 +21,9 @@ dicts hold only the orientations the caller asked for, in
 ``ORIENTATIONS`` order, so no tree is solved that no output reads.
 Renderers write every orientation a window holds; consumers that read one
 orientation (root occurrences, degree heat maps, yearly tables) take the
-windows and the orientation as arguments.
+windows and the orientation as arguments.  A degree heat map is a plain
+windows x sectors ``int64`` array, and a turmoil study keys its three
+windows by label, as a window keys its trees by orientation.
 """
 
 from __future__ import annotations
@@ -86,32 +88,12 @@ class TurmoilStudy:
     crash_end: date
     crash_days: int
     q: int
-    results: tuple[WindowResult, ...]  # before, during, after
+    results: dict[str, WindowResult]  # by label: before, during, after
 
     @property
     def window_days(self) -> int:
         """Trading days per window: T before the crash start plus T after."""
         return 2 * self.crash_days
-
-    def result(self, label: str) -> WindowResult:
-        for r in self.results:
-            if r.label == label:
-                return r
-        raise KeyError(label)
-
-
-@dataclass(frozen=True)
-class DegreeHeatmap:
-    """Per-year, per-sector total arborescence degrees for one orientation."""
-
-    orientation: str
-    years: tuple[int, ...]
-    sectors: tuple[SectorMeta, ...]
-    total_degree: np.ndarray
-
-    @property
-    def codes(self) -> tuple[str, ...]:
-        return tuple(s.code for s in self.sectors)
 
 
 @dataclass(frozen=True)
@@ -230,21 +212,16 @@ def root_occurrences(windows: list[WindowResult], orientation: str) -> dict[str,
     return counts
 
 
-def degree_heatmap(windows: list[WindowResult], orientation: str) -> DegreeHeatmap:
-    """Year-by-sector degree table over one orientation's yearly trees."""
+def degree_heatmap(windows: list[WindowResult], orientation: str) -> np.ndarray:
+    """Total tree degree of each sector (column) in each window (row), as int64.
+
+    Columns follow the sectors' panel order; rows follow ``windows``.
+    """
     if not windows:
         raise ValueError("no windows")
-    trees = [w.trees[orientation] for w in windows]
-    sectors = trees[0].sectors
-    degs = [degrees(a) for a in trees]
-    # total[row, col] = total degree of sector col in year row.
-    total = np.array([[d[s.code][2] for s in sectors] for d in degs], dtype=np.int64)
-    return DegreeHeatmap(
-        orientation=orientation,
-        years=tuple(w.interval[0].year for w in windows),
-        sectors=sectors,
-        total_degree=total,
-    )
+    sectors = windows[0].trees[orientation].sectors
+    degs = [degrees(w.trees[orientation]) for w in windows]
+    return np.array([[d[s.code][2] for s in sectors] for d in degs], dtype=np.int64)
 
 
 def turmoil_study(
@@ -273,11 +250,11 @@ def turmoil_study(
         label: (dates[i0 + k * t_len], dates[i0 + (k + 2) * t_len - 1])
         for label, k in (("before", -3), ("during", -1), ("after", 1))
     }
-    results = tuple(
-        msas_from_returns(slice_returns(returns, interval), q,
-                          window=f"{label} window", label=label)
+    results = {
+        label: msas_from_returns(slice_returns(returns, interval), q,
+                                 window=f"{label} window", label=label)
         for label, interval in intervals.items()
-    )
+    }
     return TurmoilStudy(crash_start, crash_end, t_len, q, results)
 
 
@@ -314,7 +291,8 @@ def specificity_study(
     root and the sink root are correlated with the index returns within
     that window.  A control group of ``samples`` uniformly drawn non-root
     sectors per year (excluding both roots, PCG64 seeded with ``seed``)
-    provides the comparison distribution.
+    provides the comparison distribution.  If the index or a sector is
+    constant within a year, the error names the year and that series.
     """
     if samples < 1:
         raise ValueError("samples must be at least 1")
@@ -328,7 +306,12 @@ def specificity_study(
         values = slice_returns(returns, w.interval).values
 
         def year_corr(code: str) -> float:
-            return pearson(values[row[code]], values[-1])
+            try:
+                return pearson(values[row[code]], values[-1])
+            except ValueError as exc:
+                series = (f"index {returns.sectors[-1].code}" if np.ptp(values[-1]) == 0
+                          else f"sector {code}")
+                raise ValueError(f"year {w.interval[0].year}, {series}: {exc}") from None
 
         src = w.trees["outgoing"].root_sector.code
         snk = w.trees["incoming"].root_sector.code
@@ -394,11 +377,12 @@ def render_root_occurrences_csv(windows: list[WindowResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_degree_heatmap_csv(hm: DegreeHeatmap) -> str:
+def render_degree_heatmap_csv(windows: list[WindowResult], orientation: str) -> str:
     """One row per year, one column per sector; values are total tree degrees."""
-    lines = ["year," + ",".join(s.short_code for s in hm.sectors)]
-    for row, year in enumerate(hm.years):
-        lines.append(f"{year}," + ",".join(str(int(v)) for v in hm.total_degree[row]))
+    total = degree_heatmap(windows, orientation)
+    lines = ["year," + ",".join(s.short_code for s in windows[0].trees[orientation].sectors)]
+    for w, row in zip(windows, total):
+        lines.append(f"{w.interval[0].year}," + ",".join(str(int(v)) for v in row))
     return "\n".join(lines) + "\n"
 
 
@@ -425,7 +409,7 @@ def render_turmoil_csv(study: TurmoilStudy, report_mode: bool = False) -> str:
         "window,start,end,orientation,root_sector,root_degree,"
         "path_sectors,path_weight_bits"
     ]
-    for r in study.results:
+    for r in study.results.values():
         for orientation, arb in r.trees.items():
             path = r.paths[orientation]
             lines.append(
@@ -447,7 +431,7 @@ def render_turmoil_json(study: TurmoilStudy) -> str:
         "q": study.q,
         "windows": {},
     }
-    for r in study.results:
+    for r in study.results.values():
         entry = {
             "start": r.interval[0].isoformat(),
             "end": r.interval[1].isoformat(),

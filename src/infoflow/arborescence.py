@@ -72,9 +72,6 @@ class Arborescence:
                 if steps > n:
                     raise ValueError("directed cycle in arborescence")
 
-    def __len__(self) -> int:
-        return len(self.sectors)
-
     @property
     def root_sector(self) -> SectorMeta:
         return self.sectors[self.root]
@@ -207,8 +204,6 @@ def max_spanning_arborescence(g: InfoFlowNetwork, orientation: str = "outgoing")
     n = len(g.sectors)
     if n == 0:
         raise ValueError("empty network")
-    if n == 1:
-        return Arborescence(orientation, 0, g.sectors, (), 0.0)
 
     codes = [s.code for s in g.sectors]
     m = len(g.edges)
@@ -295,33 +290,25 @@ def edge_list(a: Arborescence) -> list[dict]:
     ]
 
 
-def arborescence_to_json(a: Arborescence, path: InfoFlowPath | None = None) -> str:
+def arborescence_to_json(a: Arborescence, path: InfoFlowPath) -> str:
     payload = {
         "orientation": a.orientation,
         "root": a.root_sector.code,
         "total_weight_bits": a.total_weight,
         "edges": edge_list(a),
-    }
-    if path is not None:
-        payload["maximal_path"] = {
+        "maximal_path": {
             "sectors": list(path.codes),
             "total_weight_bits": path.total_weight,
             "length": path.length,
-        }
+        },
+    }
     return json.dumps(payload, indent=2) + "\n"
 
 
-def arborescence_to_dot(
-    a: Arborescence,
-    path: InfoFlowPath | None = None,
-    name: str = "msa",
-) -> str:
+def arborescence_to_dot(a: Arborescence, path: InfoFlowPath, name: str = "msa") -> str:
     """DOT rendering; the maximal path gets red edges and square yellow nodes."""
-    path_nodes: set[str] = set()
-    path_edges: set[tuple[str, str]] = set()
-    if path is not None:
-        path_nodes = set(path.codes)
-        path_edges = set(zip(path.codes, path.codes[1:]))
+    path_nodes = set(path.codes)
+    path_edges = set(zip(path.codes, path.codes[1:]))
 
     lines = [f"digraph {name} {{"]
     for s in sorted(a.sectors, key=lambda s: s.code):

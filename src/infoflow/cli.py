@@ -216,7 +216,12 @@ def _write(out_dir: Path, filename: str, text: str) -> Path:
 
 def _cmd_stats(cfg: dict) -> Files:
     returns = analysis.returns_panel(_load_input(cfg))
-    rows = [(sector, summary_stats(row)) for sector, row in zip(returns.sectors, returns.values)]
+    rows = []
+    for sector, row in zip(returns.sectors, returns.values):
+        try:
+            rows.append((sector, summary_stats(row)))
+        except ValueError as exc:
+            raise ValueError(f"sector {sector.code}: {exc}") from None
     return {
         "summary_stats.csv": partial(_render_stats_csv, rows, cfg["report"]),
         "summary_stats.json": partial(_render_stats_json, rows),
@@ -263,10 +268,6 @@ def _render_stats_json(rows) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _render_heatmap_csv(windows: list[analysis.WindowResult], orientation: str) -> str:
-    return analysis.render_degree_heatmap_csv(analysis.degree_heatmap(windows, orientation))
-
-
 def _cmd_msa(cfg: dict) -> Files:
     mode = cfg["mode"]
     orientations = _orientations(cfg)
@@ -288,9 +289,12 @@ def _cmd_msa(cfg: dict) -> Files:
                 _parse_date(cfg["date_from"], "--from"),
                 _parse_date(cfg["date_to"], "--to"),
             )
-            returns = slice_returns(returns, span)
             stem = "msa_range"
             window = f"range {span[0]} to {span[1]}"
+            try:
+                returns = slice_returns(returns, span)
+            except ValueError as exc:
+                raise ValueError(f"{window}: {exc}") from None
         result = analysis.msas_from_returns(returns, q, window=window, label=stem,
                                             orientations=orientations)
         files = {f"{stem}.csv": partial(analysis.render_msa_bundle_csv, result, report)}
@@ -310,7 +314,7 @@ def _cmd_msa(cfg: dict) -> Files:
             files[f"yearly_{orientation}.csv"] = partial(
                 analysis.render_yearly_csv, windows, orientation, report)
             files[f"degree_heatmap_{orientation}.csv"] = partial(
-                _render_heatmap_csv, windows, orientation)
+                analysis.render_degree_heatmap_csv, windows, orientation)
             for w in windows:
                 files[f"msa_{w.label}_{orientation}.dot"] = partial(
                     arborescence_to_dot, w.trees[orientation], w.paths[orientation],
@@ -327,7 +331,7 @@ def _cmd_msa(cfg: dict) -> Files:
     )
     files = {"turmoil.csv": partial(analysis.render_turmoil_csv, study, report),
              "turmoil.json": partial(analysis.render_turmoil_json, study)}
-    for result in study.results:
+    for result in study.results.values():
         stem = f"turmoil_{result.label}"
         for orientation in orientations:
             files[f"{stem}_{orientation}.dot"] = partial(

@@ -45,9 +45,6 @@ class InfoFlowNetwork:
                 raise ValueError("duplicate edge for one sector pair")
             seen_pairs.add(pair)
 
-    def __len__(self) -> int:
-        return len(self.sectors)
-
 
 def build_network(dai: DaiMatrix) -> InfoFlowNetwork:
     """Orient each pair along the sign of its net flow.

@@ -9,6 +9,11 @@ iid uniform binary stream and the target copies the source's previous
 symbol with probability ``coupling`` (otherwise it redraws uniformly).
 Its transfer entropy has the closed form 1 - H2((1 + coupling) / 2), which
 pins down estimator convergence without any reference data.
+
+Price panels come from a ``SyntheticDataset`` spec: a sector count, a seed,
+a start date and segments of planted lag-1 couplings.  Step sizes and the
+starting price are the module constants ``BASE_MOVE``, ``JITTER`` and
+``INITIAL_PRICE``, and sector codes are numbered ``910010``, ``910020``, ...
 """
 
 from __future__ import annotations
@@ -23,19 +28,11 @@ from .symbolize import Partition, SymbolPanel
 from .timeseries import PriceSeries, SectorMeta
 
 
-@dataclass(frozen=True)
-class CoupledBinaryProcess:
-    """Lag-1 copy process: target repeats source's last symbol w.p. ``coupling``."""
-
-    coupling: float
-    length: int
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.coupling <= 1.0:
-            raise ValueError("coupling must lie in [0, 1]")
-        if self.length < 2:
-            raise ValueError("length must be at least 2")
+# A synthetic return is +-BASE_MOVE plus uniform noise in [-JITTER, JITTER],
+# which keeps every value distinct.
+BASE_MOVE = 0.01
+JITTER = 0.001
+INITIAL_PRICE = 100.0
 
 
 @dataclass(frozen=True)
@@ -75,18 +72,14 @@ class SyntheticDataset:
 
     Each sector follows a latent binary state stream; couplings make a
     target's state copy its source's previous state.  States map to
-    returns of magnitude ``base_move`` plus a small uniform jitter (keeps
-    every value distinct), and prices are the cumulative exponential.
+    returns of magnitude ``BASE_MOVE`` plus a small uniform jitter, and
+    prices are the cumulative exponential.
     """
 
     n_sectors: int
     segments: tuple[Segment, ...]
     seed: int
     start: date = date(2000, 1, 3)
-    base_move: float = 0.01
-    jitter: float = 0.001
-    initial_price: float = 100.0
-    sectors: tuple[SectorMeta, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "segments", tuple(self.segments))
@@ -94,8 +87,6 @@ class SyntheticDataset:
             raise ValueError("n_sectors must lie in [2, 99]")
         if not self.segments:
             raise ValueError("need at least one segment")
-        if self.sectors is not None and len(self.sectors) != self.n_sectors:
-            raise ValueError("sectors metadata does not match n_sectors")
         for seg in self.segments:
             for c in seg.couplings:
                 if not (0 <= c.source < self.n_sectors and 0 <= c.target < self.n_sectors):
@@ -111,15 +102,18 @@ def generate_coupled_binary(coupling: float, length: int, seed: int) -> SymbolPa
 
     Its transfer entropy estimate is ``te_matrix(pair).te[0, 1]``.
     """
-    proc = CoupledBinaryProcess(coupling, length, seed)
-    rng = np.random.default_rng(proc.seed)
+    if not 0.0 <= coupling <= 1.0:
+        raise ValueError("coupling must lie in [0, 1]")
+    if length < 2:
+        raise ValueError("length must be at least 2")
+    rng = np.random.default_rng(seed)
     u_source = rng.random(length)
     u_copy = rng.random(length)
     u_target = rng.random(length)
 
     y = 1 + (u_source > 0.5).astype(np.int64)
     x = 1 + (u_target > 0.5).astype(np.int64)
-    copy_mask = u_copy < proc.coupling
+    copy_mask = u_copy < coupling
     copy_mask[0] = False  # no predecessor at the first step
     x[1:] = np.where(copy_mask[1:], y[:-1], x[1:])
 
@@ -193,18 +187,18 @@ def generate_dataset(spec: SyntheticDataset) -> list[PriceSeries]:
         t0 = t1
 
     direction = 2 * states - 3  # {1, 2} -> {-1, +1}
-    returns = spec.base_move * direction + spec.jitter * (2 * u_jitter - 1)
+    returns = BASE_MOVE * direction + JITTER * (2 * u_jitter - 1)
 
     log_prices = np.concatenate(
         [np.zeros((1, n)), np.cumsum(returns, axis=0)], axis=0
     )
-    closes = spec.initial_price * np.exp(log_prices)
+    closes = INITIAL_PRICE * np.exp(log_prices)
     dates = tuple(spec.start + timedelta(days=t) for t in range(total + 1))
-    sectors = spec.sectors or tuple(
-        SectorMeta(code=f"910{(i + 1) * 10:03d}", name=f"synthetic sector {i + 1:02d}")
+    return [
+        PriceSeries(SectorMeta(f"910{(i + 1) * 10:03d}", f"synthetic sector {i + 1:02d}"),
+                    dates, closes[:, i])
         for i in range(n)
-    )
-    return [PriceSeries(sectors[i], dates, closes[:, i]) for i in range(n)]
+    ]
 
 
 def demo_dataset(seed: int = 7) -> list[PriceSeries]:

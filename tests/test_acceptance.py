@@ -174,9 +174,9 @@ def test_criterion_07_turmoil_synchronization():
             series, crash_start, crash_end = turmoil_dataset(seed=seed)
             study = turmoil_study(returns_panel(series), q=15,
                                   crash_start=crash_start, crash_end=crash_end)
-            during = study.result("during").root_degree["outgoing"]
-            before = study.result("before").root_degree["outgoing"]
-            after = study.result("after").root_degree["outgoing"]
+            during = study.results["during"].root_degree["outgoing"]
+            before = study.results["before"].root_degree["outgoing"]
+            after = study.results["after"].root_degree["outgoing"]
             hits += during > before and during > after
         assert hits >= 19, f"only {hits}/20 seeds showed the synchronization peak"
 

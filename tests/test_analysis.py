@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -142,25 +143,25 @@ class TestRootOccurrences:
 class TestDegreeHeatmap:
     def test_rows_sum_to_tree_degree_total(self):
         windows = yearly_reports(returns_panel(hub_panel(n=6, years=3)), q=10)
-        hm = degree_heatmap(windows, "outgoing")
-        assert hm.orientation == "outgoing" and hm.years == (2001, 2002, 2003)
-        assert hm.total_degree.shape == (3, 6)
-        np.testing.assert_array_equal(hm.total_degree.sum(axis=1), [10, 10, 10])
+        total = degree_heatmap(windows, "outgoing")
+        assert [w.label for w in windows] == ["2001", "2002", "2003"]
+        assert total.shape == (3, 6) and total.dtype == np.int64
+        np.testing.assert_array_equal(total.sum(axis=1), [10, 10, 10])
 
     def test_matches_degrees_per_year(self):
         windows = yearly_reports(returns_panel(hub_panel(years=2)), q=10)
-        hm = degree_heatmap(windows, "incoming")
+        total = degree_heatmap(windows, "incoming")
         for row, w in enumerate(windows):
             deg = degrees(w.trees["incoming"])
-            for col, code in enumerate(hm.codes):
-                assert hm.total_degree[row, col] == deg[code][2]
+            for col, sector in enumerate(w.trees["incoming"].sectors):
+                assert total[row, col] == deg[sector.code][2]
 
     def test_csv_layout(self):
         windows = yearly_reports(returns_panel(hub_panel(years=2)), q=10)
-        text = render_degree_heatmap_csv(degree_heatmap(windows, "outgoing"))
+        text = render_degree_heatmap_csv(windows, "outgoing")
         lines = text.strip().split("\n")
         assert lines[0].startswith("year,")
-        assert len(lines) == 3
+        assert [line.split(",")[0] for line in lines[1:]] == ["2001", "2002"]
 
 
 class TestTurmoil:
@@ -172,11 +173,11 @@ class TestTurmoil:
         assert study.crash_days == 100
         assert study.window_days == 200
         # Windows tile the index space: contiguous ranges of 2T trading days.
-        before, during, after = (study.result(k).interval
-                                 for k in ("before", "during", "after"))
+        assert list(study.results) == ["before", "during", "after"]
+        before, during, after = (r.interval for r in study.results.values())
         assert before[1] < during[0] <= crash_start
         assert during[1] < after[0]
-        for r in study.results:
+        for r in study.results.values():
             lo, hi = r.interval
             n_days = sum(
                 1 for d in series[0].dates[1:] if lo <= d <= hi
@@ -187,16 +188,16 @@ class TestTurmoil:
         series, crash_start, crash_end = turmoil_dataset(seed=3)
         study = turmoil_study(returns_panel(series), q=15,
                               crash_start=crash_start, crash_end=crash_end)
-        during = study.result("during").root_degree["outgoing"]
-        before = study.result("before").root_degree["outgoing"]
-        after = study.result("after").root_degree["outgoing"]
+        during = study.results["during"].root_degree["outgoing"]
+        before = study.results["before"].root_degree["outgoing"]
+        after = study.results["after"].root_degree["outgoing"]
         assert during > before and during > after
 
     def test_during_root_is_planted_hub(self):
         series, crash_start, crash_end = turmoil_dataset(seed=1)
         study = turmoil_study(returns_panel(series), q=15,
                               crash_start=crash_start, crash_end=crash_end)
-        arb = study.result("during").trees["outgoing"]
+        arb = study.results["during"].trees["outgoing"]
         assert arb.sectors[arb.root].code == series[0].sector.code
 
     def test_insufficient_coverage(self):
@@ -208,8 +209,9 @@ class TestTurmoil:
 
     def test_csv_shape(self):
         series, crash_start, crash_end = turmoil_dataset(seed=0, t_len=60, n=4)
-        study = turmoil_study(returns_panel(series), q=8,
-                              crash_start=crash_start, crash_end=crash_end)
+        with pytest.warns(UserWarning, match="tied pair"):
+            study = turmoil_study(returns_panel(series), q=8,
+                                  crash_start=crash_start, crash_end=crash_end)
         lines = render_turmoil_csv(study).strip().split("\n")
         assert lines[0].split(",")[:4] == ["window", "start", "end", "orientation"]
         assert len(lines) == 1 + 6  # 3 windows x 2 orientations
@@ -283,6 +285,16 @@ class TestSpecificity:
         assert all(-1.0 <= c <= 1.0 for c in everything)
         assert -1.0 <= result.control_mean <= 1.0
         assert result.source_mean == 1.0
+
+    def test_constant_root_names_year_and_sector(self):
+        dataset, windows, index, _ = self.make_study()
+        returns = returns_panel([*dataset, index])
+        values = returns.values.copy()
+        values[0, [d.year == 2002 for d in returns.dates]] = 0.0  # the root trades flat
+        flat = replace(returns, values=values)
+        with pytest.raises(ValueError) as excinfo:
+            specificity_study(flat, windows, seed=0)
+        assert str(excinfo.value) == "year 2002, sector 910010: zero variance"
 
     def test_misaligned_index_rejected(self):
         dataset = hub_panel(n=4, years=1)

@@ -54,6 +54,26 @@ def one_sector_csv(path, tmp_path):
     return one
 
 
+def freeze_column(path, code, year=None):
+    """Hold sector ``code`` of the price CSV at ``path`` flat, in place.
+
+    From the last close before ``year`` on, so that its returns in ``year``
+    and after are all zero; with no ``year``, through the whole file.
+    """
+    lines = path.read_text().splitlines()
+    col = lines[0].split(",").index(code)
+    frozen = None
+    for k in range(1, len(lines)):
+        cells = lines[k].split(",")
+        if frozen is None and (year is None or (
+                k + 1 < len(lines) and lines[k + 1].startswith(str(year)))):
+            frozen = cells[col]
+        if frozen is not None:
+            cells[col] = frozen
+            lines[k] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
 class TestStats:
     def test_writes_csv_and_json(self, panel_csv, tmp_path):
         path, series = panel_csv
@@ -86,6 +106,15 @@ class TestStats:
                 == "\n".join(full_csv[:2]) + "\n")
         assert ((tmp_path / "one" / "summary_stats.json").read_text()
                 == json.dumps(full_json[:1], indent=2) + "\n")
+
+    def test_constant_sector_is_named(self, panel_csv, tmp_path, capsys):
+        path, _ = panel_csv
+        freeze_column(path, "910020")
+        out = tmp_path / "out"
+        assert run(["stats", "--input", path, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: sector 910020: degenerate series: zero variance\n")
+        assert not out.exists()
 
     def test_codes_sharing_a_display_label_exit_2(self, tmp_path, capsys):
         path = tmp_path / "prices.csv"
@@ -142,18 +171,8 @@ class TestMsa:
     def test_yearly_mode_names_suspended_sector_and_year(self, panel_csv, tmp_path, capsys):
         # Sector 910030 trades flat from the last close of 2000 on, so its
         # 2001 returns are constant and cannot be symbolized.
-        path, series = panel_csv
-        lines = path.read_text().splitlines()
-        col = lines[0].split(",").index("910030")
-        frozen = None
-        for k in range(1, len(lines)):
-            cells = lines[k].split(",")
-            if frozen is None and k + 1 < len(lines) and lines[k + 1].startswith("2001"):
-                frozen = cells[col]
-            if frozen is not None:
-                cells[col] = frozen
-                lines[k] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
+        path, _ = panel_csv
+        freeze_column(path, "910030", 2001)
         out = tmp_path / "out"
         assert run(["msa", "--input", path, "--out-dir", out, "--mode", "yearly"]) == 2
         err = capsys.readouterr().err.strip()
@@ -177,6 +196,17 @@ class TestMsa:
         err = capsys.readouterr().err.strip()
         assert err == ("error: range 2000-01-10 to 2000-01-12 (3 trading days): "
                        "fewer than the minimum of 30")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("start, end, reason", [
+        ("2030-05-01", "2031-01-01", "empty result"),    # no trading day inside
+        ("2031-01-01", "2030-05-01", "empty interval"),  # --from after --to
+    ])
+    def test_empty_range_is_named(self, panel_csv, tmp_path, capsys, start, end, reason):
+        path, _ = panel_csv
+        assert run(["msa", "--input", path, "--out-dir", tmp_path / "out", "--mode", "range",
+                    "--from", start, "--to", end]) == 2
+        assert capsys.readouterr().err == f"error: range {start} to {end}: {reason}\n"
         assert not (tmp_path / "out").exists()
 
     def test_short_whole_sample_is_refused_up_front(self, panel_csv, tmp_path, capsys):
@@ -343,6 +373,16 @@ class TestSpecificity:
         assert run(["specificity", "--input", path, "--index", index_csv,
                     "--out-dir", out]) == 2
         assert capsys.readouterr().err == "error: price series are not date-aligned\n"
+        assert not out.exists()
+
+    def test_constant_index_names_year_and_index(self, panel_csv, tmp_path, capsys):
+        path, series = panel_csv
+        index_csv = copy_as_index(series[0], tmp_path)
+        freeze_column(index_csv, "000001", 2001)
+        out = tmp_path / "out"
+        assert run(["specificity", "--input", path, "--index", index_csv,
+                    "--out-dir", out]) == 2
+        assert capsys.readouterr().err == "error: year 2001, index 000001: zero variance\n"
         assert not out.exists()
 
     def test_seed_repeatability(self, panel_csv, tmp_path):

@@ -39,8 +39,12 @@ class TestCoupledBinary:
         assert not np.array_equal(a[1], b[1])
 
     def test_invalid_coupling(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"coupling must lie in \[0, 1\]"):
             generate_coupled_binary(1.5, 100, seed=0)
+
+    def test_invalid_length(self):
+        with pytest.raises(ValueError, match="length must be at least 2"):
+            generate_coupled_binary(0.5, 1, seed=0)
 
 
 class TestAnalyticTe:
