@@ -38,7 +38,7 @@ def main():
     print(f"source-root mean correlation : {result.source_mean:.4f}")
     print(f"sink-root mean correlation   : {result.sink_mean:.4f}")
     print(f"control mean correlation     : {result.control_mean:.4f} "
-          f"({len(result.years) * result.samples_per_year} draws, seed {result.seed})")
+          f"({len(result.windows) * result.samples_per_year} draws, seed {result.seed})")
 
 
 if __name__ == "__main__":

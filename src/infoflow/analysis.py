@@ -9,9 +9,9 @@ step -> transfer entropy -> net flows -> network -> the requested
 arborescences -> their maximal paths.  Partitions are recomputed per
 window by default so each window's symbol alphabet covers its own observed
 range; pass ``global_partition=True`` to reuse the whole-sample bin edges
-instead.  A window shorter than ``MIN_WINDOW_DAYS`` trading days is
-refused before any estimate; a yearly study skips such years with a
-warning instead.
+(``checked_partition``) instead.  A window shorter than
+``MIN_WINDOW_DAYS`` trading days is refused before any estimate; a yearly
+study skips such years with a warning instead.
 
 The engine returns one record per window, ``WindowResult(label, interval,
 trees, paths)``: its label (a year such as ``"2001"``, or ``"before"``,
@@ -23,7 +23,11 @@ Renderers write every orientation a window holds; consumers that read one
 orientation (root occurrences, degree heat maps, yearly tables) take the
 windows and the orientation as arguments.  A degree heat map is a plain
 windows x sectors ``int64`` array, and a turmoil study keys its three
-windows by label, as a window keys its trees by orientation.
+windows by label, as a window keys its trees by orientation.  A
+specificity result holds the yearly windows it ran on and reads each
+year and its source and sink roots from them, and a tree's total weight
+is a property of its edges (``Arborescence.total_weight``), so no record
+stores a copy of another's values.
 """
 
 from __future__ import annotations
@@ -98,14 +102,16 @@ class TurmoilStudy:
 
 @dataclass(frozen=True)
 class SpecificityResult:
-    """Root-vs-index correlations against a random non-root control group."""
+    """Root-vs-index correlations against a random non-root control group.
+
+    ``windows`` are the yearly windows the study ran on; each one's year and
+    outgoing (source) and incoming (sink) roots are read from it.
+    """
 
     seed: int
     samples_per_year: int
-    years: tuple[int, ...]
-    source_roots: tuple[str, ...]
+    windows: tuple[WindowResult, ...]
     source_correlations: tuple[float, ...]
-    sink_roots: tuple[str, ...]
     sink_correlations: tuple[float, ...]
     control_sectors: tuple[tuple[str, ...], ...]
     control_correlations: tuple[tuple[float, ...], ...]
@@ -124,7 +130,7 @@ class SpecificityResult:
         return math.fsum(flat) / len(flat)
 
 
-def _partition(returns: Panel, q: int, window: str) -> Partition:
+def checked_partition(returns: Panel, q: int, window: str = "whole sample") -> Partition:
     """Per-row partition of ``returns``; a failure names the sector and the window."""
     try:
         return make_partition(returns, q)
@@ -152,7 +158,7 @@ def msas_from_returns(
     shorter than ``MIN_WINDOW_DAYS`` trading days, a sector whose returns
     are constant there, or a network with so many tied pairs that no root
     reaches every sector (the message gives the window's trading days and
-    tied pairs).
+    tied pairs, and the first sector by code that no edge is left to).
     """
     if not orientations or not set(orientations) <= set(ORIENTATIONS):
         raise ValueError(f"orientations must be a non-empty subset of {ORIENTATIONS}")
@@ -161,13 +167,16 @@ def msas_from_returns(
         raise ValueError(f"{window} ({len(days)} trading days): fewer than the "
                          f"minimum of {MIN_WINDOW_DAYS}")
     if partitions is None:
-        partitions = _partition(returns, q, window)
+        partitions = checked_partition(returns, q, window)
     net = build_network(dai_matrix(te_matrix(encode(returns, partitions))))
     try:
         trees = {o: max_spanning_arborescence(net, o)
                  for o in ORIENTATIONS if o in orientations}
     except ValueError as exc:
-        raise ValueError(f"{window} ({len(days)} trading days, "
+        linked = {k for i, j, _ in net.edges for k in (i, j)}
+        isolated = sorted(s.code for k, s in enumerate(net.sectors) if k not in linked)
+        sector = f"sector {isolated[0]}, " if isolated else ""
+        raise ValueError(f"{sector}{window} ({len(days)} trading days, "
                          f"{len(net.ties)} tied pairs): {exc}") from None
     paths = {o: maximal_information_flow_path(a) for o, a in trees.items()}
     return WindowResult(label, (days[0], days[-1]), trees, paths)
@@ -187,7 +196,7 @@ def yearly_reports(
     ``global_partition`` reuses whole-sample bin edges for every year
     instead of the default per-year recomputation.
     """
-    partitions = _partition(returns, q, "whole sample") if global_partition else None
+    partitions = checked_partition(returns, q) if global_partition else None
     windows = []
     for year in sorted({d.year for d in returns.dates}):
         year_returns = slice_returns(returns, (date(year, 1, 1), date(year, 12, 31)))
@@ -229,12 +238,14 @@ def turmoil_study(
     q: int,
     crash_start: date,
     crash_end: date,
+    global_partition: bool = False,
 ) -> TurmoilStudy:
     """Pipeline over the before/during/after windows of ``returns`` around one crash.
 
     T is the number of trading days inside [crash_start, crash_end]; the
     during window covers the 2T trading days centered on the crash start,
     with equally long adjacent control windows on both sides.
+    ``global_partition`` reuses whole-sample bin edges for every window.
     """
     if crash_start > crash_end:
         raise ValueError("crash_start must not be after crash_end")
@@ -250,8 +261,9 @@ def turmoil_study(
         label: (dates[i0 + k * t_len], dates[i0 + (k + 2) * t_len - 1])
         for label, k in (("before", -3), ("during", -1), ("after", 1))
     }
+    partitions = checked_partition(returns, q) if global_partition else None
     results = {
-        label: msas_from_returns(slice_returns(returns, interval), q,
+        label: msas_from_returns(slice_returns(returns, interval), q, partitions,
                                  window=f"{label} window", label=label)
         for label, interval in intervals.items()
     }
@@ -299,8 +311,7 @@ def specificity_study(
     row = {s.code: k for k, s in enumerate(returns.sectors[:-1])}
 
     rng = np.random.default_rng(seed)
-    source_roots, source_corr = [], []
-    sink_roots, sink_corr = [], []
+    source_corr, sink_corr = [], []
     control_sectors, control_corr = [], []
     for w in windows:
         values = slice_returns(returns, w.interval).values
@@ -315,9 +326,7 @@ def specificity_study(
 
         src = w.trees["outgoing"].root_sector.code
         snk = w.trees["incoming"].root_sector.code
-        source_roots.append(src)
         source_corr.append(year_corr(src))
-        sink_roots.append(snk)
         sink_corr.append(year_corr(snk))
 
         candidates = sorted(code for code in row if code not in {src, snk})
@@ -331,10 +340,8 @@ def specificity_study(
     return SpecificityResult(
         seed=seed,
         samples_per_year=samples,
-        years=tuple(w.interval[0].year for w in windows),
-        source_roots=tuple(source_roots),
+        windows=tuple(windows),
         source_correlations=tuple(source_corr),
-        sink_roots=tuple(sink_roots),
         sink_correlations=tuple(sink_corr),
         control_sectors=tuple(control_sectors),
         control_correlations=tuple(control_corr),
@@ -348,8 +355,10 @@ def _fmt(value: float, report_mode: bool, digits: int = 2) -> str:
     return f"{value:.{digits}f}" if report_mode else repr(float(value))
 
 
-def _path_str(path: InfoFlowPath) -> str:
-    return "->".join(path.codes)
+def _msa_cells(arb: Arborescence, path: InfoFlowPath, report_mode: bool) -> str:
+    """Root, maximal path, its sector count and its weight x 100, as CSV cells."""
+    return (f"{arb.root_sector.short_code},{'->'.join(path.codes)},{path.length},"
+            f"{_fmt(path.total_weight * 100.0, report_mode)}")
 
 
 def render_yearly_csv(
@@ -360,11 +369,8 @@ def render_yearly_csv(
     """Year / root / maximal path / sector count / path weight (x100) table."""
     lines = ["year,root_sector,maximal_information_path,n_sectors,dai_x100"]
     for w in windows:
-        path = w.paths[orientation]
         lines.append(
-            f"{w.label},{w.trees[orientation].root_sector.short_code},"
-            f"{_path_str(path)},{path.length},{_fmt(path.total_weight * 100.0, report_mode)}"
-        )
+            f"{w.label},{_msa_cells(w.trees[orientation], w.paths[orientation], report_mode)}")
     return "\n".join(lines) + "\n"
 
 
@@ -450,39 +456,36 @@ def render_turmoil_json(study: TurmoilStudy) -> str:
 
 
 def render_specificity_csv(result: SpecificityResult) -> str:
-    def short(code: str) -> str:
-        return SectorMeta(code).short_code
-
     lines = [
         f"# seed={result.seed} samples_per_year={result.samples_per_year}",
         "year,kind,sector,correlation",
     ]
-    for k, year in enumerate(result.years):
-        lines.append(
-            f"{year},source,{short(result.source_roots[k])},"
-            f"{repr(result.source_correlations[k])}"
-        )
-        lines.append(
-            f"{year},sink,{short(result.sink_roots[k])},"
-            f"{repr(result.sink_correlations[k])}"
-        )
+    for k, w in enumerate(result.windows):
+        year = w.interval[0].year
+        lines.append(f"{year},source,{w.trees['outgoing'].root_sector.short_code},"
+                     f"{repr(result.source_correlations[k])}")
+        lines.append(f"{year},sink,{w.trees['incoming'].root_sector.short_code},"
+                     f"{repr(result.sink_correlations[k])}")
         for code, rho in zip(result.control_sectors[k], result.control_correlations[k]):
-            lines.append(f"{year},control,{short(code)},{repr(rho)}")
+            lines.append(f"{year},control,{SectorMeta(code).short_code},{repr(rho)}")
     return "\n".join(lines) + "\n"
 
 
 def render_specificity_json(result: SpecificityResult) -> str:
+    def roots(orientation: str) -> list[str]:
+        return [w.trees[orientation].root_sector.code for w in result.windows]
+
     payload = {
         "seed": result.seed,
         "samples_per_year": result.samples_per_year,
-        "years": list(result.years),
+        "years": [w.interval[0].year for w in result.windows],
         "source": {
-            "roots": list(result.source_roots),
+            "roots": roots("outgoing"),
             "correlations": list(result.source_correlations),
             "mean": result.source_mean,
         },
         "sink": {
-            "roots": list(result.sink_roots),
+            "roots": roots("incoming"),
             "correlations": list(result.sink_correlations),
             "mean": result.sink_mean,
         },
@@ -498,10 +501,6 @@ def render_specificity_json(result: SpecificityResult) -> str:
 def render_msa_bundle_csv(window: WindowResult, report_mode: bool = False) -> str:
     lines = ["window,orientation,root_sector,maximal_information_path,n_sectors,dai_x100"]
     for orientation, arb in window.trees.items():
-        path = window.paths[orientation]
-        lines.append(
-            f"{window.label},{orientation},{arb.root_sector.short_code},"
-            f"{_path_str(path)},{path.length},"
-            f"{_fmt(path.total_weight * 100.0, report_mode)}"
-        )
+        lines.append(f"{window.label},{orientation},"
+                     f"{_msa_cells(arb, window.paths[orientation], report_mode)}")
     return "\n".join(lines) + "\n"

@@ -38,7 +38,6 @@ class Arborescence:
     root: int
     sectors: tuple[SectorMeta, ...]
     edges: tuple[tuple[int, int, float], ...]
-    total_weight: float
 
     def __post_init__(self):
         object.__setattr__(self, "sectors", tuple(self.sectors))
@@ -62,7 +61,7 @@ class Arborescence:
             if child in parent:
                 raise ValueError("node with two tree predecessors")
             parent[child] = par
-        if len(parent) != n - 1:
+        if parent.keys() != set(range(n)) - {self.root}:
             raise ValueError("some node is disconnected")
         for start in parent:
             node, steps = start, 0
@@ -75,6 +74,11 @@ class Arborescence:
     @property
     def root_sector(self) -> SectorMeta:
         return self.sectors[self.root]
+
+    @property
+    def total_weight(self) -> float:
+        """Sum of the edge weights, exactly rounded (``math.fsum``)."""
+        return math.fsum(w for _, _, w in self.edges)
 
 
 @dataclass(frozen=True)
@@ -231,8 +235,7 @@ def max_spanning_arborescence(g: InfoFlowNetwork, orientation: str = "outgoing")
     if len(roots) != 1:
         raise ValueError("no root reaches all nodes")
     edges = tuple(g.edges[eid] for eid in chosen if eid < m)
-    return Arborescence(orientation, roots[0], g.sectors, edges,
-                        math.fsum(w for _, _, w in edges))
+    return Arborescence(orientation, roots[0], g.sectors, edges)
 
 
 def maximal_information_flow_path(a: Arborescence) -> InfoFlowPath:

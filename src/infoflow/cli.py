@@ -32,7 +32,7 @@ import os
 import sys
 import tempfile
 from collections.abc import Callable
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import date
 from functools import partial
 from pathlib import Path
@@ -64,9 +64,6 @@ _FORMATS = ("csv", "json", "dot")
 
 # Output file name -> zero-argument renderer of its text, in output order.
 Files = dict[str, Callable[[], str]]
-
-# Config keys whose feature is gone, with what to tell a user who sets one.
-_REMOVED_KEYS = {"denominators": "was removed with the literal TE mode"}
 
 
 class CliError(Exception):
@@ -155,8 +152,6 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise CliError("config file must hold a JSON object")
         options = _config_options()
         for key, value in file_values.items():
-            if key in _REMOVED_KEYS:
-                raise CliError(f"config key {key!r} {_REMOVED_KEYS[key]}")
             if key not in options:
                 raise CliError(f"unknown config key {key!r}")
             merged[key] = _config_value(key, value, options[key])
@@ -249,22 +244,8 @@ def _render_stats_csv(rows, report_mode: bool) -> str:
 
 
 def _render_stats_json(rows) -> str:
-    payload = [
-        {
-            "code": sector.code,
-            "symbol": sector.short_code,
-            "name": sector.name,
-            "mean": s.mean,
-            "max": s.max,
-            "min": s.min,
-            "std": s.std,
-            "skewness": s.skewness,
-            "kurtosis": s.kurtosis,
-            "jb_statistic": s.jb_statistic,
-            "jb_reject_at_1pct": s.jb_reject_at_1pct,
-        }
-        for sector, s in rows
-    ]
+    payload = [{"code": sector.code, "symbol": sector.short_code, "name": sector.name,
+                **asdict(s)} for sector, s in rows]
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -282,6 +263,10 @@ def _cmd_msa(cfg: dict) -> Files:
     returns = analysis.returns_panel(_load_input(cfg))
 
     if mode in ("whole", "range"):
+        # The whole sample's bins, cut before any range: for ``whole`` they
+        # are the window's own.
+        partitions = (analysis.checked_partition(returns, q)
+                      if cfg["global_partition"] else None)
         stem = "msa_whole"
         window = "whole sample"
         if mode == "range":
@@ -295,8 +280,8 @@ def _cmd_msa(cfg: dict) -> Files:
                 returns = slice_returns(returns, span)
             except ValueError as exc:
                 raise ValueError(f"{window}: {exc}") from None
-        result = analysis.msas_from_returns(returns, q, window=window, label=stem,
-                                            orientations=orientations)
+        result = analysis.msas_from_returns(returns, q, partitions, window=window,
+                                            label=stem, orientations=orientations)
         files = {f"{stem}.csv": partial(analysis.render_msa_bundle_csv, result, report)}
         for orientation, arb in result.trees.items():
             path = result.paths[orientation]
@@ -328,6 +313,7 @@ def _cmd_msa(cfg: dict) -> Files:
         returns, q,
         _parse_date(cfg["crash_start"], "--crash-start"),
         _parse_date(cfg["crash_end"], "--crash-end"),
+        global_partition=cfg["global_partition"],
     )
     files = {"turmoil.csv": partial(analysis.render_turmoil_csv, study, report),
              "turmoil.json": partial(analysis.render_turmoil_json, study)}

@@ -138,7 +138,7 @@ def enumerate_arborescences(g, orientation="outgoing"):
     if n == 0:
         raise ValueError("empty network")
     if n == 1:
-        return Arborescence(orientation, 0, g.sectors, (), 0.0)
+        return Arborescence(orientation, 0, g.sectors, ())
 
     codes = [s.code for s in g.sectors]
     # Totals are compared exactly, as integer multiples of 1/denominator.
@@ -171,8 +171,7 @@ def enumerate_arborescences(g, orientation="outgoing"):
     if best is None:
         raise ValueError("no root reaches all nodes")
     root, edges = best
-    return Arborescence(orientation, root, g.sectors, tuple(edges),
-                        fsum(w for _, _, w in edges))
+    return Arborescence(orientation, root, g.sectors, tuple(edges))
 
 
 def path_candidates(a):

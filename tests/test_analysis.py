@@ -74,6 +74,22 @@ class TestWholeSample:
         with pytest.raises(ValueError, match="no root reaches all nodes"):
             msas_from_returns(returns, q=5)
 
+    @pytest.mark.parametrize("codes, edges, sector", [
+        # Sectors 900005 and 900004 have no edge; the first by code is named.
+        (("900005", "900001", "900004", "900002"), ((1, 3, 0.5),), "sector 900004, "),
+        # Two components: every sector has an edge, so none is named.
+        (("900001", "900002", "900003", "900004"), ((0, 1, 0.5), (2, 3, 0.25)), ""),
+    ])
+    def test_no_root_refusal_names_a_sector_left_without_edges(self, monkeypatch, codes,
+                                                               edges, sector):
+        net = InfoFlowNetwork(tuple(SectorMeta(code) for code in codes), edges)
+        monkeypatch.setattr("infoflow.analysis.build_network", lambda dai: net)
+        returns = returns_panel(hub_panel(n=4, years=1))
+        with pytest.raises(ValueError) as excinfo:
+            msas_from_returns(returns, q=5, orientations=("incoming",))
+        assert str(excinfo.value) == (f"{sector}whole sample ({len(returns.dates)} trading "
+                                      "days, 0 tied pairs): no root reaches all nodes")
+
     def test_orientations_keep_their_order(self):
         w = msas_from_returns(returns_panel(hub_panel(years=1)), q=10,
                               orientations=("incoming", "outgoing"))
@@ -251,10 +267,12 @@ class TestSpecificity:
         )
 
     def test_index_copy_of_root_sector_gives_unit_correlation(self):
-        dataset, _, _, result = self.make_study()
+        dataset, windows, _, result = self.make_study()
+        assert result.windows == tuple(windows)
         # The planted hub is the outgoing root every year; the index is its copy.
-        assert result.years == (2001, 2002, 2003)
-        assert result.source_roots == (dataset[0].sector.code,) * 3
+        assert [w.interval[0].year for w in result.windows] == [2001, 2002, 2003]
+        assert [w.trees["outgoing"].root_sector.code for w in result.windows] == [
+            dataset[0].sector.code] * 3
         assert result.source_correlations == (1.0, 1.0, 1.0)
 
     def test_fixed_seed_bit_identical(self):
@@ -270,8 +288,8 @@ class TestSpecificity:
 
     def test_controls_exclude_roots(self):
         _, _, _, result = self.make_study(samples=3)
-        for k, year in enumerate(result.years):
-            forbidden = {result.source_roots[k], result.sink_roots[k]}
+        for k, w in enumerate(result.windows):
+            forbidden = {a.root_sector.code for a in w.trees.values()}
             assert forbidden.isdisjoint(result.control_sectors[k])
             assert len(set(result.control_sectors[k])) == 3
 

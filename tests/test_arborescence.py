@@ -60,6 +60,11 @@ class TestSolver:
         with pytest.raises(ValueError, match="no root"):
             max_spanning_arborescence(g, "outgoing")
 
+    def test_unreachable_node_raises(self):
+        # Node 2 has no in-edge, so no arborescence from node 0 spans it.
+        with pytest.raises(ValueError, match="node unreachable from the root"):
+            arborescence._min_arborescence(3, [(0, 1, 1, 0), (1, 0, 1, 1)], 0)
+
     def test_light_spanning_tree_beats_heavier_forest(self):
         # Only 001 reaches every node, through two light edges; dropping
         # them leaves a heavier two-root forest, which must not win.
@@ -262,8 +267,7 @@ class TestPaths:
                 w = float(rng.choice([0.1, 0.2, 0.3]))
                 edges.append((parent, child, w) if orientation == "outgoing"
                              else (child, parent, w))
-            a = Arborescence(orientation, int(order[0]), sectors, tuple(edges),
-                             math.fsum(w for _, _, w in edges))
+            a = Arborescence(orientation, int(order[0]), sectors, tuple(edges))
             p = maximal_information_flow_path(a)
             assert (p.nodes, p.total_weight) == maximal_path_by_leaves(a)
             totals = [total for total, _, _ in path_candidates(a)]
@@ -323,8 +327,20 @@ class TestExports:
     def test_invalid_arborescence_rejected(self):
         sectors = tuple(SectorMeta(c) for c in ["900001", "900002", "900003"])
         with pytest.raises(ValueError, match="N-1"):
-            Arborescence("outgoing", 0, sectors, ((0, 1, 1.0),), 1.0)
+            Arborescence("outgoing", 0, sectors, ((0, 1, 1.0),))
         with pytest.raises(ValueError, match="two tree predecessors"):
-            Arborescence(
-                "outgoing", 0, sectors, ((0, 1, 1.0), (2, 1, 1.0)), 2.0
-            )
+            Arborescence("outgoing", 0, sectors, ((0, 1, 1.0), (2, 1, 1.0)))
+
+    @pytest.mark.parametrize("orientation, root, edges, message", [
+        ("sideways", 0, ((0, 1, 1.0), (1, 2, 1.0)), "orientation must be one of"),
+        ("outgoing", 3, ((0, 1, 1.0), (1, 2, 1.0)), "root index out of range"),
+        ("outgoing", 0, ((1, 0, 1.0), (1, 2, 1.0)), "root must not have a tree predecessor"),
+        ("incoming", 0, ((0, 1, 1.0), (0, 2, 1.0)), "root must not have a tree predecessor"),
+        # Index -1 wraps to the last sector when sorting, but no edge enters node 2.
+        ("outgoing", 0, ((0, 1, 1.0), (0, -1, 1.0)), "some node is disconnected"),
+        ("outgoing", 0, ((1, 2, 1.0), (2, 1, 1.0)), "directed cycle in arborescence"),
+    ])
+    def test_invalid_arborescence_names_the_fault(self, orientation, root, edges, message):
+        sectors = tuple(SectorMeta(c) for c in ["900001", "900002", "900003"])
+        with pytest.raises(ValueError, match=message):
+            Arborescence(orientation, root, sectors, edges)

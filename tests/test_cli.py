@@ -230,8 +230,9 @@ class TestMsa:
         path.write_text("\n".join(lines) + "\n")
         with pytest.warns(UserWarning, match="10 tied pair"):
             assert run(["msa", "--input", path, "--out-dir", tmp_path / "out"]) == 2
-        assert capsys.readouterr().err == ("error: whole sample (39 trading days, "
-                                           "10 tied pairs): no root reaches all nodes\n")
+        # No sector has an edge left; the first by code is named.
+        assert capsys.readouterr().err == ("error: sector 910010, whole sample (39 trading "
+                                           "days, 10 tied pairs): no root reaches all nodes\n")
 
     @pytest.mark.parametrize("mode", ["whole", "yearly"])
     def test_one_sector_file_exits_2(self, panel_csv, tmp_path, capsys, mode):
@@ -426,8 +427,7 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("values, message", [
         ({"orientaton": "out"}, "unknown config key 'orientaton'"),
-        ({"denominators": "literal"},
-         "config key 'denominators' was removed with the literal TE mode"),
+        ({"denominators": "literal"}, "unknown config key 'denominators'"),
         ({"config": "other.json"}, "unknown config key 'config'"),
         ({"orientation": "outgoing"},
          'config key \'orientation\' must be one of out, in, both, not "outgoing"'),
@@ -541,3 +541,89 @@ class TestOutputFormats:
         assert run([command, "--format", "csv,yaml", "--out-dir", tmp_path / "out"]) == 2
         assert capsys.readouterr().err == "error: unknown format(s): yaml\n"
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("study", ["range", "turmoil"])
+def test_global_partition_bins_every_window_by_the_whole_panel(panel_csv, tmp_path, study):
+    from datetime import date
+
+    from infoflow import analysis
+    from infoflow.arborescence import arborescence_to_dot, arborescence_to_json
+    from infoflow.symbolize import make_partition
+    from infoflow.timeseries import load_dataset, slice_returns
+
+    path, _ = panel_csv
+    written = {}
+    for flags in ((), ("--global-partition",)):
+        out = tmp_path / "-".join(("out", *flags))
+        assert run([*STUDIES[study], "--input", path, "--out-dir", out, *flags]) == 0
+        written[flags] = {p.name: p.read_text() for p in out.iterdir()}
+
+    # The same windows run by the library against the whole panel's bins.
+    returns = analysis.returns_panel(load_dataset(path))
+    whole = make_partition(returns, 15)
+
+    def window(interval, label):
+        return analysis.msas_from_returns(slice_returns(returns, interval), 15, whole,
+                                          label=label)
+
+    if study == "range":
+        w = window((date(2000, 3, 1), date(2000, 12, 29)), "msa_range")
+        expected = {"msa_range.csv": analysis.render_msa_bundle_csv(w)}
+        for o in w.trees:
+            expected[f"msa_range_{o}.json"] = arborescence_to_json(w.trees[o], w.paths[o])
+            expected[f"msa_range_{o}.dot"] = arborescence_to_dot(w.trees[o], w.paths[o],
+                                                                 name="msa_range")
+    else:
+        crash = (date(2000, 9, 1), date(2000, 10, 31))
+        own_bins = analysis.turmoil_study(returns, 15, *crash)
+        results = {label: window(r.interval, label) for label, r in own_bins.results.items()}
+        turmoil = analysis.TurmoilStudy(*crash, own_bins.crash_days, 15, results)
+        expected = {"turmoil.csv": analysis.render_turmoil_csv(turmoil),
+                    "turmoil.json": analysis.render_turmoil_json(turmoil)}
+        for label, w in results.items():
+            for o in w.trees:
+                expected[f"turmoil_{label}_{o}.dot"] = arborescence_to_dot(
+                    w.trees[o], w.paths[o], name=f"turmoil_{label}")
+    assert written[("--global-partition",)] == expected
+    assert written[()] != expected  # the flag changes what these windows write
+
+
+def test_failed_write_leaves_no_file(panel_csv, tmp_path, capsys, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("disk refused the rename")
+
+    monkeypatch.setattr("infoflow.cli.os.replace", refuse)
+    path, _ = panel_csv
+    out = tmp_path / "out"
+    assert run(["stats", "--input", path, "--out-dir", out]) == 2
+    assert capsys.readouterr().err == "error: disk refused the rename\n"
+    assert list(out.iterdir()) == []  # neither the temp file nor the target
+
+
+@pytest.mark.parametrize("config, message", [
+    (None, "config file not found"),
+    ("[1, 2]", "config file must hold a JSON object"),
+])
+def test_config_file_missing_or_not_an_object_exits_2(panel_csv, tmp_path, capsys,
+                                                      config, message):
+    path, _ = panel_csv
+    config_path = tmp_path / "run.json"
+    if config is not None:
+        config_path.write_text(config, encoding="utf-8")
+    assert run(["msa", "--input", path, "--out-dir", tmp_path / "out",
+                "--config", config_path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--mode", "range", "--from", "2000/03/01", "--to", "2000-12-29"],
+     "--from must be an ISO-8601 date"),
+    (["--format", ","], "no output format selected"),
+])
+def test_bad_date_or_empty_format_exits_2(panel_csv, tmp_path, capsys, flags, message):
+    path, _ = panel_csv
+    assert run(["msa", "--input", path, "--out-dir", tmp_path / "out", *flags]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()

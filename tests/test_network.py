@@ -78,3 +78,13 @@ class TestBuildNetwork:
         sectors = (SectorMeta("900001"), SectorMeta("900002"))
         with pytest.raises(ValueError, match="positive and finite"):
             InfoFlowNetwork(sectors=sectors, edges=((0, 1, w),))
+
+    @pytest.mark.parametrize("edges, message", [
+        (((1, 1, 0.5),), "self-edge"),
+        (((0, 1, 0.5), (0, 1, 0.25)), "duplicate edge for one sector pair"),
+        (((0, 1, 0.5), (1, 0, 0.25)), "duplicate edge for one sector pair"),
+    ])
+    def test_rejects_self_edge_and_second_edge_of_a_pair(self, edges, message):
+        sectors = (SectorMeta("900001"), SectorMeta("900002"))
+        with pytest.raises(ValueError, match=message):
+            InfoFlowNetwork(sectors=sectors, edges=edges)

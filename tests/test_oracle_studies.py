@@ -91,12 +91,14 @@ def test_sector_suspended_for_a_year(tmp_path):
         "error: sector 910030, year 2001: degenerate series: constant values"])
 
     # Against whole-sample bin edges the flat year is one symbol: every pair
-    # with the sector ties, so no root reaches it.
+    # with the sector ties, so no edge and no root reaches it, and the
+    # refusal names it.
     with pytest.warns(UserWarning, match="5 tied pair"):
         code, lines = run_msa(csv, tmp_path / "global", "--mode", "yearly", "--q", 10,
                               "--global-partition")
     assert (code, lines) == (2, [
-        "error: year 2001 (261 trading days, 5 tied pairs): no root reaches all nodes"])
+        "error: sector 910030, year 2001 (261 trading days, 5 tied pairs): "
+        "no root reaches all nodes"])
 
     code, lines = run_msa(csv, tmp_path / "whole", "--mode", "whole", "--q", 10)
     assert (code, lines) == (0, [])
