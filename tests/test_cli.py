@@ -1,3 +1,4 @@
+import contextlib
 import json
 from datetime import timedelta
 from pathlib import Path
@@ -587,6 +588,59 @@ def test_global_partition_bins_every_window_by_the_whole_panel(panel_csv, tmp_pa
                     w.trees[o], w.paths[o], name=f"turmoil_{label}")
     assert written[("--global-partition",)] == expected
     assert written[()] != expected  # the flag changes what these windows write
+
+
+CONSTANT = "error: sector 910020, whole sample: degenerate series: constant values"
+
+
+# (input, msa options, the skip warning it must give or None, error line).
+# Inputs: the ``panel_csv`` fixture as it is, its first 20 closes, or with
+# sector 910020 held flat through the whole file.
+@pytest.mark.parametrize("edit, argv, warning, message", [
+    pytest.param("none", ["--mode", "turmoil", "--crash-start", "2000-10-31",
+                          "--crash-end", "2000-09-01"], None,
+                 "error: crash_start must not be after crash_end", id="turmoil-reversed"),
+    pytest.param("none", ["--mode", "turmoil", "--crash-start", "2030-01-01",
+                          "--crash-end", "2030-01-31"], None,
+                 "error: no trading days inside the crash interval", id="turmoil-no-days"),
+    pytest.param("none", ["--mode", "turmoil", "--crash-start", "2000-01-10",
+                          "--crash-end", "2000-02-29"], None,
+                 "error: dataset does not cover all turmoil windows", id="turmoil-uncovered"),
+    pytest.param("none", ["--mode", "range", "--from", "2031-01-01", "--to", "2030-05-01"],
+                 None, "error: range 2031-01-01 to 2030-05-01: empty interval",
+                 id="range-empty-interval"),
+    pytest.param("none", ["--mode", "range", "--from", "2030-05-01", "--to", "2031-01-01"],
+                 None, "error: range 2030-05-01 to 2031-01-01: empty result",
+                 id="range-empty-result"),
+    pytest.param("none", ["--mode", "range", "--from", "2000-01-10", "--to", "2000-01-12"],
+                 None, "error: range 2000-01-10 to 2000-01-12 (3 trading days): "
+                 "fewer than the minimum of 30", id="range-short"),
+    pytest.param("20 closes", ["--mode", "yearly"], "skipping year 2000: only 19 trading day",
+                 "error: no calendar year has the minimum of 30 trading days",
+                 id="yearly-no-full-year"),
+    pytest.param("constant", ["--mode", "whole", "--global-partition"], None, CONSTANT,
+                 id="whole-global-constant"),
+    pytest.param("constant", ["--mode", "range", "--from", "2000-03-01", "--to", "2000-12-29",
+                              "--global-partition"], None, CONSTANT,
+                 id="range-global-constant"),
+    pytest.param("constant", ["--mode", "yearly", "--global-partition"], None, CONSTANT,
+                 id="yearly-global-constant"),
+    pytest.param("constant", ["--mode", "turmoil", "--crash-start", "2000-09-01",
+                              "--crash-end", "2000-10-31", "--global-partition"], None,
+                 CONSTANT, id="turmoil-global-constant"),
+])
+def test_window_selection_refusals(panel_csv, tmp_path, capsys, edit, argv, warning,
+                                   message):
+    path, _ = panel_csv
+    if edit == "constant":
+        freeze_column(path, "910020")
+    elif edit == "20 closes":
+        path.write_text("\n".join(path.read_text().splitlines()[:21]) + "\n")
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match=warning) if warning else contextlib.nullcontext():
+        assert run(["msa", "--input", path, "--out-dir", out, *argv]) == 2
+    assert capsys.readouterr() == ("", message + "\n")
+    assert not out.exists()
 
 
 def test_failed_write_leaves_no_file(panel_csv, tmp_path, capsys, monkeypatch):
