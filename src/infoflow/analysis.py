@@ -1,33 +1,31 @@
 """Windowed structural studies over the information-flow pipeline.
 
 Every study takes one ``Panel`` of returns, built once per run by
-``returns_panel``, and runs a list of labelled date windows: the whole
-sample, a date range, calendar years, or event windows around a market
-crash.  Each window is cut from the panel by ``slice_returns`` and run
-through the one engine, ``msas_from_returns``: symbols for all rows in one
-step -> transfer entropy -> net flows -> network -> the requested
-arborescences -> their maximal paths.  Partitions are recomputed per
-window by default so each window's symbol alphabet covers its own observed
-range; pass ``global_partition=True`` to reuse the whole-sample bin edges
-(``checked_partition``) instead.  A window shorter than
-``MIN_WINDOW_DAYS`` trading days is refused before any estimate; a yearly
-study skips such years with a warning instead.
+``returns_panel``, and runs its windows through one runner,
+``run_windows``.  A window is a ``(label, name, interval)`` triple: the
+label its result carries, the name its errors give, and its first and
+last calendar day.  A mode only makes its windows: one for the whole
+sample or a date range, one per calendar year (``yearly_reports``, which
+skips a year shorter than ``MIN_WINDOW_DAYS`` trading days with a
+warning), or before/during/after windows around a crash
+(``turmoil_study``).  The runner cuts each interval from the panel by
+``slice_returns`` and runs it through the one engine,
+``msas_from_returns``: symbols for all rows in one step -> transfer
+entropy -> net flows -> network -> the requested arborescences -> their
+maximal paths.  Partitions are recomputed per window by default so each
+window's symbol alphabet covers its own observed range; with
+``global_partition=True`` the runner cuts the whole-sample bin edges
+(``checked_partition``) once, for every window.  Any other window shorter
+than ``MIN_WINDOW_DAYS`` trading days is refused before any estimate.
 
 The engine returns one record per window, ``WindowResult(label, interval,
-trees, paths)``: its label (a year such as ``"2001"``, or ``"before"``,
-``"during"``, ``"after"``), its first and last trading day, and its
+trees, paths)``: its label, its first and last trading day, and its
 arborescences and maximal paths, each a dict keyed by orientation.  The
 dicts hold only the orientations the caller asked for, in
 ``ORIENTATIONS`` order, so no tree is solved that no output reads.
 Renderers write every orientation a window holds; consumers that read one
 orientation (root occurrences, degree heat maps, yearly tables) take the
-windows and the orientation as arguments.  A degree heat map is a plain
-windows x sectors ``int64`` array, and a turmoil study keys its three
-windows by label, as a window keys its trees by orientation.  A
-specificity result holds the yearly windows it ran on and reads each
-year and its source and sink roots from them, and a tree's total weight
-is a property of its edges (``Arborescence.total_weight``), so no record
-stores a copy of another's values.
+windows and the orientation as arguments.
 """
 
 from __future__ import annotations
@@ -36,6 +34,8 @@ import json
 import math
 import warnings
 from bisect import bisect_left, bisect_right
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import date
 from functools import cached_property
@@ -182,6 +182,30 @@ def msas_from_returns(
     return WindowResult(label, (days[0], days[-1]), trees, paths)
 
 
+def run_windows(
+    returns: Panel,
+    q: int,
+    windows: Iterable[tuple[str, str, tuple[date, date]]],
+    global_partition: bool = False,
+    orientations: tuple[str, ...] = ORIENTATIONS,
+) -> list[WindowResult]:
+    """One pipeline run per ``(label, name, interval)`` window, in order.
+
+    Every error names the window by ``name``; ``global_partition`` bins
+    every window by the whole panel's edges instead of its own.
+    """
+    partitions = checked_partition(returns, q) if global_partition else None
+    results = []
+    for label, name, interval in windows:
+        try:
+            window_returns = slice_returns(returns, interval)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+        results.append(msas_from_returns(window_returns, q, partitions, window=name,
+                                         label=label, orientations=orientations))
+    return results
+
+
 def yearly_reports(
     returns: Panel,
     q: int,
@@ -190,23 +214,18 @@ def yearly_reports(
 ) -> list[WindowResult]:
     """One pipeline run per calendar year of the returns panel, in year order.
 
-    Each result is labelled by its year and holds the trees of
-    ``orientations``.  Years with fewer than ``MIN_WINDOW_DAYS`` trading
-    days are skipped with a warning; if every year is, the study fails.
-    ``global_partition`` reuses whole-sample bin edges for every year
-    instead of the default per-year recomputation.
+    Years with fewer than ``MIN_WINDOW_DAYS`` trading days are skipped with
+    a warning; if every year is, the study fails.
     """
-    partitions = checked_partition(returns, q) if global_partition else None
-    windows = []
-    for year in sorted({d.year for d in returns.dates}):
-        year_returns = slice_returns(returns, (date(year, 1, 1), date(year, 12, 31)))
-        days = year_returns.dates
-        if len(days) < MIN_WINDOW_DAYS:
-            warnings.warn(f"skipping year {year}: only {len(days)} trading day(s)",
-                          stacklevel=2)
-            continue
-        windows.append(msas_from_returns(year_returns, q, partitions, window=f"year {year}",
-                                         label=str(year), orientations=orientations))
+    def years():
+        for year, days in sorted(Counter(d.year for d in returns.dates).items()):
+            if days < MIN_WINDOW_DAYS:
+                # Attributed to the caller of ``yearly_reports``, past ``run_windows``.
+                warnings.warn(f"skipping year {year}: only {days} trading day(s)", stacklevel=4)
+                continue
+            yield str(year), f"year {year}", (date(year, 1, 1), date(year, 12, 31))
+
+    windows = run_windows(returns, q, years(), global_partition, orientations)
     if not windows:
         raise ValueError(f"no calendar year has the minimum of {MIN_WINDOW_DAYS} trading days")
     return windows
@@ -257,17 +276,11 @@ def turmoil_study(
     if i0 - 3 * t_len < 0 or i0 + 3 * t_len > len(dates):
         raise ValueError("dataset does not cover all turmoil windows")
     # Each window is 2T trading days and starts k*T days from the crash start.
-    intervals = {
-        label: (dates[i0 + k * t_len], dates[i0 + (k + 2) * t_len - 1])
-        for label, k in (("before", -3), ("during", -1), ("after", 1))
-    }
-    partitions = checked_partition(returns, q) if global_partition else None
-    results = {
-        label: msas_from_returns(slice_returns(returns, interval), q, partitions,
-                                 window=f"{label} window", label=label)
-        for label, interval in intervals.items()
-    }
-    return TurmoilStudy(crash_start, crash_end, t_len, q, results)
+    windows = [(label, f"{label} window",
+                (dates[i0 + k * t_len], dates[i0 + (k + 2) * t_len - 1]))
+               for label, k in (("before", -3), ("during", -1), ("after", 1))]
+    results = run_windows(returns, q, windows, global_partition)
+    return TurmoilStudy(crash_start, crash_end, t_len, q, {w.label: w for w in results})
 
 
 def pearson(x, y) -> float:

@@ -44,7 +44,7 @@ from .timeseries import (
     PriceSeries,
     load_dataset,
     load_sector_names,
-    slice_returns,
+    slice_returns,  # unused here; bench/tracer.py still wraps it under this name
     summary_stats,
 )
 
@@ -249,6 +249,11 @@ def _render_stats_json(rows) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _dot(stem: str, window: analysis.WindowResult, orientation: str) -> Files:
+    return {f"{stem}_{orientation}.dot": partial(
+        arborescence_to_dot, window.trees[orientation], window.paths[orientation], name=stem)}
+
+
 def _cmd_msa(cfg: dict) -> Files:
     mode = cfg["mode"]
     orientations = _orientations(cfg)
@@ -263,31 +268,18 @@ def _cmd_msa(cfg: dict) -> Files:
     returns = analysis.returns_panel(_load_input(cfg))
 
     if mode in ("whole", "range"):
-        # The whole sample's bins, cut before any range: for ``whole`` they
-        # are the window's own.
-        partitions = (analysis.checked_partition(returns, q)
-                      if cfg["global_partition"] else None)
-        stem = "msa_whole"
-        window = "whole sample"
-        if mode == "range":
-            span = (
-                _parse_date(cfg["date_from"], "--from"),
-                _parse_date(cfg["date_to"], "--to"),
-            )
-            stem = "msa_range"
-            window = f"range {span[0]} to {span[1]}"
-            try:
-                returns = slice_returns(returns, span)
-            except ValueError as exc:
-                raise ValueError(f"{window}: {exc}") from None
-        result = analysis.msas_from_returns(returns, q, partitions, window=window,
-                                            label=stem, orientations=orientations)
+        if mode == "whole":
+            stem, name, span = "msa_whole", "whole sample", (returns.dates[0], returns.dates[-1])
+        else:
+            span = (_parse_date(cfg["date_from"], "--from"), _parse_date(cfg["date_to"], "--to"))
+            stem, name = "msa_range", f"range {span[0]} to {span[1]}"
+        [result] = analysis.run_windows(returns, q, [(stem, name, span)],
+                                        cfg["global_partition"], orientations)
         files = {f"{stem}.csv": partial(analysis.render_msa_bundle_csv, result, report)}
         for orientation, arb in result.trees.items():
-            path = result.paths[orientation]
-            files[f"{stem}_{orientation}.json"] = partial(arborescence_to_json, arb, path)
-            files[f"{stem}_{orientation}.dot"] = partial(arborescence_to_dot, arb, path,
-                                                         name=stem)
+            files[f"{stem}_{orientation}.json"] = partial(arborescence_to_json, arb,
+                                                          result.paths[orientation])
+            files |= _dot(stem, result, orientation)
         return files
 
     if mode == "yearly":
@@ -301,9 +293,7 @@ def _cmd_msa(cfg: dict) -> Files:
             files[f"degree_heatmap_{orientation}.csv"] = partial(
                 analysis.render_degree_heatmap_csv, windows, orientation)
             for w in windows:
-                files[f"msa_{w.label}_{orientation}.dot"] = partial(
-                    arborescence_to_dot, w.trees[orientation], w.paths[orientation],
-                    name=f"msa_{w.label}")
+                files |= _dot(f"msa_{w.label}", w, orientation)
         files["root_occurrences.csv"] = partial(analysis.render_root_occurrences_csv,
                                                 windows)
         files["yearly_reports.json"] = partial(analysis.render_yearly_json, windows)
@@ -318,11 +308,8 @@ def _cmd_msa(cfg: dict) -> Files:
     files = {"turmoil.csv": partial(analysis.render_turmoil_csv, study, report),
              "turmoil.json": partial(analysis.render_turmoil_json, study)}
     for result in study.results.values():
-        stem = f"turmoil_{result.label}"
         for orientation in orientations:
-            files[f"{stem}_{orientation}.dot"] = partial(
-                arborescence_to_dot, result.trees[orientation], result.paths[orientation],
-                name=stem)
+            files |= _dot(f"turmoil_{result.label}", result, orientation)
     return files
 
 
@@ -332,7 +319,10 @@ def _cmd_specificity(cfg: dict) -> Files:
     dataset = _load_input(cfg)
     # One panel with the index as its last row; the yearly study runs on the
     # sector rows above it.
-    returns = analysis.returns_panel([*dataset, load_dataset(cfg["index"])[0]])
+    index = load_dataset(cfg["index"])
+    if len(index) != 1:
+        raise CliError(f"--index must hold one price column, not {len(index)}")
+    returns = analysis.returns_panel([*dataset, *index])
     sectors = replace(returns, sectors=returns.sectors[:-1], values=returns.values[:-1])
     windows = analysis.yearly_reports(sectors, int(cfg["q"]))
     result = analysis.specificity_study(

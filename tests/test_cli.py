@@ -364,6 +364,13 @@ class TestSpecificity:
         assert run(["specificity", "--input", path, "--out-dir", tmp_path]) == 2
         assert "--index is required" in capsys.readouterr().err
 
+    def test_index_with_more_than_one_column_exits_2(self, panel_csv, tmp_path, capsys):
+        path, _ = panel_csv
+        out = tmp_path / "out"
+        assert run(["specificity", "--input", path, "--index", path, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == "error: --index must hold one price column, not 5\n"
+        assert not out.exists()
+
     def test_misaligned_index_exits_2(self, panel_csv, tmp_path, capsys):
         path, series = panel_csv
         index_csv = tmp_path / "index.csv"
@@ -641,6 +648,24 @@ def test_window_selection_refusals(panel_csv, tmp_path, capsys, edit, argv, warn
         assert run(["msa", "--input", path, "--out-dir", out, *argv]) == 2
     assert capsys.readouterr() == ("", message + "\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--mode", "range", "--from", "2000/03/01", "--to", "2000-12-29"],
+     "--from must be an ISO-8601 date"),
+    (["--mode", "turmoil", "--crash-start", "2000-09-01", "--crash-end", "2000/10/31"],
+     "--crash-end must be an ISO-8601 date"),
+])
+def test_bad_date_is_reported_before_a_constant_sector(panel_csv, tmp_path, capsys, argv,
+                                                       message):
+    # Both faults at once: the dates are parsed before the whole panel's
+    # bins are cut.
+    path, _ = panel_csv
+    freeze_column(path, "910020")
+    assert run(["msa", "--input", path, "--out-dir", tmp_path / "out", *argv,
+                "--global-partition"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_failed_write_leaves_no_file(panel_csv, tmp_path, capsys, monkeypatch):

@@ -96,8 +96,8 @@ def panel_csvs(days: int = 1461, seed: int = 17) -> tuple[str, str]:
                                                           for c in row))
         return "\n".join(lines) + "\n"
 
-    return csv([f"91{k:03d}0" for k in range(1, 13)], cents[:, :12]), \
-        csv(["000001"], cents[:, 12:])
+    return (csv([f"91{k:03d}0" for k in range(1, 13)], cents[:, :12]),
+            csv(["000001"], cents[:, 12:]))
 
 
 def _cell(text: str):
