@@ -28,9 +28,9 @@ from .arborescence import (
     max_spanning_arborescence,
     maximal_information_flow_path,
 )
-from .entropy import DaiMatrix, TeMatrix, dai_matrix, te_matrix
+from .entropy import dai_matrix, te_matrix
 from .network import InfoFlowNetwork, build_network
-from .symbolize import Partition, SymbolPanel, encode, make_partition
+from .symbolize import Partition, encode, make_partition
 from .synth import (
     Coupling,
     Segment,

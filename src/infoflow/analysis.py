@@ -168,7 +168,7 @@ def msas_from_returns(
                          f"minimum of {MIN_WINDOW_DAYS}")
     if partitions is None:
         partitions = checked_partition(returns, q, window)
-    net = build_network(dai_matrix(te_matrix(encode(returns, partitions))))
+    net = build_network(returns.sectors, dai_matrix(te_matrix(encode(returns, partitions))))
     try:
         trees = {o: max_spanning_arborescence(net, o)
                  for o in ORIENTATIONS if o in orientations}

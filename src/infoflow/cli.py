@@ -9,11 +9,12 @@ override file values.
 
 Each command runs its study and returns every file it can produce as an
 ordered ``{filename: renderer}`` mapping of zero-argument callables.
-``main`` is the one writer: it checks ``--format`` before any command
-runs, renders only the files whose suffix is a requested format, in order,
-and writes each atomically (temp file + rename); a format that selects
-none of the command's files is an error.  Every command is deterministic
-given input bytes, configuration, and seed.
+``main`` is the one writer: it checks ``--format``, ``--q`` and
+``--samples`` before any command runs, renders only the files whose
+suffix is a requested format, in order, and writes each atomically (temp
+file + rename); a format that selects none of the command's files is an
+error.  Every command is deterministic given input bytes, configuration,
+and seed.
 
 ``--orientation`` selects the trees a command writes, and ``whole``,
 ``range`` and ``yearly`` solve only those; ``turmoil`` and ``specificity``
@@ -340,6 +341,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _merge_config(args)
         requested = _formats(cfg)
+        if cfg["q"] < 2:
+            raise CliError("--q must be at least 2")
+        if cfg["samples"] < 1:
+            raise CliError("--samples must be at least 1")
         files = _COMMANDS[args.command](cfg)
         selected = [name for name in files if name.rsplit(".", 1)[1] in requested]
         if not selected:

@@ -15,16 +15,18 @@ and n_* their counts, the sample sizes cancel and
 
     N * TE = S(n_abc) - S(n_ab) - S(n_bc) + S(n_b),   S(n) = sum n log2 n.
 
-One kernel, behind ``te_matrix``, evaluates this for a whole window of a
-``SymbolPanel``, every target against every source; the estimate for one
-pair is ``te_matrix(pair).te[0, 1]`` of its 2-row panel.  The targets' own
-counts n_ab and n_b come from one bincount over all series.  Each observed
-(target, now, next) state gets one global column, and n_abc comes from one
-bincount per block of targets, keyed by (source, source symbol) and
-column; one reduceat over the columns that share (target, now) gives
-n_bc.  Blocks are sized from the window's shape, so short windows take
-many targets per call and long ones keep their arrays bounded.  All counts
-are exact integers.
+One kernel, behind ``te_matrix``, evaluates this for a whole window's
+n x L symbol matrix, every target against every source; the estimate for
+one pair is ``te_matrix(pair)[0, 1]`` of its 2-row matrix.  The alphabet
+is 1..max(symbols): symbols that never occur add no counts, so the
+estimate does not depend on them.  The targets' own counts n_ab and n_b
+come from one bincount over all series.  Each observed (target, now,
+next) state gets one global column, and n_abc comes from one bincount per
+block of targets, keyed by (source, source symbol) and column; one
+reduceat over the columns that share (target, now) gives n_bc.  Blocks
+are sized from the window's shape, so short windows take many targets per
+call and long ones keep their arrays bounded.  All counts are exact
+integers.
 
 The n log2 n sums are not added up in floating point.  Each count k is
 factored into primes, k log2 k = sum_p k e_p(k) log2 p, so N * TE is an
@@ -37,50 +39,15 @@ Hence an estimate is exactly 0.0 when the counts factor exactly; two equal
 estimates (such as the two directions of an exactly tied pair) give the
 same float, so their net flow is exactly 0.0 and the network records a
 tie; and te[i, j] does not depend on which other series share the call, so
-the 2-row panel of a pair gives its entry in a full matrix bit for bit.
+the 2-row matrix of a pair gives its entry in a full matrix bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
-
-from .symbolize import SymbolPanel
-from .timeseries import SectorMeta, _freeze
-
-
-def _check_square(m, name: str) -> None:
-    """Freeze matrix field ``name`` of ``m``; it must be n x n for n sectors."""
-    object.__setattr__(m, "sectors", tuple(m.sectors))
-    object.__setattr__(m, name, _freeze(getattr(m, name), np.float64))
-    n = len(m.sectors)
-    if getattr(m, name).shape != (n, n):
-        raise ValueError(f"{name} matrix shape does not match sector count")
-
-
-@dataclass(frozen=True)
-class TeMatrix:
-    """Pairwise transfer entropies in bits; te[i, j] is flow from i to j."""
-
-    sectors: tuple[SectorMeta, ...]
-    te: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        _check_square(self, "te")
-
-
-@dataclass(frozen=True)
-class DaiMatrix:
-    """Antisymmetric net information flow: dai[i, j] = te[i, j] - te[j, i]."""
-
-    sectors: tuple[SectorMeta, ...]
-    dai: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        _check_square(self, "dai")
 
 
 @functools.lru_cache(maxsize=32)
@@ -118,6 +85,11 @@ def _prime_factors(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
+# Most count cells, n * q**2 for n series over an alphabet of q symbols,
+# that one TE matrix may take: the kernel's dense state tables have this
+# many entries, so a larger alphabet is refused before anything is allocated.
+_MAX_COUNT_CELLS = 1 << 24
+
 # Entries per block of targets: a block's sample keys and its count matrix
 # stay below this many (one target per block when one alone is larger), so
 # a short window takes several targets per call and a long one keeps its
@@ -128,7 +100,7 @@ _BLOCK_CELLS = 1 << 16
 def _te_columns(symbols: np.ndarray, q: int) -> np.ndarray:
     """te[i, j] in bits for every ordered pair of rows of ``symbols``.
 
-    ``symbols`` is an n x L matrix of aligned symbols in [1, q].
+    ``symbols`` is an n x L int64 matrix of aligned symbols in [1, q].
     """
     n, length = symbols.shape
     n_tri = length - 1
@@ -213,21 +185,32 @@ def _te_columns(symbols: np.ndarray, q: int) -> np.ndarray:
     return te
 
 
-def te_matrix(all_series: SymbolPanel) -> TeMatrix:
-    """Transfer entropy for every ordered sector pair; te[i, j] is i -> j.
+def te_matrix(symbols: np.ndarray) -> np.ndarray:
+    """Transfer entropy for every ordered pair of rows; te[i, j] is i -> j.
 
-    The panel's rows share one date axis and one q by construction, so no
-    per-pair check is needed.  A pair's estimate is ``te[0, 1]`` of its
-    2-row panel.
+    ``symbols`` is an n x L matrix of aligned symbols 1, 2, ..., as
+    ``encode`` gives; the alphabet is 1..symbols.max().  A pair's estimate
+    is ``te[0, 1]`` of its 2-row matrix.  A symbol below 1 is refused, and
+    so is an alphabet of q symbols whose n * q**2 count cells exceed
+    ``_MAX_COUNT_CELLS``.
     """
-    if len(all_series) < 2:
+    symbols = np.asarray(symbols, dtype=np.int64)
+    if symbols.ndim != 2:
+        raise ValueError("symbols must be an n x L matrix")
+    n, length = symbols.shape
+    if n < 2:
         raise ValueError("need at least 2 sectors")
-    if all_series.symbols.shape[1] < 2:
+    if length < 2:
         raise ValueError("need at least 2 aligned samples")
-    te = _te_columns(all_series.symbols, all_series.partition.q)
-    return TeMatrix(sectors=all_series.sectors, te=te)
+    if symbols.min() < 1:
+        raise ValueError("symbol below 1")
+    q = int(symbols.max())
+    if n * q * q > _MAX_COUNT_CELLS:
+        raise ValueError(f"alphabet of {q} symbols is too large for {n} sectors: "
+                         f"{n} x {q}^2 count cells exceed {_MAX_COUNT_CELLS}")
+    return _te_columns(symbols, q)
 
 
-def dai_matrix(te: TeMatrix) -> DaiMatrix:
+def dai_matrix(te: np.ndarray) -> np.ndarray:
     """Net information flow for every pair: dai = te - te^T (exact)."""
-    return DaiMatrix(sectors=te.sectors, dai=te.te - te.te.T)
+    return te - te.T

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import DaiMatrix
 from .timeseries import SectorMeta
 
 # The tie warning names at most this many code pairs; its count is exact.
@@ -46,14 +45,19 @@ class InfoFlowNetwork:
             seen_pairs.add(pair)
 
 
-def build_network(dai: DaiMatrix) -> InfoFlowNetwork:
-    """Orient each pair along the sign of its net flow.
+def build_network(sectors: tuple[SectorMeta, ...], dai: np.ndarray) -> InfoFlowNetwork:
+    """Orient each pair of ``sectors`` along the sign of its net flow.
 
-    dai[i, j] > 0 yields edge i -> j with weight dai[i, j]; an exact zero
-    drops the pair and records it in ``ties``.
+    ``dai`` is the n x n net-flow matrix over the n sectors, in their
+    order.  dai[i, j] > 0 yields edge i -> j with weight dai[i, j]; an
+    exact zero drops the pair and records it in ``ties``.
     """
-    rows, cols = np.triu_indices(len(dai.sectors), 1)  # pairs in row-major order
-    value = dai.dai[rows, cols]
+    n = len(sectors)
+    dai = np.asarray(dai, dtype=np.float64)
+    if dai.shape != (n, n):
+        raise ValueError("dai matrix shape does not match sector count")
+    rows, cols = np.triu_indices(n, 1)  # pairs in row-major order
+    value = dai[rows, cols]
     forward, backward = value > 0, value < 0
     oriented = forward | backward
     edges = list(zip(np.where(forward, rows, cols)[oriented].tolist(),
@@ -62,10 +66,10 @@ def build_network(dai: DaiMatrix) -> InfoFlowNetwork:
     ties = list(zip(rows[~oriented].tolist(), cols[~oriented].tolist()))
     if ties:
         labels = ", ".join(
-            f"{dai.sectors[i].code}/{dai.sectors[j].code}" for i, j in ties[:_LISTED_TIES]
+            f"{sectors[i].code}/{sectors[j].code}" for i, j in ties[:_LISTED_TIES]
         )
         if len(ties) > _LISTED_TIES:
             labels += f", … and {len(ties) - _LISTED_TIES} more"
         warnings.warn(f"dropped {len(ties)} tied pair(s) with zero net flow: {labels}",
                       stacklevel=2)
-    return InfoFlowNetwork(sectors=dai.sectors, edges=tuple(edges), ties=tuple(ties))
+    return InfoFlowNetwork(sectors=sectors, edges=tuple(edges), ties=tuple(ties))

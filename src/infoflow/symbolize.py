@@ -7,30 +7,30 @@ receives symbol q instead of falling off the partition.
 
 ``make_partition`` and ``encode`` take a ``Panel``; one series is a 1-row
 panel.  Every row gets its own range, held as n x 1 columns in one
-``Partition``, and all rows are encoded in one vectorized step into a
-``SymbolPanel``; each row equals the encoding of its own 1-row panel.
+``Partition``, and all rows are encoded in one vectorized step into an
+n x L int64 symbol matrix; each row equals the encoding of its own 1-row
+panel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .timeseries import Panel, SectorMeta, _freeze
+from .timeseries import Panel
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Equal-width bin layout over the closed range [x_min, x_max].
+    """Equal-width bin layout over the closed ranges [x_min, x_max].
 
-    ``x_min`` and ``x_max`` are n x 1 columns, one range per panel row, or
-    scalars that every row shares.
+    ``x_min`` and ``x_max`` are n x 1 columns, one range per panel row.
     """
 
     q: int
-    x_min: float | np.ndarray
-    x_max: float | np.ndarray
+    x_min: np.ndarray
+    x_max: np.ndarray
 
     def __post_init__(self):
         if self.q < 2:
@@ -41,37 +41,8 @@ class Partition:
             raise ValueError("degenerate partition: range too narrow for q bins")
 
     @property
-    def width(self) -> float | np.ndarray:
+    def width(self) -> np.ndarray:
         return (self.x_max - self.x_min) / self.q
-
-
-@dataclass(frozen=True)
-class SymbolPanel:
-    """Symbols in [1, q] of n aligned sectors, one row per sector.
-
-    As a sequence it is its rows: ``len`` is n and ``panel[i]`` is the
-    symbol row of ``sectors[i]``.  One series is a 1-row panel and a pair
-    a 2-row one.
-    """
-
-    sectors: tuple[SectorMeta, ...]
-    partition: Partition
-    symbols: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "sectors", tuple(self.sectors))
-        object.__setattr__(self, "symbols", _freeze(self.symbols, np.int64))
-        if self.symbols.ndim != 2 or len(self.symbols) != len(self.sectors):
-            raise ValueError("symbols are not one row per sector")
-        if self.symbols.size and (self.symbols.min() < 1
-                                  or self.symbols.max() > self.partition.q):
-            raise ValueError("symbol outside [1, q]")
-
-    def __len__(self) -> int:
-        return len(self.sectors)
-
-    def __getitem__(self, row: int) -> np.ndarray:
-        return self.symbols[row]
 
 
 def make_partition(returns: Panel, q: int) -> Partition:
@@ -88,15 +59,16 @@ def make_partition(returns: Panel, q: int) -> Partition:
     return Partition(q=q, x_min=lo, x_max=hi)
 
 
-def encode(returns: Panel, p: Partition) -> SymbolPanel:
-    """Map each return to its bin index, 1-based.
+def encode(returns: Panel, p: Partition) -> np.ndarray:
+    """Map each return to its bin index, 1-based: the n x L int64 symbol matrix.
 
     symbol = 1 + floor((x - x_min) / width), clamped so x == x_max lands in
     the top bin.  Values outside [x_min, x_max] are an error: the partition
     must have been built from this panel or a superset of each row's range.
+    Row i holds the symbols of ``returns.sectors[i]``.
     """
     v = returns.values
     if np.any(v < p.x_min) or np.any(v > p.x_max):
         raise ValueError("value outside partition range")
     raw = np.floor((v - p.x_min) / p.width).astype(np.int64) + 1
-    return SymbolPanel(returns.sectors, p, np.minimum(raw, p.q))
+    return np.minimum(raw, p.q)

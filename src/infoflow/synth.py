@@ -24,7 +24,6 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from .symbolize import Partition, SymbolPanel
 from .timeseries import PriceSeries, SectorMeta
 
 
@@ -97,10 +96,10 @@ class SyntheticDataset:
         return sum(seg.length for seg in self.segments)
 
 
-def generate_coupled_binary(coupling: float, length: int, seed: int) -> SymbolPanel:
-    """Sample the coupled binary process as a 2-row panel: source, then target.
+def generate_coupled_binary(coupling: float, length: int, seed: int) -> np.ndarray:
+    """Sample the coupled binary process as a 2 x L symbol matrix: source, then target.
 
-    Its transfer entropy estimate is ``te_matrix(pair).te[0, 1]``.
+    Symbols are 1 and 2; the transfer entropy estimate is ``te_matrix(pair)[0, 1]``.
     """
     if not 0.0 <= coupling <= 1.0:
         raise ValueError("coupling must lie in [0, 1]")
@@ -116,9 +115,7 @@ def generate_coupled_binary(coupling: float, length: int, seed: int) -> SymbolPa
     copy_mask = u_copy < coupling
     copy_mask[0] = False  # no predecessor at the first step
     x[1:] = np.where(copy_mask[1:], y[:-1], x[1:])
-
-    sectors = (SectorMeta("900001", "coupled source"), SectorMeta("900002", "coupled target"))
-    return SymbolPanel(sectors, Partition(q=2, x_min=-1.0, x_max=1.0), np.stack([y, x]))
+    return np.stack([y, x])
 
 
 def analytic_te_coupled_binary(coupling: float) -> float:

@@ -15,10 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import (
-    make_symbols,
     pair_te,
     random_complete_network,
-    symbol_panel,
     turmoil_dataset,
 )
 from oracles import enumerate_arborescences, pearson_mpmath, stats_mpmath, te_bruteforce
@@ -65,10 +63,10 @@ def test_criterion_01_te_oracle_equivalence():
         for _ in range(500):
             q = int(rng.integers(2, 4))
             n = int(rng.integers(2, 13))
-            src = make_symbols(rng.integers(1, q + 1, size=n), q, "900001")
-            tgt = make_symbols(rng.integers(1, q + 1, size=n), q, "900002")
+            src = rng.integers(1, q + 1, size=n)
+            tgt = rng.integers(1, q + 1, size=n)
             got = pair_te(src, tgt)
-            want = te_bruteforce(src[0].tolist(), tgt[0].tolist(), q)
+            want = te_bruteforce(src.tolist(), tgt.tolist(), q)
             assert abs(got - want) <= 1e-12
         assert time.perf_counter() - started < 10.0
 
@@ -77,7 +75,7 @@ def test_criterion_02_te_analytic_convergence():
     with criterion(2, "TE converges to the closed form of the coupled binary process"):
         started = time.perf_counter()
         for k, c in enumerate((0.0, 0.25, 0.5, 0.75, 1.0)):
-            estimate = te_matrix(generate_coupled_binary(c, 100_000, seed=300 + k)).te[0, 1]
+            estimate = te_matrix(generate_coupled_binary(c, 100_000, seed=300 + k))[0, 1]
             exact = analytic_te_coupled_binary(c)
             assert abs(estimate - exact) < 0.01, (c, estimate, exact)
         assert abs(analytic_te_coupled_binary(0.5) - 0.18872) < 5e-6
@@ -90,19 +88,16 @@ def test_criterion_03_nonnegativity_and_bound():
         for _ in range(10_000):
             q = int(rng.integers(2, 6))
             n = int(rng.integers(2, 31))
-            src = make_symbols(rng.integers(1, q + 1, size=n), q, "900001")
-            tgt = make_symbols(rng.integers(1, q + 1, size=n), q, "900002")
+            src = rng.integers(1, q + 1, size=n)
+            tgt = rng.integers(1, q + 1, size=n)
             te = pair_te(src, tgt)
             assert te >= -1e-12
             assert te <= math.log2(q) + 1e-12
         for trial in range(5):
-            series = [
-                make_symbols(rng.integers(1, 4, size=120), 3, str(900001 + k))
-                for k in range(6)
-            ]
-            d = dai_matrix(te_matrix(symbol_panel(series)))
-            assert np.array_equal(d.dai, -d.dai.T)
-            assert np.all(np.diag(d.dai) == 0.0)
+            symbols = np.stack([rng.integers(1, 4, size=120) for _ in range(6)])
+            d = dai_matrix(te_matrix(symbols))
+            assert np.array_equal(d, -d.T)
+            assert np.all(np.diag(d) == 0.0)
 
 
 def test_criterion_04_edmonds_oracle_equivalence():

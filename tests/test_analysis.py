@@ -65,7 +65,7 @@ class TestWholeSample:
         # every sector reaches C, so only the incoming tree exists.
         sectors = tuple(SectorMeta(code) for code in ("900001", "900002", "900003"))
         net = InfoFlowNetwork(sectors, ((0, 2, 0.5), (1, 2, 0.25)))
-        monkeypatch.setattr("infoflow.analysis.build_network", lambda dai: net)
+        monkeypatch.setattr("infoflow.analysis.build_network", lambda sectors, dai: net)
         returns = returns_panel(hub_panel(n=3, years=1))
         w = msas_from_returns(returns, q=5, orientations=("incoming",))
         assert list(w.trees) == list(w.paths) == ["incoming"]
@@ -83,7 +83,7 @@ class TestWholeSample:
     def test_no_root_refusal_names_a_sector_left_without_edges(self, monkeypatch, codes,
                                                                edges, sector):
         net = InfoFlowNetwork(tuple(SectorMeta(code) for code in codes), edges)
-        monkeypatch.setattr("infoflow.analysis.build_network", lambda dai: net)
+        monkeypatch.setattr("infoflow.analysis.build_network", lambda sectors, dai: net)
         returns = returns_panel(hub_panel(n=4, years=1))
         with pytest.raises(ValueError) as excinfo:
             msas_from_returns(returns, q=5, orientations=("incoming",))

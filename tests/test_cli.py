@@ -706,3 +706,38 @@ def test_bad_date_or_empty_format_exits_2(panel_csv, tmp_path, capsys, flags, me
     assert run(["msa", "--input", path, "--out-dir", tmp_path / "out", *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["stats", "--q", "0"], "--q must be at least 2", id="stats-q"),
+    pytest.param(["msa", "--q", "1"], "--q must be at least 2", id="whole-q"),
+    pytest.param(["msa", "--mode", "yearly", "--q", "1"], "--q must be at least 2",
+                 id="yearly-q"),
+    pytest.param(["msa", "--mode", "turmoil", "--crash-start", "2000-09-01",
+                  "--crash-end", "2000-10-31", "--q", "-3"], "--q must be at least 2",
+                 id="turmoil-q"),
+    pytest.param(["specificity", "--q", "1", "--samples", "2"], "--q must be at least 2",
+                 id="specificity-q"),
+    pytest.param(["specificity", "--samples", "0"], "--samples must be at least 1",
+                 id="specificity-samples"),
+])
+def test_q_and_samples_are_checked_before_the_input_is_read(panel_csv, tmp_path, capsys,
+                                                            argv, message):
+    # Each flag is refused the same way with a valid input and a missing one.
+    path, series = panel_csv
+    index = ["--index", copy_as_index(series[0], tmp_path)] if argv[0] == "specificity" else []
+    out = tmp_path / "out"
+    for source in (path, tmp_path / "missing.csv"):
+        assert run([*argv, *index, "--input", source, "--out-dir", out]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
+
+def test_oversized_alphabet_is_refused_on_one_line(panel_csv, tmp_path, capsys):
+    # 5 sectors over 2000 symbols need 2 * 10**7 count cells, above 2**24.
+    path, _ = panel_csv
+    out = tmp_path / "out"
+    assert run(["msa", "--input", path, "--out-dir", out, "--q", "2000"]) == 2
+    assert capsys.readouterr() == ("", "error: alphabet of 2000 symbols is too large for "
+                                       "5 sectors: 5 x 2000^2 count cells exceed 16777216\n")
+    assert not out.exists()

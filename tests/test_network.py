@@ -1,25 +1,24 @@
 import numpy as np
 import pytest
 
-from infoflow.entropy import DaiMatrix
 from infoflow.network import InfoFlowNetwork, build_network
 from infoflow.timeseries import SectorMeta
 
 
 def dai_from(matrix, codes):
-    sectors = tuple(SectorMeta(c) for c in codes)
-    return DaiMatrix(sectors=sectors, dai=np.asarray(matrix, dtype=float))
+    """``build_network``'s arguments: the sectors of ``codes`` and the net flows."""
+    return tuple(SectorMeta(c) for c in codes), np.asarray(matrix, dtype=float)
 
 
 class TestBuildNetwork:
     def test_sign_rule_single_pair(self):
         d = dai_from([[0.0, 0.2], [-0.2, 0.0]], ["900001", "900002"])
-        net = build_network(d)
+        net = build_network(*d)
         assert net.edges == ((0, 1, 0.2),)
 
     def test_negative_entry_reverses(self):
         d = dai_from([[0.0, -0.4], [0.4, 0.0]], ["900001", "900002"])
-        net = build_network(d)
+        net = build_network(*d)
         assert net.edges == ((1, 0, 0.4),)
 
     def test_complete_orientation_edge_count(self, rng):
@@ -27,7 +26,7 @@ class TestBuildNetwork:
         te = rng.uniform(0, 1, size=(n, n))
         dai = te - te.T
         codes = [str(900000 + k) for k in range(1, n + 1)]
-        net = build_network(dai_from(dai, codes))
+        net = build_network(*dai_from(dai, codes))
         assert len(net.edges) == n * (n - 1) // 2 == 378
         assert not net.ties
 
@@ -37,7 +36,7 @@ class TestBuildNetwork:
             ["900001", "900002", "900003"],
         )
         with pytest.warns(UserWarning, match="tied pair"):
-            net = build_network(d)
+            net = build_network(*d)
         assert len(net.edges) == 2
         assert net.ties == ((0, 1),)
 
@@ -46,7 +45,7 @@ class TestBuildNetwork:
         ties = n * (n - 1) // 2  # 10, 15 and 378: every pair has zero net flow
         codes = [str(900000 + k) for k in range(1, n + 1)]
         with pytest.warns(UserWarning, match=f"dropped {ties} tied pair") as caught:
-            net = build_network(dai_from(np.zeros((n, n)), codes))
+            net = build_network(*dai_from(np.zeros((n, n)), codes))
         assert len(net.ties) == ties and not net.edges
         message = str(caught[0].message)
         listed = message.split(": ", 1)[1].split(", ")
@@ -59,7 +58,7 @@ class TestBuildNetwork:
         te = rng.uniform(0, 1, size=(n, n))
         dai = te - te.T
         codes = [str(900000 + k) for k in range(1, n + 1)]
-        net = build_network(dai_from(dai, codes))
+        net = build_network(*dai_from(dai, codes))
         for i, j, w in net.edges:
             assert w == abs(dai[i][j])
 
@@ -68,10 +67,16 @@ class TestBuildNetwork:
         te = rng.uniform(0, 1, size=(n, n))
         dai = te - te.T
         codes = [str(900000 + k) for k in range(1, n + 1)]
-        fwd = build_network(dai_from(dai, codes))
-        rev = build_network(dai_from(-dai, codes))
+        fwd = build_network(*dai_from(dai, codes))
+        rev = build_network(*dai_from(-dai, codes))
         assert sorted((j, i, w) for i, j, w in fwd.edges) == sorted(rev.edges)
 
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (2,)])
+    def test_dai_shape_must_match_the_sectors(self, shape):
+        sectors = (SectorMeta("900001"), SectorMeta("900002"))
+        with pytest.raises(ValueError, match="dai matrix shape does not match sector count"):
+            build_network(sectors, np.zeros(shape))
 
     @pytest.mark.parametrize("w", [0.0, -0.1, float("nan"), float("inf")])
     def test_rejects_non_positive_or_non_finite_weight(self, w):

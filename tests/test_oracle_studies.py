@@ -46,9 +46,34 @@ WINDOW = re.compile(r"\b(whole sample|year \d{4}|range \S+ to \S+"
                     r"|(before|during|after) window)\b")
 
 
-def write_panel(tmp, n, days, seed):
-    """A seeded bench panel as a CSV in ``tmp``, with its codes, dates and closes."""
+# Return laws of the whole/yearly property.  At q = 15 the bench panel's
+# two clusters of returns take 4 symbols; Student-t (df = 3) returns take
+# about 12, with heavy tails; the tie-heavy closes sit on four price
+# levels, so a quarter of all returns are exactly zero and the others take
+# 12 distinct values, in 11 symbols.
+LAWS = ("bench", "student-t", "ties")
+TIE_LEVELS = np.array([100.0, 101.0, 103.0, 106.0])
+
+
+def law_closes(law, closes, seed):
+    """Closes of the same shape as the bench panel's ``closes``, drawn by ``law``."""
+    if law == "bench":
+        return closes
+    rng = np.random.default_rng(seed)
+    if law == "student-t":
+        steps = 0.01 * rng.standard_t(3, size=closes.shape)
+        steps[0] = 0.0
+        return 100.0 * np.exp(np.cumsum(steps, axis=0))
+    return TIE_LEVELS[rng.integers(len(TIE_LEVELS), size=closes.shape)]
+
+
+def write_panel(tmp, n, days, seed, law="bench"):
+    """A seeded panel as a CSV in ``tmp``, with its codes, dates and closes.
+
+    Codes and dates are the bench panel's; the closes follow ``law``.
+    """
     codes, dates, closes = panel.make_panel(n, days, seed)
+    closes = law_closes(law, closes, seed)
     csv = Path(tmp) / "panel.csv"
     csv.write_text(panel.panel_csv(codes, dates, closes), encoding="utf-8")
     return csv, codes, dates, closes
@@ -79,13 +104,14 @@ def run_msa(csv, out, *options):
 @pytest.mark.parametrize("mode", ["whole", "yearly"])
 @settings(deadline=None, max_examples=40)
 @given(n=st.integers(3, 12), years=st.integers(1, 3), last=st.integers(30, 261),
-       q=st.integers(2, 15), seed=st.integers(0, 2**16))
-def test_msa_outputs_pass_the_bench_oracle(mode, n, years, last, q, seed):
+       q=st.integers(2, 15), seed=st.integers(0, 2**16), law=st.sampled_from(LAWS))
+def test_msa_outputs_pass_the_bench_oracle(mode, n, years, last, q, seed, law):
     # 261 weekdays a year, then ``last`` days in the final year: short final
     # years have many tied pairs, which can leave no root reaching every sector.
     days = 261 * (years - 1) + last
+    event(law)
     with tempfile.TemporaryDirectory() as tmp:
-        csv, codes, dates, closes = write_panel(tmp, n, days, seed)
+        csv, codes, dates, closes = write_panel(tmp, n, days, seed, law)
         out = Path(tmp) / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

@@ -64,8 +64,8 @@ class TestEncode:
     def test_midpoint_decode_error_below_width(self, rng):
         values = rng.uniform(-0.1, 0.1, 300)
         r = make_returns(values)
-        s = symbolize(r, q=15)
-        p = s.partition
+        p = make_partition(r, q=15)
+        s = encode(r, p)
         decoded = p.x_min + (s[0] - 0.5) * p.width
         assert np.max(np.abs(decoded - values)) < p.width
 
@@ -80,8 +80,8 @@ class TestProperties:
 
     def test_affine_invariance(self, rng):
         values = rng.uniform(-0.1, 0.1, 400)
-        base = symbolize(make_returns(values), q=10).symbols
-        scaled = symbolize(make_returns(3.5 * values + 0.02), q=10).symbols
+        base = symbolize(make_returns(values), q=10)
+        scaled = symbolize(make_returns(3.5 * values + 0.02), q=10)
         np.testing.assert_array_equal(base, scaled)
 
     def test_histogram_mass(self, rng):
@@ -95,7 +95,7 @@ class TestProperties:
         for q in (2, 10, 15, 20):
             values = rng.uniform(-0.1, 0.1, 250)
             s = symbolize(make_returns(values), q=q)
-            assert s.symbols.min() == 1
-            assert s.symbols.max() == q
+            assert s.min() == 1
+            assert s.max() == q
             assert s[0][np.argmin(values)] == 1
             assert s[0][np.argmax(values)] == q
