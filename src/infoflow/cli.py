@@ -227,20 +227,19 @@ def _cmd_stats(cfg: dict) -> Files:
 def _render_stats_csv(rows, report_mode: bool) -> str:
     if report_mode:
         lines = ["symbol,sector,mean_x1000,max,min,std,skewness,kurtosis,jb"]
-        for sector, s in rows:
-            lines.append(
-                f"{sector.short_code},{sector.name},{s.mean * 1e3:.3f},{s.max:.3f},"
-                f"{s.min:.3f},{s.std:.3f},{s.skewness:.3f},{s.kurtosis:.3f},"
-                f"{s.jb_statistic:.1f}"
-            )
     else:
         lines = ["symbol,sector,mean,max,min,std,skewness,kurtosis,jb,jb_reject_1pct"]
-        for sector, s in rows:
-            lines.append(
-                f"{sector.short_code},{sector.name},{s.mean!r},{s.max!r},{s.min!r},"
-                f"{s.std!r},{s.skewness!r},{s.kurtosis!r},{s.jb_statistic!r},"
-                f"{str(s.jb_reject_at_1pct).lower()}"
-            )
+    for sector, s in rows:
+        name = sector.name
+        if any(c in name for c in ',"\r\n'):  # quoted as by the csv module's minimal quoting
+            name = '"' + name.replace('"', '""') + '"'
+        if report_mode:
+            values = (f"{s.mean * 1e3:.3f},{s.max:.3f},{s.min:.3f},{s.std:.3f},"
+                      f"{s.skewness:.3f},{s.kurtosis:.3f},{s.jb_statistic:.1f}")
+        else:
+            values = (f"{s.mean!r},{s.max!r},{s.min!r},{s.std!r},{s.skewness!r},"
+                      f"{s.kurtosis!r},{s.jb_statistic!r},{str(s.jb_reject_at_1pct).lower()}")
+        lines.append(f"{sector.short_code},{name},{values}")
     return "\n".join(lines) + "\n"
 
 

@@ -6,12 +6,13 @@ dropped for all sectors so that every series shares a single date axis;
 downstream pairwise estimation requires time-aligned samples.
 
 ``load_dataset`` has two paths.  A clean file, whose data rows hold only
-ISO dates, decimal prices, commas and newlines, is checked by byte scans
-and parsed in one ``np.loadtxt`` pass.  Every other file -- a missing or
-padded cell, a quote, a blank row, a bad date or price -- goes row by row
-through ``csv`` and ``float``, the only path that writes a diagnostic.
-The fast path returns a result only when it is the one the row path
-would return.
+ISO dates, decimal prices, commas and newlines (blank rows too), is
+checked by byte rules and parsed by one structured ``np.loadtxt`` call,
+a date text and n prices a row.  Every other file -- a missing or padded
+cell, a quote, a row of another width, a bad date or price -- goes row by
+row through ``csv`` and ``float``, the only path that writes a
+diagnostic.  The fast path returns a result only when it is the one the
+row path would return.
 
 ``returns_panel`` checks that alignment once and turns the whole dataset
 into one ``Panel``: the sectors, the return dates and an n x L matrix of
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import io
 import math
 import operator
 import warnings
@@ -43,12 +45,9 @@ JB_CRITICAL_1PCT = 9.442
 # Cell contents treated as a missing price (row is dropped for all sectors).
 _MISSING_TOKENS = {"", "na", "nan", "null", "none"}
 
-# Byte classes of the data rows for ``load_dataset``'s columnar path: 0 for
-# a byte of an ISO date or a decimal price, 1 for a comma or a newline, and
-# 2 for a byte that sends the file row by row.
-_BYTE_CLASSES = bytes(
-    0 if byte in b"0123456789+-.eE" else 1 if byte in b",\n" else 2 for byte in range(256)
-)
+# The bytes of a data row on ``load_dataset``'s columnar path: ISO dates,
+# decimal prices, commas and newlines.
+_CLEAN_BYTES = b"0123456789+-.eE,\n"
 
 
 class DatasetError(ValueError):
@@ -187,8 +186,8 @@ def load_dataset(
     strictly increasing; prices must be positive numbers.
 
     A clean file -- only ISO dates, decimal prices, commas and newlines
-    (LF or CRLF) below the header, no empty cell and no blank line -- is
-    parsed in one numpy pass.  Any other file is read row by row, which is
+    (LF or CRLF) below the header, no empty cell, blank lines allowed -- is
+    parsed in one numpy call.  Any other file is read row by row, which is
     also the path every diagnostic comes from; both paths return the same
     series for every file the fast one accepts.
 
@@ -237,6 +236,10 @@ def _sector_codes(header: list[str] | None) -> list[str]:
     # Outputs name a sector by the last three characters of its code.
     labels: dict[str, str] = {}
     for code in codes:
+        # CSV cells and DOT node names carry codes unquoted.
+        if not code.isprintable() or any(c in code for c in ',"\\'):
+            raise DatasetError(f"malformed header: sector code {code!r} holds a comma, "
+                               f"double quote, backslash or unprintable character")
         other = labels.setdefault(code[-3:], code)
         if other != code:
             raise DatasetError(f"malformed header: sector codes {other} and {code} "
@@ -245,67 +248,61 @@ def _sector_codes(header: list[str] | None) -> list[str]:
 
 
 def _read_columns(path: Path) -> _Table | None:
-    """The table of a clean file in one numpy pass, or None to read it row by row.
+    """The table of a clean file from one ``np.loadtxt`` call, or None to read it row by row.
 
-    Byte scans decline, before any parsing, every file that ``csv`` and
+    Byte checks decline, before any parsing, every file that ``csv`` and
     ``float`` could read differently from ``np.loadtxt``: a quote or a lone
-    CR in the header; below it, a class 2 byte of ``_BYTE_CLASSES`` (a
-    space, a lone CR, non-ASCII text, any letter but e/E, so every ``nan``
-    and ``NA`` too, which is why this path never drops a row), an empty
-    cell or a blank row.  Then only the column count, the dates and the
-    prices are left to check, and a file that fails a check is declined,
-    never reported: its diagnostic is the row path's.
+    CR in the header; below it, any byte but those of ``_CLEAN_BYTES`` (so a
+    space, a lone CR, non-ASCII text, any letter but e/E, every ``nan`` and
+    ``NA`` too, which is why this path never drops a row), an empty cell, or
+    no row at all.  Blank rows, which both paths skip, may stay.  The
+    structured dtype, a date text and n prices, makes numpy refuse a row of
+    any other width.  Then only the date layout and calendar, the date order
+    and the prices are left to check, and a file that fails a check is
+    declined, never reported: its diagnostic is the row path's.
     """
     data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n")
-    start = data.find(b"\n") + 1
-    separators = _separator_count(data, start, len(data) - data.endswith(b"\n"))
-    if separators is None or b'"' in data[:start] or b"\r" in data[:start]:
+    head, _, body = data.partition(b"\n")
+    del data  # parse from the body alone, not holding the file twice
+    if b'"' in head or b"\r" in head or body.translate(None, _CLEAN_BYTES):
         return None
-    head, *lines = data.split(b"\n")
-    if not lines[-1]:
-        lines.pop()
-    del data  # parse from the lines alone, not holding the file twice
+    if not body or body.isspace():  # no row, on which loadtxt warns
+        return None
+    # An empty cell is a comma at either end or next to a comma or a newline.
+    byte = np.frombuffer(body, np.uint8)
+    comma = byte == ord(",")
+    newline = np.flatnonzero(byte == ord("\n"))
+    beside_newline = np.concatenate([newline - 1, newline + 1]).clip(0, len(body) - 1)
+    if comma[0] or comma[-1] or np.any(comma[1:] & comma[:-1]) or np.any(comma[beside_newline]):
+        return None
     try:
         codes = _sector_codes(next(csv.reader([head.decode()])))
     except (UnicodeDecodeError, DatasetError):
         return None
-    # loadtxt raises on a row too short for ``usecols`` but drops the extra
-    # cells of a long one, so the comma total (separators less newlines)
-    # must rule long rows out.
-    if separators - (len(lines) - 1) != len(codes) * len(lines):
-        return None
+    # A date text one character longer than YYYY-MM-DD keeps a longer cell
+    # from being cut down to a valid date.
+    row = np.dtype([("date", "U11"), ("close", "f8", (len(codes),))])
     try:
-        dates = tuple([date.fromisoformat(line.partition(b",")[0].decode()) for line in lines])
-        _check_increasing(dates)
-        closes = np.loadtxt(
-            lines, delimiter=",", usecols=range(1, len(codes) + 1), comments=None, ndmin=2
-        )
+        table = np.loadtxt(io.BytesIO(body), dtype=row, delimiter=",", comments=None,
+                           ndmin=1, encoding="ascii")
+        days = table["date"].astype("datetime64[D]")
     except ValueError:
         return None
-    if not np.all((closes > 0) & (closes < np.inf)):
+    chars = np.ascontiguousarray(table["date"]).view(np.uint32).reshape(len(table), 11)
+    digits = chars[:, [0, 1, 2, 3, 5, 6, 8, 9]]
+    closes = table["close"]
+    if not (
+        np.all((digits >= ord("0")) & (digits <= ord("9")))  # YYYY-MM-DD exactly
+        and np.all(chars[:, [4, 7]] == ord("-"))
+        and not chars[:, 10].any()
+        and np.datetime64(date.min) <= days[0]  # no year 0
+        and np.all(days[1:] > days[:-1])
+        and np.all((closes > 0) & (closes < np.inf))
+    ):
         return None
-    return _Table(codes, _IncreasingDates(dates), closes, 0)
-
-
-def _separator_count(data: bytes, start: int, end: int) -> int | None:
-    """Commas and newlines in ``data[start:end]``, or None unless it is a clean block.
-
-    A clean block is not empty, holds no class 2 byte, and neither starts
-    nor ends with a separator nor has two side by side, which would be an
-    empty cell or a blank row.
-    """
-    classes = data.translate(_BYTE_CLASSES)
-    if not 0 < start < end or classes.find(2, start, end) >= 0:
-        return None
-    if classes[start] == 1 or classes[end - 1] == 1:
-        return None
-    # Two separators side by side fill one 16-bit word at an even or an odd offset.
-    for offset in (start, start + 1):
-        if np.any(np.frombuffer(classes, np.uint16, (end - offset) // 2, offset) == 0x0101):
-            return None
-    return int(np.count_nonzero(np.frombuffer(classes, np.bool_, end - start, start)))
+    return _Table(codes, _IncreasingDates(days.tolist()), closes, 0)
 
 
 def _read_rows(path: Path) -> _Table:

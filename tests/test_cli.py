@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import json
 from datetime import timedelta
 from pathlib import Path
@@ -124,6 +125,35 @@ class TestStats:
         assert capsys.readouterr().err == (
             "error: malformed header: sector codes 801010 and 802010 "
             "share the display label '010'\n")
+
+    @pytest.mark.parametrize("report", [[], ["--report"]])
+    def test_names_with_separators_are_quoted(self, panel_csv, tmp_path, report):
+        path, series = panel_csv
+        names = ["Food, Beverage", 'The "A" share', "One\rtwo\nthree", "Plain", ""]
+        meta = tmp_path / "names.csv"
+        with meta.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["code", "name"])
+            writer.writerows(zip((s.sector.code for s in series), names))
+        out = tmp_path / "out"
+        assert run(["stats", "--input", path, "--names", meta, "--out-dir", out,
+                    "--format", "csv", *report]) == 0
+        with (out / "summary_stats.csv").open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.reader(handle))
+        assert [len(row) for row in rows] == [10 - len(report)] * (1 + len(series))
+        assert [row[1] for row in rows[1:]] == names
+        assert f"\n{series[3].sector.short_code},Plain," in (out / "summary_stats.csv").read_text()
+
+    @pytest.mark.parametrize("code", ['"9100""20"', '"801,010"', "801\\010", "801\x01010"])
+    def test_codes_that_outputs_cannot_carry_exit_2(self, tmp_path, capsys, code):
+        path = tmp_path / "prices.csv"
+        path.write_text(f"date,801020,{code}\n2000-01-04,1.0,2.0\n2000-01-05,1.5,2.5\n")
+        for argv in (["stats"], ["msa", "--mode", "whole"]):
+            assert run([*argv, "--input", path, "--out-dir", tmp_path / "out"]) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: malformed header: sector code ")
+            assert repr(next(csv.reader([code]))[0]) in lines[0]
+            assert not (tmp_path / "out").exists()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert run(["stats", "--input", tmp_path / "nope.csv"]) == 2

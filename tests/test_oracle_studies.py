@@ -46,7 +46,7 @@ WINDOW = re.compile(r"\b(whole sample|year \d{4}|range \S+ to \S+"
                     r"|(before|during|after) window)\b")
 
 
-# Return laws of the whole/yearly property.  At q = 15 the bench panel's
+# Return laws that every study's property draws.  At q = 15 the bench panel's
 # two clusters of returns take 4 symbols; Student-t (df = 3) returns take
 # about 12, with heavy tails; the tie-heavy closes sit on four price
 # levels, so a quarter of all returns are exactly zero and the others take
@@ -125,13 +125,15 @@ def test_msa_outputs_pass_the_bench_oracle(mode, n, years, last, q, seed, law):
 
 @settings(deadline=None, max_examples=40)
 @given(n=st.integers(3, 12), days=st.integers(60, 600), first=st.integers(0, 2**16),
-       length=st.integers(20, 400), q=st.integers(2, 15), seed=st.integers(0, 2**16))
-def test_range_outputs_pass_the_bench_oracle(n, days, first, length, q, seed):
+       length=st.integers(20, 400), q=st.integers(2, 15), seed=st.integers(0, 2**16),
+       law=st.sampled_from(LAWS))
+def test_range_outputs_pass_the_bench_oracle(n, days, first, length, q, seed, law):
     # The range covers return rows first..last, dated by their later close.
     first %= days - 20
     last = min(first + length, days) - 1
+    event(law)
     with tempfile.TemporaryDirectory() as tmp:
-        csv, codes, dates, closes = write_panel(tmp, n, days, seed)
+        csv, codes, dates, closes = write_panel(tmp, n, days, seed, law)
         out = Path(tmp) / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -154,14 +156,16 @@ def test_range_outputs_pass_the_bench_oracle(n, days, first, length, q, seed):
 
 @settings(deadline=None, max_examples=40)
 @given(n=st.integers(3, 12), crash_days=st.integers(5, 80), spare=st.integers(0, 100),
-       offset=st.integers(0, 100), q=st.integers(2, 15), seed=st.integers(0, 2**16))
-def test_turmoil_outputs_pass_the_bench_oracle(n, crash_days, spare, offset, q, seed):
+       offset=st.integers(0, 100), q=st.integers(2, 15), seed=st.integers(0, 2**16),
+       law=st.sampled_from(LAWS))
+def test_turmoil_outputs_pass_the_bench_oracle(n, crash_days, spare, offset, q, seed, law):
     # The crash covers return rows start..start+T-1; the windows before,
     # during and after it are the 2T rows from start-3T, start-T and start+T.
     t = crash_days
     start = 3 * t + min(offset, spare)
+    event(law)
     with tempfile.TemporaryDirectory() as tmp:
-        csv, codes, dates, closes = write_panel(tmp, n, 6 * t + spare, seed)
+        csv, codes, dates, closes = write_panel(tmp, n, 6 * t + spare, seed, law)
         out = Path(tmp) / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")

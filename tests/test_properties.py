@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -54,7 +54,9 @@ DIRTY_CELLS = st.one_of(
     CLEAN_CELLS.map(lambda text: f'"{text}"'),
 )
 
-BAD_DATES = st.sampled_from(["", " ", "2000/01/04", "20000104", "2000-13-01", "x", '"2000-01-04"'])
+# The last five are near-ISO forms: ``datetime64`` reads some, ``date.fromisoformat`` none.
+BAD_DATES = st.sampled_from(["", " ", "2000/01/04", "20000104", "2000-13-01", "x", '"2000-01-04"',
+                             "2000-01", "+2000-01-03", "0000-01-03", "2000-01-031", "2000-1-03"])
 
 # Each fault kind is drawn on its own, so that a file often has no fault and
 # a fault often comes alone: bad cells and a lone CR one time in eight each,
@@ -81,7 +83,11 @@ def price_csv_texts(draw):
         day += timedelta(days=draw(st.integers(1, 4)))
         rows.append([day.isoformat()] + [draw(cells) for _ in range(n)])
     fault = draw(ROW_FAULT)
-    if rows and fault:
+    if fault == "blank":  # blank rows anywhere, the whole body included
+        k = draw(st.integers(0, len(rows)))
+        blank = st.sampled_from(["", " ", "\t", "," * n]).map(lambda cell: [cell])
+        rows[k:k] = draw(st.lists(blank, min_size=1, max_size=3))
+    elif rows and fault:
         k = draw(st.integers(0, len(rows) - 1))
         if fault == "wide":
             rows[k].append(draw(cells))
@@ -89,10 +95,8 @@ def price_csv_texts(draw):
             rows[k].pop()
         elif fault == "bad date":
             rows[k][0] = draw(BAD_DATES)
-        elif fault == "repeated date":
+        else:  # a repeated date
             rows[k][0] = rows[k - 1][0]
-        else:
-            rows.insert(k, [draw(st.sampled_from(["", " ", "\t", "," * n]))])
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     lines = [",".join(row) + newline for row in [header] + rows]
     if draw(FAULT):
@@ -120,6 +124,8 @@ def load_outcome(path):
 
 @settings(deadline=None, max_examples=200)
 @given(price_csv_texts())
+@example("date,801010\n")  # a header-only body
+@example("date,801010,801020\r\n\r\n\n")  # a body of blank rows only
 def test_columnar_loader_equals_the_row_path(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "prices.csv"

@@ -164,21 +164,44 @@ class TestLoadDataset:
         "2000-01-04,,20.0\n2000-01-05,10.5,19.5\n",
         "2000-01-04,10.0,20.0\n2000-01-05,10.5,\n",
         "2000-01-04,10.0,20.0\n2000-01-05,10.5,",
-        "2000-01-04,10.0,20.0\n\n2000-01-05,10.5,19.5\n",
         ",10.0,20.0\n2000-01-05,10.5,19.5\n",
+        "",
+        "\n\n",
     ])
     def test_empty_cell_or_row_is_declined_before_parsing(self, tmp_path, rows):
-        # A missing cell costs the row path a byte scan, not a wasted parse.
+        # A missing cell costs the row path a byte scan, not a wasted parse,
+        # and a file with no row never reaches loadtxt, which would warn.
         path = write_csv(tmp_path, "date,801010,801020\n" + rows)
         with mock.patch.object(np, "loadtxt", side_effect=AssertionError("parsed")):
             assert timeseries._read_columns(path) is None
 
+    @pytest.mark.parametrize("rows", [
+        "2000-01-04,10.0,20.0\n\n2000-01-05,10.5,19.5\n",
+        "\n2000-01-04,10.0,20.0\n2000-01-05,10.5,19.5\n\n\n",
+    ])
+    def test_blank_rows_stay_on_the_columnar_path(self, tmp_path, rows):
+        # Both paths skip a blank row, so it does not send the file row by row.
+        path = write_csv(tmp_path, "date,801010,801020\n" + rows)
+        fast, slow = timeseries._read_columns(path), timeseries._read_rows(path)
+        assert fast is not None
+        assert (fast.codes, fast.dates, fast.dropped) == (slow.codes, slow.dates, slow.dropped)
+        np.testing.assert_array_equal(fast.closes, slow.closes)
+
+    # datetime64 reads most of these as a day (two as the years 20000104 and
+    # 2000001003), but none is a YYYY-MM-DD date that ``date`` can hold.  One
+    # row, so that no date-order check declines the file.
+    @pytest.mark.parametrize("day", ["2000-01", "+2000-01-03", "0000-01-03", "2000-01-031",
+                                     "2000-1-03", "20000104", "2000001003", "+200-01-03"])
+    def test_dates_numpy_reads_otherwise_go_row_by_row(self, tmp_path, day):
+        path = write_csv(tmp_path, f"date,801010\n{day},10.0\n")
+        assert timeseries._read_columns(path) is None
+
     # Each input below is one that np.loadtxt reads differently from csv and
     # float(), so each fails if the columnar path accepts it by itself.
     @pytest.mark.parametrize("rows", [
-        "2000-01-04,10.0,20.0,30.0\n2000-01-05,10.5,19.5\n",  # usecols drops a cell
+        "2000-01-04,10.0,20.0,30.0\n2000-01-05,10.5,19.5\n",
         "2000-01-04,10.0,20.0\n2000-01-05,10.5,19.5,1\n",
-        "2000-01-04,10.0,20.0,30.0\n2000-01-05,10.5\n",  # the comma total still adds up
+        "2000-01-04,10.0,20.0,30.0\n2000-01-05,10.5\n",  # the comma total adds up
     ])
     def test_extra_column_is_reported(self, tmp_path, rows):
         path = write_csv(tmp_path, "date,801010,801020\n" + rows)
