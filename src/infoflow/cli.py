@@ -45,6 +45,7 @@ from .timeseries import (
     PriceSeries,
     load_dataset,
     load_sector_names,
+    parse_date,
     slice_returns,  # unused here; bench/tracer.py still wraps it under this name
     summary_stats,
 )
@@ -98,10 +99,10 @@ def build_parser() -> argparse.ArgumentParser:
     msa = sub.add_parser("msa", parents=[common],
                          help="maximum spanning arborescences and flow paths")
     msa.add_argument("--mode", choices=["whole", "yearly", "range", "turmoil"])
-    msa.add_argument("--from", dest="date_from", help="range mode start date (ISO)")
-    msa.add_argument("--to", dest="date_to", help="range mode end date (ISO)")
-    msa.add_argument("--crash-start", dest="crash_start", help="turmoil crash start (ISO)")
-    msa.add_argument("--crash-end", dest="crash_end", help="turmoil crash end (ISO)")
+    msa.add_argument("--from", dest="date_from", help="range mode start date (YYYY-MM-DD)")
+    msa.add_argument("--to", dest="date_to", help="range mode end date (YYYY-MM-DD)")
+    msa.add_argument("--crash-start", dest="crash_start", help="turmoil crash start (YYYY-MM-DD)")
+    msa.add_argument("--crash-end", dest="crash_end", help="turmoil crash end (YYYY-MM-DD)")
     msa.add_argument("--orientation", choices=["out", "in", "both"])
     msa.add_argument("--global-partition", dest="global_partition", action="store_true",
                      help="reuse whole-sample bin edges in every window")
@@ -166,7 +167,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 def _parse_date(value: str, flag: str) -> date:
     try:
-        return date.fromisoformat(value)
+        return parse_date(value)
     except ValueError as exc:
         raise CliError(f"{flag} must be an ISO-8601 date") from exc
 

@@ -18,6 +18,7 @@ starting price are the module constants ``BASE_MOVE``, ``JITTER`` and
 
 from __future__ import annotations
 
+import graphlib
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -133,23 +134,11 @@ def _binary_entropy(p: float) -> float:
 
 
 def _topological_order(n: int, couplings: tuple[Coupling, ...]) -> list[int]:
-    incoming = {c.target: c for c in couplings}
-    children: dict[int, list[int]] = {}
-    for c in couplings:
-        children.setdefault(c.source, []).append(c.target)
-    indeg = {v: (1 if v in incoming else 0) for v in range(n)}
-    order = [v for v in range(n) if indeg[v] == 0]
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for child in children.get(v, ()):
-            indeg[child] -= 1
-            if indeg[child] == 0:
-                order.append(child)
-    if len(order) != n:
-        raise ValueError("couplings must form an acyclic graph within a segment")
-    return order
+    sources = {v: () for v in range(n)} | {c.target: (c.source,) for c in couplings}
+    try:
+        return list(graphlib.TopologicalSorter(sources).static_order())
+    except graphlib.CycleError as exc:
+        raise ValueError("couplings must form an acyclic graph within a segment") from exc
 
 
 def generate_dataset(spec: SyntheticDataset) -> list[PriceSeries]:
@@ -169,16 +158,12 @@ def generate_dataset(spec: SyntheticDataset) -> list[PriceSeries]:
     for seg in spec.segments:
         t1 = t0 + seg.length
         coupled = {c.target: c for c in seg.couplings}
+        states[t0:t1] = iid_states[t0:t1]
         for v in _topological_order(n, seg.couplings):
             c = coupled.get(v)
             if c is None:
-                states[t0:t1, v] = iid_states[t0:t1, v]
                 continue
-            lo = t0
-            if t0 == 0:
-                states[0, v] = iid_states[0, v]
-                lo = 1
-            ts = np.arange(lo, t1)
+            ts = np.arange(max(t0, 1), t1)  # the first state has no previous one to copy
             copy_mask = u_copy[ts, v] < c.strength
             states[ts, v] = np.where(copy_mask, states[ts - 1, c.source], iid_states[ts, v])
         t0 = t1

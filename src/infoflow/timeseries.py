@@ -1,9 +1,9 @@
 """Price ingestion, alignment, log returns, and summary statistics.
 
 The loader consumes a wide-format CSV (``date,<code1>,<code2>,...``, one
-row per trading day, ISO-8601 dates). Rows with any missing price are
-dropped for all sectors so that every series shares a single date axis;
-downstream pairwise estimation requires time-aligned samples.
+row per trading day, dates written YYYY-MM-DD). Rows with any missing
+price are dropped for all sectors so that every series shares a single
+date axis; downstream pairwise estimation requires time-aligned samples.
 
 ``load_dataset`` has two paths.  A clean file, whose data rows hold only
 ISO dates, decimal prices, commas and newlines (blank rows too), is
@@ -29,6 +29,7 @@ import csv
 import io
 import math
 import operator
+import re
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
@@ -69,6 +70,16 @@ class SectorMeta:
     def short_code(self) -> str:
         """Last three digits of the code, used as the display label."""
         return self.code[-3:]
+
+
+def parse_date(text: str) -> date:
+    """The date written ``YYYY-MM-DD`` in ``text``; ValueError for any other form.
+
+    ``date.fromisoformat`` alone also reads ``20000104`` and ``2000-W01-3`` from Python 3.11 on.
+    """
+    if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return date.fromisoformat(text)
 
 
 def _freeze(values, dtype) -> np.ndarray:
@@ -182,8 +193,8 @@ def load_dataset(
     """Load a wide-format price CSV into one aligned PriceSeries per sector.
 
     Rows containing any missing cell are dropped for every sector, so all
-    returned series share one date axis.  Dates must be ISO-8601 and
-    strictly increasing; prices must be positive numbers.
+    returned series share one date axis.  Dates must be written
+    YYYY-MM-DD and strictly increase; prices must be positive numbers.
 
     A clean file -- only ISO dates, decimal prices, commas and newlines
     (LF or CRLF) below the header, no empty cell, blank lines allowed -- is
@@ -236,6 +247,9 @@ def _sector_codes(header: list[str] | None) -> list[str]:
     # Outputs name a sector by the last three characters of its code.
     labels: dict[str, str] = {}
     for code in codes:
+        if len(code) < 3:
+            raise DatasetError(f"malformed header: sector code {code!r} "
+                               f"is shorter than 3 characters")
         # CSV cells and DOT node names carry codes unquoted.
         if not code.isprintable() or any(c in code for c in ',"\\'):
             raise DatasetError(f"malformed header: sector code {code!r} holds a comma, "
@@ -321,7 +335,7 @@ def _read_rows(path: Path) -> _Table:
             if len(row) != len(codes) + 1:
                 raise DatasetError(f"row {lineno}: expected {len(codes) + 1} columns")
             try:
-                day = date.fromisoformat(row[0].strip())
+                day = parse_date(row[0].strip())
             except ValueError as exc:
                 raise DatasetError(f"row {lineno}: invalid ISO-8601 date {row[0]!r}") from exc
             if previous is not None and day <= previous:

@@ -144,7 +144,7 @@ class TestStats:
         assert [row[1] for row in rows[1:]] == names
         assert f"\n{series[3].sector.short_code},Plain," in (out / "summary_stats.csv").read_text()
 
-    @pytest.mark.parametrize("code", ['"9100""20"', '"801,010"', "801\\010", "801\x01010"])
+    @pytest.mark.parametrize("code", ['"9100""20"', '"801,010"', "801\\010", "801\x01010", "ab"])
     def test_codes_that_outputs_cannot_carry_exit_2(self, tmp_path, capsys, code):
         path = tmp_path / "prices.csv"
         path.write_text(f"date,801020,{code}\n2000-01-04,1.0,2.0\n2000-01-05,1.5,2.5\n")
@@ -736,6 +736,25 @@ def test_bad_date_or_empty_format_exits_2(panel_csv, tmp_path, capsys, flags, me
     assert run(["msa", "--input", path, "--out-dir", tmp_path / "out", *flags]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+# 2000-01-05 in ISO 8601's basic, week and extended week forms, which
+# date.fromisoformat reads from Python 3.11 on.
+@pytest.mark.parametrize("text", ["20000105", "2000W013", "2000-W01-3"])
+def test_only_yyyy_mm_dd_is_a_date(panel_csv, tmp_path, capsys, text):
+    path, _ = panel_csv
+    prices = tmp_path / "prices.csv"
+    prices.write_text(f"date,801010\n2000-01-04,1.0\n{text},1.5\n2000-01-06,2.0\n")
+    for argv, message in [
+        (["stats", "--input", prices], f"row 3: invalid ISO-8601 date '{text}'"),
+        (["msa", "--input", path, "--mode", "range", "--from", text, "--to", "2000-12-29"],
+         "--from must be an ISO-8601 date"),
+        (["msa", "--input", path, "--mode", "turmoil", "--crash-start", text,
+          "--crash-end", "2000-10-31"], "--crash-start must be an ISO-8601 date"),
+    ]:
+        assert run([*argv, "--out-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

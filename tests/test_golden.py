@@ -1,4 +1,4 @@
-"""Golden outputs: every CLI run of the CI hash-seed step, checked against a manifest.
+"""Golden outputs: 13 CLI runs on one panel, checked against a manifest and across processes.
 
 The panel is built here from integer price ticks, written as exact
 2-decimal closes, so the input bytes are the same on every CPU: no
@@ -8,8 +8,8 @@ Which files are compared how, and why:
 
 - every ``msa`` file is compared by its sha256 (``golden/msa_sha256.json``).
   Its text holds symbols, trees and sums that were the same with and
-  without AVX-512 on this panel, and the second test below checks that on
-  every host that can switch AVX-512 off;
+  without AVX-512 on this panel, and the test ``..._without_avx512``
+  checks that on every host that can switch AVX-512 off;
 - ``stats`` and ``specificity`` files are compared by value
   (``golden/stats_specificity.json``): each number within ``REL_TOL`` /
   ``ABS_TOL``, every other cell and key exactly.  Their moment sums and
@@ -18,6 +18,11 @@ Which files are compared how, and why:
   and the largest change of a value is 2.5e-13 of itself, so the tolerance
   leaves more than three orders of magnitude of margin, while any change
   of data or method moves a value far more.
+
+Every file must also be byte-identical between two fresh interpreters
+with other string-hash seeds (acceptance criterion 8 across processes):
+a renderer that iterated a set of codes would fail there.  One run of
+the list goes through ``python -m infoflow.cli``.
 
 After a change that alters outputs on purpose, rewrite the manifest with
 
@@ -43,12 +48,12 @@ import pytest
 
 from infoflow.cli import main
 
-GOLDEN = Path(__file__).resolve().parent / "golden"
+TESTS = Path(__file__).resolve().parent
+GOLDEN = TESTS / "golden"
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
 
-# The CI hash-seed step's runs, each into its own directory; "{index}" is
-# the index CSV.
+# The runs, each into its own directory; "{index}" is the index CSV.
 RANGE = ["--mode", "range", "--from", "2001-01-01", "--to", "2002-12-31"]
 TURMOIL = ["--mode", "turmoil", "--crash-start", "2002-01-01", "--crash-end", "2002-03-31"]
 RUNS = {
@@ -67,9 +72,11 @@ RUNS = {
     "turmoil_global": ["msa", *TURMOIL, "--global-partition"],
     "specificity": ["specificity", "--index", "{index}", "--samples", "2"],
 }
+# The run made by ``python -m infoflow.cli``, in a process of its own.
+MODULE_RUN = "whole"
 
 # Planted lag-1 couplings (source, target, chance in 10 that the target
-# repeats the source's previous tick), as in the CI panel.
+# repeats the source's previous tick).
 COUPLINGS = ((0, 3, 7), (3, 7, 6), (5, 1, 5), (9, 11, 6))
 
 
@@ -115,8 +122,15 @@ def parsed(path: Path):
     return [[_cell(c) for c in line.split(",")] for line in text.splitlines()]
 
 
+def child_env(**extra: str) -> dict[str, str]:
+    """This process's environment with ``src`` on the import path, plus ``extra``."""
+    path = os.pathsep.join(filter(None, [str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 def outputs(work: Path) -> tuple[dict, dict]:
-    """Every run's msa file hashes and stats/specificity values, by run and file."""
+    """Every run's file hashes and stats/specificity values, by run and file."""
+    work.mkdir(exist_ok=True)
     panel, index = panel_csvs()
     (work / "panel.csv").write_text(panel, encoding="utf-8")
     (work / "index.csv").write_text(index, encoding="utf-8")
@@ -124,15 +138,35 @@ def outputs(work: Path) -> tuple[dict, dict]:
     for run, argv in RUNS.items():
         out = work / run
         argv = [a.replace("{index}", str(work / "index.csv")) for a in argv]
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main([*argv, "--input", str(work / "panel.csv"), "--out-dir", str(out)])
+        argv += ["--input", str(work / "panel.csv"), "--out-dir", str(out)]
+        if run == MODULE_RUN:
+            code = subprocess.run([sys.executable, "-m", "infoflow.cli", *argv],
+                                  env=child_env(), stdout=subprocess.DEVNULL,
+                                  timeout=600).returncode
+        else:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
         assert code == 0, run
         files = sorted(out.iterdir())
-        if argv[0] == "msa":
-            hashes[run] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
-        else:
+        hashes[run] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+        if argv[0] != "msa":
             values[run] = {p.name: parsed(p) for p in files}
     return hashes, values
+
+
+def fresh_outputs(work: Path, **env: str) -> tuple[dict, dict, dict]:
+    """``outputs`` in a new interpreter with ``env`` set, and that interpreter's CPU features."""
+    script = ("import json, sys, test_golden; "
+              "print(json.dumps([*test_golden.outputs(test_golden.Path(sys.argv[1])), "
+              "test_golden.cpu_features()]))")
+    child = subprocess.run([sys.executable, "-c", script, str(work)], cwd=TESTS,
+                           env=child_env(**env), capture_output=True, text=True, timeout=600)
+    assert child.returncode == 0, child.stderr
+    return tuple(json.loads(child.stdout))
+
+
+def msa_hashes(hashes: dict) -> dict:
+    return {run: files for run, files in hashes.items() if RUNS[run][0] == "msa"}
 
 
 def close(a, b) -> bool:
@@ -151,9 +185,8 @@ def read(name: str) -> dict:
     return json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
 
 
-def test_outputs_match_the_golden_manifest(tmp_path):
-    hashes, values = outputs(tmp_path)
-    assert hashes == read("msa_sha256")
+def assert_golden(hashes: dict, values: dict) -> None:
+    assert msa_hashes(hashes) == read("msa_sha256")
     golden = read("stats_specificity")
     assert {run: sorted(files) for run, files in values.items()} == {
         run: sorted(files) for run, files in golden.items()}
@@ -162,54 +195,49 @@ def test_outputs_match_the_golden_manifest(tmp_path):
             assert close(value, golden[run][name]), f"{run}/{name}"
 
 
-def _avx512_switch_missing() -> str | None:
-    """Why AVX-512 cannot be switched off for a child process here, or None."""
+def test_outputs_match_the_golden_manifest(tmp_path):
+    assert_golden(*outputs(tmp_path))
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    first, second = (fresh_outputs(tmp_path / seed, PYTHONHASHSEED=seed)[0] for seed in "12")
+    assert first == second
+    assert msa_hashes(first) == read("msa_sha256")
+
+
+def cpu_features() -> dict:
+    """The CPU features numpy dispatches on in this process."""
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:  # numpy < 2
         from numpy.core._multiarray_umath import __cpu_features__
-    if "X86_V4" not in __cpu_features__:
+    return __cpu_features__
+
+
+def _avx512_switch_missing() -> str | None:
+    """Why AVX-512 cannot be switched off for a child process here, or None."""
+    features = cpu_features()
+    if "X86_V4" not in features:
         return f"numpy {np.__version__} has no X86_V4 feature group"
-    if not __cpu_features__.get("AVX512_SKX"):
+    if not features.get("AVX512_SKX"):
         return "this CPU lacks AVX512_SKX, so its outputs are the ones without AVX-512"
     return None
 
 
-# Run in a child with AVX-512 off: fail if numpy still dispatches to it,
-# otherwise run the in-process golden test.
-CHILD = """
-import sys
-import pytest
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:
-    from numpy.core._multiarray_umath import __cpu_features__
-if __cpu_features__["AVX512_SKX"]:
-    sys.exit("NPY_DISABLE_CPU_FEATURES=X86_V4 left AVX512_SKX on")
-sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", sys.argv[1]]))
-"""
-
-
-def test_outputs_match_the_golden_manifest_without_avx512():
+def test_outputs_match_the_golden_manifest_without_avx512(tmp_path):
     reason = _avx512_switch_missing()
     if reason:
         pytest.skip(reason)
-    root = Path(__file__).resolve().parent.parent
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4",
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"),
-                                                       os.environ.get("PYTHONPATH")]))}
-    child = subprocess.run(
-        [sys.executable, "-c", CHILD,
-         f"{Path(__file__).resolve()}::test_outputs_match_the_golden_manifest"],
-        cwd=root, env=env, capture_output=True, text=True, timeout=600)
-    assert child.returncode == 0, child.stdout + child.stderr
+    hashes, values, features = fresh_outputs(tmp_path, NPY_DISABLE_CPU_FEATURES="X86_V4")
+    assert not features["AVX512_SKX"], "NPY_DISABLE_CPU_FEATURES=X86_V4 left AVX512_SKX on"
+    assert_golden(hashes, values)
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        msa, stats = outputs(Path(tmp))
-    for name, manifest in (("msa_sha256", msa), ("stats_specificity", stats)):
+        hashes, stats = outputs(Path(tmp))
+    for name, manifest in (("msa_sha256", msa_hashes(hashes)), ("stats_specificity", stats)):
         (GOLDEN / f"{name}.json").write_text(json.dumps(manifest, indent=1) + "\n",
                                              encoding="utf-8")
         print(GOLDEN / f"{name}.json")

@@ -103,7 +103,7 @@ def run_msa(csv, out, *options):
 
 @pytest.mark.parametrize("mode", ["whole", "yearly"])
 @settings(deadline=None, max_examples=40)
-@given(n=st.integers(3, 12), years=st.integers(1, 3), last=st.integers(30, 261),
+@given(n=st.integers(3, 28), years=st.integers(1, 3), last=st.integers(30, 261),
        q=st.integers(2, 15), seed=st.integers(0, 2**16), law=st.sampled_from(LAWS))
 def test_msa_outputs_pass_the_bench_oracle(mode, n, years, last, q, seed, law):
     # 261 weekdays a year, then ``last`` days in the final year: short final
@@ -124,8 +124,8 @@ def test_msa_outputs_pass_the_bench_oracle(mode, n, years, last, q, seed, law):
 
 
 @settings(deadline=None, max_examples=40)
-@given(n=st.integers(3, 12), days=st.integers(60, 600), first=st.integers(0, 2**16),
-       length=st.integers(20, 400), q=st.integers(2, 15), seed=st.integers(0, 2**16),
+@given(n=st.integers(3, 28), days=st.integers(60, 600), first=st.integers(0, 2**16),
+       length=st.integers(20, 600), q=st.integers(2, 15), seed=st.integers(0, 2**16),
        law=st.sampled_from(LAWS))
 def test_range_outputs_pass_the_bench_oracle(n, days, first, length, q, seed, law):
     # The range covers return rows first..last, dated by their later close.
@@ -155,7 +155,7 @@ def test_range_outputs_pass_the_bench_oracle(n, days, first, length, q, seed, la
 
 
 @settings(deadline=None, max_examples=40)
-@given(n=st.integers(3, 12), crash_days=st.integers(5, 80), spare=st.integers(0, 100),
+@given(n=st.integers(3, 28), crash_days=st.integers(5, 80), spare=st.integers(0, 100),
        offset=st.integers(0, 100), q=st.integers(2, 15), seed=st.integers(0, 2**16),
        law=st.sampled_from(LAWS))
 def test_turmoil_outputs_pass_the_bench_oracle(n, crash_days, spare, offset, q, seed, law):

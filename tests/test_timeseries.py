@@ -62,6 +62,12 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="header"):
             load_dataset(path)
 
+    def test_code_shorter_than_3_characters(self, tmp_path):
+        path = write_csv(tmp_path, "date,ab,cd\n2000-01-04,10.0,11.0\n2000-01-05,10.5,11.5\n")
+        with pytest.raises(DatasetError, match=(
+                r"^malformed header: sector code 'ab' is shorter than 3 characters$")):
+            load_dataset(path)
+
     def test_duplicate_codes(self, tmp_path):
         path = write_csv(tmp_path, "date,801010,801010\n2000-01-04,10.0,11.0\n")
         with pytest.raises(DatasetError, match="duplicate"):
