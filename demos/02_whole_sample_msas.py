@@ -8,7 +8,10 @@ information-flow paths.  Writes the panel CSV plus DOT/JSON renderings
 into demo_output/ so the arborescences can be drawn with graphviz.
 """
 
+import dataclasses
 from pathlib import Path
+
+import numpy as np
 
 from infoflow import (
     arborescence_to_dot,
@@ -37,7 +40,9 @@ def describe(arb, path, label):
 
 def main():
     OUT.mkdir(exist_ok=True)
-    dataset = demo_dataset()
+    # Closes to the cent, as index closes are quoted: a last-bit difference
+    # in the generator's np.exp between CPUs then leaves the files unchanged.
+    dataset = [dataclasses.replace(p, closes=np.round(p.closes, 2)) for p in demo_dataset()]
     (OUT / "demo_sectors.csv").write_text(dataset_to_csv(dataset), encoding="utf-8")
     print(f"panel: {len(dataset)} sectors x {len(dataset[0])} trading days")
 

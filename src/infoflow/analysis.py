@@ -274,7 +274,8 @@ def turmoil_study(
     if t_len == 0:
         raise ValueError("no trading days inside the crash interval")
     if i0 - 3 * t_len < 0 or i0 + 3 * t_len > len(dates):
-        raise ValueError("dataset does not cover all turmoil windows")
+        raise ValueError(f"turmoil windows need {3 * t_len} trading days before the crash start "
+                         f"and {3 * t_len} from it; the dataset has {i0} and {len(dates) - i0}")
     # Each window is 2T trading days and starts k*T days from the crash start.
     windows = [(label, f"{label} window",
                 (dates[i0 + k * t_len], dates[i0 + (k + 2) * t_len - 1]))
@@ -344,7 +345,8 @@ def specificity_study(
 
         candidates = sorted(code for code in row if code not in {src, snk})
         if samples > len(candidates):
-            raise ValueError("more control samples requested than non-root sectors")
+            raise ValueError(f"year {w.interval[0].year}: {samples} control samples requested, "
+                             f"but only {len(candidates)} sectors are neither root")
         picks = rng.choice(len(candidates), size=samples, replace=False)
         chosen = tuple(candidates[k] for k in picks.tolist())
         control_sectors.append(chosen)

@@ -182,7 +182,10 @@ def load_sector_names(source: str | Path) -> dict[str, str]:
         for row in reader:
             if not row:
                 continue
-            names[row[0].strip()] = row[1].strip() if len(row) > 1 else ""
+            code = row[0].strip()
+            if code in names:
+                raise DatasetError(f"sector-metadata CSV lists code {code} twice")
+            names[code] = row[1].strip() if len(row) > 1 else ""
     return names
 
 
@@ -268,12 +271,13 @@ def _read_columns(path: Path) -> _Table | None:
     ``float`` could read differently from ``np.loadtxt``: a quote or a lone
     CR in the header; below it, any byte but those of ``_CLEAN_BYTES`` (so a
     space, a lone CR, non-ASCII text, any letter but e/E, every ``nan`` and
-    ``NA`` too, which is why this path never drops a row), an empty cell, or
-    no row at all.  Blank rows, which both paths skip, may stay.  The
-    structured dtype, a date text and n prices, makes numpy refuse a row of
-    any other width.  Then only the date layout and calendar, the date order
-    and the prices are left to check, and a file that fails a check is
-    declined, never reported: its diagnostic is the row path's.
+    ``NA`` too, which is why this path never drops a row), or no row at all.
+    Blank rows, which both paths skip, may stay.  The structured dtype, a
+    date text and n prices, makes numpy refuse a row of any other width and
+    an empty price.  Then only the date layout and calendar, the date order
+    and the prices are left to check (an empty date fails the layout, a
+    price read as NaN or 0 the price check), and a file that fails a check
+    is declined, never reported: its diagnostic is the row path's.
     """
     data = path.read_bytes().removeprefix(codecs.BOM_UTF8)
     if b"\r" in data:
@@ -283,13 +287,6 @@ def _read_columns(path: Path) -> _Table | None:
     if b'"' in head or b"\r" in head or body.translate(None, _CLEAN_BYTES):
         return None
     if not body or body.isspace():  # no row, on which loadtxt warns
-        return None
-    # An empty cell is a comma at either end or next to a comma or a newline.
-    byte = np.frombuffer(body, np.uint8)
-    comma = byte == ord(",")
-    newline = np.flatnonzero(byte == ord("\n"))
-    beside_newline = np.concatenate([newline - 1, newline + 1]).clip(0, len(body) - 1)
-    if comma[0] or comma[-1] or np.any(comma[1:] & comma[:-1]) or np.any(comma[beside_newline]):
         return None
     try:
         codes = _sector_codes(next(csv.reader([head.decode()])))

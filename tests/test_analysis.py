@@ -218,7 +218,9 @@ class TestTurmoil:
 
     def test_insufficient_coverage(self):
         series, crash_start, crash_end = turmoil_dataset(seed=0, t_len=100, n=4)
-        with pytest.raises(ValueError, match="cover"):
+        # The crash moved to the first return: 400 trading days long.
+        with pytest.raises(ValueError, match=r"^turmoil windows need 1200 trading days before "
+                           r"the crash start and 1200 from it; the dataset has 0 and 600$"):
             turmoil_study(returns_panel(series), q=10,
                           crash_start=crash_start - timedelta(days=300),
                           crash_end=crash_end)

@@ -14,6 +14,7 @@ from infoflow.synth import (
     Segment,
     SyntheticDataset,
     dataset_to_csv,
+    demo_dataset,
     generate_dataset,
 )
 
@@ -154,6 +155,16 @@ class TestStats:
             assert len(lines) == 1 and lines[0].startswith("error: malformed header: sector code ")
             assert repr(next(csv.reader([code]))[0]) in lines[0]
             assert not (tmp_path / "out").exists()
+
+    def test_repeated_code_in_names_exits_2(self, panel_csv, tmp_path, capsys):
+        path, _ = panel_csv
+        meta = tmp_path / "names.csv"
+        meta.write_text("code,name\n910010,Mining\n910020,Chemicals\n910010,Steel\n")
+        out = tmp_path / "out"
+        assert run(["stats", "--input", path, "--names", meta, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == (
+            "error: sector-metadata CSV lists code 910010 twice\n")
+        assert not out.exists()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert run(["stats", "--input", tmp_path / "nope.csv"]) == 2
@@ -424,6 +435,20 @@ class TestSpecificity:
         assert capsys.readouterr().err == "error: year 2001, index 000001: zero variance\n"
         assert not out.exists()
 
+    def test_more_samples_than_non_root_sectors_names_the_year(self, tmp_path, capsys):
+        # The demos' 28 sectors: in 2001 the two roots differ, leaving 26.
+        series = demo_dataset()
+        path = tmp_path / "demo.csv"
+        path.write_text(dataset_to_csv(series), encoding="utf-8")
+        index_csv = copy_as_index(series[0], tmp_path)
+        out = tmp_path / "out"
+        assert run(["specificity", "--input", path, "--index", index_csv,
+                    "--out-dir", out, "--samples", 27]) == 2
+        assert capsys.readouterr().err == (
+            "error: year 2001: 27 control samples requested, "
+            "but only 26 sectors are neither root\n")
+        assert not out.exists()
+
     def test_seed_repeatability(self, panel_csv, tmp_path):
         path, series = panel_csv
         index_csv = copy_as_index(series[0], tmp_path)
@@ -642,7 +667,8 @@ CONSTANT = "error: sector 910020, whole sample: degenerate series: constant valu
                  "error: no trading days inside the crash interval", id="turmoil-no-days"),
     pytest.param("none", ["--mode", "turmoil", "--crash-start", "2000-01-10",
                           "--crash-end", "2000-02-29"], None,
-                 "error: dataset does not cover all turmoil windows", id="turmoil-uncovered"),
+                 "error: turmoil windows need 153 trading days before the crash start and 153 "
+                 "from it; the dataset has 9 and 721", id="turmoil-uncovered"),
     pytest.param("none", ["--mode", "range", "--from", "2031-01-01", "--to", "2030-05-01"],
                  None, "error: range 2031-01-01 to 2030-05-01: empty interval",
                  id="range-empty-interval"),
