@@ -10,9 +10,10 @@ override file values.
 Each command runs its study and returns every file it can produce as an
 ordered ``{filename: renderer}`` mapping of zero-argument callables.
 ``main`` is the one writer: it checks ``--format``, ``--q`` and
-``--samples`` before any command runs, renders only the files whose
-suffix is a requested format, in order, and writes each atomically (temp
-file + rename); a format that selects none of the command's files is an
+``--samples`` before any command runs (and ``msa`` checks its date flags
+before it reads the input), renders only the files whose suffix is a
+requested format, in order, and writes each atomically (temp file +
+rename); a format that selects none of the command's files is an
 error.  Every command is deterministic given input bytes, configuration,
 and seed.
 
@@ -261,10 +262,13 @@ def _cmd_msa(cfg: dict) -> Files:
     report = cfg["report"]
     q = int(cfg["q"])
 
-    if mode == "turmoil" and not (cfg.get("crash_start") and cfg.get("crash_end")):
-        raise CliError("turmoil mode requires --crash-start and --crash-end")
-    if mode == "range" and not (cfg.get("date_from") and cfg.get("date_to")):
-        raise CliError("range mode requires --from and --to")
+    # The mode's two date flags, checked before the input is read.
+    flags = {"range": (("date_from", "--from"), ("date_to", "--to")),
+             "turmoil": (("crash_start", "--crash-start"), ("crash_end", "--crash-end"))
+             }.get(mode, ())
+    if not all(cfg.get(key) for key, _ in flags):
+        raise CliError(f"{mode} mode requires {flags[0][1]} and {flags[1][1]}")
+    dates = tuple(_parse_date(cfg[key], flag) for key, flag in flags)
 
     returns = analysis.returns_panel(_load_input(cfg))
 
@@ -272,8 +276,7 @@ def _cmd_msa(cfg: dict) -> Files:
         if mode == "whole":
             stem, name, span = "msa_whole", "whole sample", (returns.dates[0], returns.dates[-1])
         else:
-            span = (_parse_date(cfg["date_from"], "--from"), _parse_date(cfg["date_to"], "--to"))
-            stem, name = "msa_range", f"range {span[0]} to {span[1]}"
+            stem, name, span = "msa_range", f"range {dates[0]} to {dates[1]}", dates
         [result] = analysis.run_windows(returns, q, [(stem, name, span)],
                                         cfg["global_partition"], orientations)
         files = {f"{stem}.csv": partial(analysis.render_msa_bundle_csv, result, report)}
@@ -300,12 +303,7 @@ def _cmd_msa(cfg: dict) -> Files:
         files["yearly_reports.json"] = partial(analysis.render_yearly_json, windows)
         return files
 
-    study = analysis.turmoil_study(
-        returns, q,
-        _parse_date(cfg["crash_start"], "--crash-start"),
-        _parse_date(cfg["crash_end"], "--crash-end"),
-        global_partition=cfg["global_partition"],
-    )
+    study = analysis.turmoil_study(returns, q, *dates, global_partition=cfg["global_partition"])
     files = {"turmoil.csv": partial(analysis.render_turmoil_csv, study, report),
              "turmoil.json": partial(analysis.render_turmoil_json, study)}
     for result in study.results.values():
@@ -318,6 +316,11 @@ def _cmd_specificity(cfg: dict) -> Files:
     if not cfg.get("index"):
         raise CliError("--index is required for the specificity study")
     dataset = _load_input(cfg)
+    # Each year's control sectors exclude its roots, one sector or two.
+    if cfg["samples"] > len(dataset) - 1:
+        raise CliError(f"{cfg['samples']} control samples requested, but at most "
+                       f"{len(dataset) - 1} of the {len(dataset)} sectors can be neither "
+                       "root in a year")
     # One panel with the index as its last row; the yearly study runs on the
     # sector rows above it.
     index = load_dataset(cfg["index"])

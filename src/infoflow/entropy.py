@@ -121,21 +121,18 @@ def _te_columns(symbols: np.ndarray, q: int) -> np.ndarray:
 
     series = np.arange(n)
     rows = series[:, None]
-    # Count rows: one per (series, symbol) seen at "now" in this window.
-    # source[r] is the series of row r; source_row[i, t] is the row of
-    # series i's sample t.
-    now = symbols[:, :-1] - 1
-    seen = np.zeros((n, q), dtype=bool)
-    seen[rows, now] = True
-    source = np.repeat(series, seen.sum(axis=1))
-    source_row = (np.cumsum(seen.ravel()).reshape(n, q) - 1)[rows, now]
-    n_rows = len(source)
     # Series i's state (now, next) at t gets the key (i * q + now) * q + next:
     # keys are series-major, then now-major, so the states that share a
     # series and a "now" symbol are adjacent.
-    state = now  # updated in place
+    state = symbols[:, :-1] - 1  # updated in place
     state += rows * q
     n_b = np.bincount(state.ravel(), minlength=n * q).reshape(n, q)
+    # Count rows: one per (series, symbol) seen at "now", in key order.
+    # source[r] is the series of row r; source_row[i, t] is the row of
+    # series i's sample t.
+    source = np.flatnonzero(n_b) // q
+    source_row = np.take(np.cumsum(n_b > 0) - 1, state)
+    n_rows = len(source)
     state *= q
     state += symbols[:, 1:]
     state -= 1
@@ -159,14 +156,11 @@ def _te_columns(symbols: np.ndarray, q: int) -> np.ndarray:
 
     # Targets [j0, j1) form one block: one bincount, keyed by source row
     # and column, counts n_abc for all of them.
-    per_block = max(1, _BLOCK_CELLS // (n * n_tri))
+    widest = (target_end - target_start).max()
+    per_block = max(1, _BLOCK_CELLS // max(n * n_tri, n_rows * widest))
     te = np.empty((n, n))
-    j0 = 0
-    while j0 < n:
-        j1 = j0 + 1
-        while (j1 < n and j1 - j0 < per_block
-               and n_rows * (target_end[j1] - target_start[j0]) <= _BLOCK_CELLS):
-            j1 += 1
+    for j0 in range(0, n, per_block):
+        j1 = min(j0 + per_block, n)
         c0, c1 = target_start[j0], target_end[j1 - 1]
         width = c1 - c0
         keys = np.multiply(source_row, width, out=np.empty((j1 - j0, n, n_tri), np.intp))
@@ -181,7 +175,6 @@ def _te_columns(symbols: np.ndarray, q: int) -> np.ndarray:
                      - log_terms(n_bc, source, (col_target[starts] - j0) * n, owners))
         exponents = exponents.reshape(j1 - j0, n, n_primes) + own[j0:j1, None, :]
         te[:, j0:j1] = ((exponents * log_primes).sum(axis=2) / n_tri).T
-        j0 = j1
     return te
 
 

@@ -129,6 +129,22 @@ class TestYearlyReports:
                 again = maximal_information_flow_path(w.trees[orientation])
                 assert again == w.paths[orientation]
 
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_planted_rotation_gives_the_yearly_outgoing_roots(self, seed):
+        # Positive control: each calendar year 2001-2005 has its own hub, which
+        # drives all 27 other sectors; the yearly source roots follow the hubs.
+        hubs = (3, 17, 8, 25, 12)
+        segments = tuple(
+            Segment(days, tuple(Coupling(hub, t, 0.5) for t in range(28) if t != hub))
+            for days, hub in zip((365, 365, 365, 366, 365), hubs))
+        spec = SyntheticDataset(n_sectors=28, segments=segments, seed=seed,
+                                start=date(2000, 12, 31))
+        returns = returns_panel(generate_dataset(spec))
+        windows = yearly_reports(returns, q=15, orientations=("outgoing",))
+        assert [w.label for w in windows] == ["2001", "2002", "2003", "2004", "2005"]
+        assert [w.trees["outgoing"].root_sector.code for w in windows] == [
+            returns.sectors[hub].code for hub in hubs]
+
     def test_global_partition_mode_runs(self):
         dataset = hub_panel(years=2)
         local = yearly_reports(returns_panel(dataset), q=10)

@@ -449,6 +449,24 @@ class TestSpecificity:
             "but only 26 sectors are neither root\n")
         assert not out.exists()
 
+    def test_more_samples_than_sectors_allow_are_refused_before_any_estimate(
+            self, tmp_path, capsys, monkeypatch):
+        def no_estimate(symbols):
+            raise AssertionError("a TE matrix was estimated")
+
+        monkeypatch.setattr("infoflow.analysis.te_matrix", no_estimate)
+        series = demo_dataset()
+        path = tmp_path / "demo.csv"
+        path.write_text(dataset_to_csv(series), encoding="utf-8")
+        index_csv = copy_as_index(series[0], tmp_path)
+        out = tmp_path / "out"
+        assert run(["specificity", "--input", path, "--index", index_csv,
+                    "--out-dir", out, "--samples", 28]) == 2
+        assert capsys.readouterr().err == (
+            "error: 28 control samples requested, but at most 27 of the 28 sectors "
+            "can be neither root in a year\n")
+        assert not out.exists()
+
     def test_seed_repeatability(self, panel_csv, tmp_path):
         path, series = panel_csv
         index_csv = copy_as_index(series[0], tmp_path)
@@ -795,6 +813,11 @@ def test_only_yyyy_mm_dd_is_a_date(panel_csv, tmp_path, capsys, text):
                  id="specificity-q"),
     pytest.param(["specificity", "--samples", "0"], "--samples must be at least 1",
                  id="specificity-samples"),
+    pytest.param(["msa", "--mode", "range", "--from", "2000-03-01", "--to", "2000/12/29"],
+                 "--to must be an ISO-8601 date", id="range-date"),
+    pytest.param(["msa", "--mode", "turmoil", "--crash-start", "2000-09-31",
+                  "--crash-end", "2000-10-31"], "--crash-start must be an ISO-8601 date",
+                 id="turmoil-date"),
 ])
 def test_q_and_samples_are_checked_before_the_input_is_read(panel_csv, tmp_path, capsys,
                                                             argv, message):

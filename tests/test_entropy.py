@@ -126,17 +126,29 @@ class TestTeMatrix:
                 if i != j:
                     assert m[i, j] == pair_te(series[i], series[j])
 
-    @pytest.mark.parametrize("n, length", [(30, 101), (4, 20001)])
-    def test_entries_equal_pair_values_across_target_blocks(self, rng, n, length):
+    @pytest.mark.parametrize("n, length, full_alphabet", [
+        pytest.param(30, 101, False, id="30-101"),
+        pytest.param(4, 20001, False, id="4-20001"),
+        pytest.param(12, 600, True, id="12-600-full-alphabet"),
+    ])
+    def test_entries_equal_pair_values_across_target_blocks(self, rng, n, length,
+                                                            full_alphabet):
         # The matrix kernel counts its targets in blocks; these panels need
-        # more than one block, of several targets (30 x 101) or of one.
+        # more than one block, of several targets (30 x 101) or of one.  A
+        # block is bounded by its keys, n x (L - 1) per target, and by its
+        # count matrix, count rows x the widest target's columns; with every
+        # row over all 15 symbols (12 x 600) the count matrix is the larger.
         assert n * n * (length - 1) > entropy._BLOCK_CELLS
-        rows = [rng.integers(1, 5, size=length)]
+        rows = [rng.integers(1, 16 if full_alphabet else 5, size=length)]
         for k in range(1, n):
-            row = rng.integers(1, int(rng.integers(3, 6)), size=length)
+            top = 16 if full_alphabet else int(rng.integers(3, 6))
+            row = rng.integers(1, top, size=length)
             copy = rng.random(length) < 0.5  # half the time, a lagged copy
             row[1:][copy[1:]] = rows[int(rng.integers(k))][:-1][copy[1:]]
             rows.append(row)
+        count_rows = sum(len(set(row[:-1].tolist())) for row in rows)
+        widest = max(len(set(zip(row[:-1].tolist(), row[1:].tolist()))) for row in rows)
+        assert (count_rows * widest > n * (length - 1)) == full_alphabet
         m = te_matrix(np.stack(rows))
         for i in range(n):
             for j in range(n):
