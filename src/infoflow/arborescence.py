@@ -199,9 +199,10 @@ def max_spanning_arborescence(g: InfoFlowNetwork, orientation: str = "outgoing")
     to every sector lets one minimum-arborescence solve choose the root.
     Each edge cost is the lexicographic triple (super-root edges, -weight,
     -key) packed into one exact integer.  The key is 2**(K - 1 - rank):
-    super-root edges rank first by root code, then real edges by code
-    pair, so a larger key sum is exactly the tie rule above.  Raises if no
-    root reaches every node (possible when tied pairs were dropped).
+    super-root edges rank first by root code, then real edges in their
+    (source code, target code) order in ``g.edges``, so a larger key sum
+    is exactly the tie rule above.  Raises if no root reaches every node
+    (possible when tied pairs were dropped).
     """
     if orientation not in ORIENTATIONS:
         raise ValueError(f"orientation must be one of {ORIENTATIONS}")
@@ -209,7 +210,6 @@ def max_spanning_arborescence(g: InfoFlowNetwork, orientation: str = "outgoing")
     if n == 0:
         raise ValueError("empty network")
 
-    codes = [s.code for s in g.sectors]
     m = len(g.edges)
     # Floats are dyadic rationals, so one power-of-two scale makes every
     # weight an exact integer and every reduced cost below exact too.
@@ -219,23 +219,18 @@ def max_spanning_arborescence(g: InfoFlowNetwork, orientation: str = "outgoing")
     key_bits = n + m
     super_cost = (n * max(weights, default=0) + 1) << key_bits  # beats any real tree
 
-    by_code = sorted(range(n), key=codes.__getitem__)
+    by_code = sorted(range(n), key=lambda v: g.sectors[v].code)
     work = [(n, v, super_cost - (1 << (key_bits - 1 - rank)), m + v)
             for rank, v in enumerate(by_code)]
-    code_rank = {code: rank for rank, code in enumerate(sorted(set(codes)))}
-    pair_key = [code_rank[codes[i]] * n + code_rank[codes[j]] for i, j, _ in g.edges]
-    by_pair = sorted(range(m), key=pair_key.__getitem__)  # by (source code, target code)
-    for rank, eid in enumerate(by_pair, start=n):
-        i, j, _ = g.edges[eid]
+    for eid, ((i, j, _), w) in enumerate(zip(g.edges, weights)):  # rank n + eid
         u, v = (i, j) if orientation == "outgoing" else (j, i)
-        work.append((u, v, -(weights[eid] << key_bits) - (1 << (key_bits - 1 - rank)), eid))
+        work.append((u, v, -(w << key_bits) - (1 << (m - 1 - eid)), eid))
 
-    chosen = _min_arborescence(n + 1, work, n)
+    chosen = sorted(_min_arborescence(n + 1, work, n))  # super-root edges sort last
     roots = [eid - m for eid in chosen if eid >= m]
     if len(roots) != 1:
         raise ValueError("no root reaches all nodes")
-    edges = tuple(g.edges[eid] for eid in chosen if eid < m)
-    return Arborescence(orientation, roots[0], g.sectors, edges)
+    return Arborescence(orientation, roots[0], g.sectors, tuple(g.edges[e] for e in chosen[:-1]))
 
 
 def maximal_information_flow_path(a: Arborescence) -> InfoFlowPath:

@@ -149,7 +149,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             raise CliError("config file not found")
         try:
             file_values = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise CliError(f"invalid config file: {exc}") from exc
         if not isinstance(file_values, dict):
             raise CliError("config file must hold a JSON object")

@@ -23,7 +23,10 @@ _LISTED_TIES = 10
 
 @dataclass(frozen=True)
 class InfoFlowNetwork:
-    """Directed graph over sectors; edges are (source, target, weight > 0)."""
+    """Directed graph over sectors; edges are (source, target, weight > 0).
+
+    Edges are kept sorted by (source code, target code), whatever order they come in.
+    """
 
     sectors: tuple[SectorMeta, ...]
     edges: tuple[tuple[int, int, float], ...]
@@ -31,7 +34,9 @@ class InfoFlowNetwork:
 
     def __post_init__(self):
         object.__setattr__(self, "sectors", tuple(self.sectors))
-        object.__setattr__(self, "edges", tuple(self.edges))
+        codes = [s.code for s in self.sectors]
+        object.__setattr__(self, "edges", tuple(sorted(
+            self.edges, key=lambda e: (codes[e[0]], codes[e[1]]))))
         object.__setattr__(self, "ties", tuple(self.ties))
         seen_pairs = set()
         for i, j, w in self.edges:

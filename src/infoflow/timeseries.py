@@ -175,11 +175,11 @@ def load_sector_names(source: str | Path) -> dict[str, str]:
         raise DatasetError("input not found")
     names: dict[str, str] = {}
     with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+        records = _records(handle)
+        _, header = next(records, (1, None))
         if header is None or [h.strip().lower() for h in header[:2]] != ["code", "name"]:
             raise DatasetError("malformed header in sector-metadata CSV")
-        for row in reader:
+        for _, row in records:
             if not row:
                 continue
             code = row[0].strip()
@@ -290,7 +290,7 @@ def _read_columns(path: Path) -> _Table | None:
         return None
     try:
         codes = _sector_codes(next(csv.reader([head.decode()])))
-    except (UnicodeDecodeError, DatasetError):
+    except (UnicodeDecodeError, csv.Error, DatasetError):
         return None
     # A date text one character longer than YYYY-MM-DD keeps a longer cell
     # from being cut down to a valid date.
@@ -316,17 +316,36 @@ def _read_columns(path: Path) -> _Table | None:
     return _Table(codes, _IncreasingDates(days.tolist()), closes, 0)
 
 
+def _records(handle):
+    """Yield (line it starts on, cells) for each ``csv`` record of ``handle``.
+
+    A record ``csv`` cannot read, such as a stray quote that runs a cell
+    past the field size limit, is a DatasetError naming that line.
+    """
+    reader = csv.reader(handle)
+    while True:
+        lineno = reader.line_num + 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise DatasetError(f"row {lineno}: {exc}") from exc
+        yield lineno, row
+
+
 def _read_rows(path: Path) -> _Table:
     """The table of any file, read and checked one row at a time."""
     with path.open(newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        codes = _sector_codes(next(reader, None))
+        records = _records(handle)
+        _, header = next(records, (1, None))
+        codes = _sector_codes(header)
 
         kept_dates: list[date] = []
         kept_rows: list[list[float]] = []
         previous: date | None = None
         dropped = 0
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in records:
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(codes) + 1:

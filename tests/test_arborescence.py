@@ -189,6 +189,27 @@ class TestSolver:
                     assert deg[root_code][1] == 0
                     assert all(d[1] == 1 for c, d in deg.items() if c != root_code)
 
+    @pytest.mark.parametrize("n", [2, 3, 7, 28])
+    def test_edge_order_given_changes_neither_network_nor_trees(self, n):
+        # A network keeps its edges in (source code, target code) order, the
+        # order the tie rule ranks them by.  Codes are shuffled against the
+        # indices and weights come from a three-value set, so ties are common.
+        rng = np.random.default_rng(n)
+        for _ in range(10):
+            g = random_complete_network(n, rng, weights=(0.25, 0.5, 0.75))
+            sectors = tuple(g.sectors[k] for k in rng.permutation(n))
+            given = InfoFlowNetwork(sectors=sectors, edges=g.edges)
+            assert [(sectors[i].code, sectors[j].code) for i, j, _ in given.edges] == sorted(
+                (sectors[i].code, sectors[j].code) for i, j, _ in g.edges)
+            trees = [max_spanning_arborescence(given, o) for o in ("outgoing", "incoming")]
+            for _ in range(3):
+                order = rng.permutation(len(g.edges))
+                shuffled = InfoFlowNetwork(sectors=sectors,
+                                           edges=tuple(g.edges[k] for k in order))
+                assert shuffled.edges == given.edges
+                assert [max_spanning_arborescence(shuffled, o)
+                        for o in ("outgoing", "incoming")] == trees
+
 
 class TestEnumerator:
     def test_three_node_example(self):

@@ -770,6 +770,58 @@ def test_config_file_missing_or_not_an_object_exits_2(panel_csv, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+_FIELD_LIMIT = 131072  # csv's default field size limit
+_OVER_LIMIT = "error: row {line}: field larger than field limit (131072)\n"
+
+
+def _stray_quote(lines):
+    # A quote that opens a price cell runs it over every later row.
+    lines[100] = lines[100].replace(",", ',"', 1)
+    lines += lines[101:] * (1 + _FIELD_LIMIT // len("\n".join(lines[101:])))
+
+
+def _long_price(lines):
+    lines[100] = lines[100].rsplit(",", 1)[0] + "," + "1" * (_FIELD_LIMIT + 1)
+
+
+def _long_code(lines):
+    lines[0] += "1" * _FIELD_LIMIT
+
+
+@pytest.mark.parametrize("command", ["stats", "msa"])
+@pytest.mark.parametrize("edit, line", [
+    (_stray_quote, 101), (_long_price, 101), (_long_code, 1),
+], ids=["stray_quote", "long_price", "long_code"])
+def test_unreadable_csv_record_exits_2_naming_its_first_line(panel_csv, tmp_path, capsys,
+                                                            command, edit, line):
+    path, _ = panel_csv
+    lines = path.read_text().splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    assert run([command, "--input", path, "--out-dir", tmp_path / "out"]) == 2
+    assert capsys.readouterr() == ("", _OVER_LIMIT.format(line=line))
+    assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_names_record_exits_2_naming_its_first_line(panel_csv, tmp_path, capsys):
+    path, series = panel_csv
+    names = tmp_path / "names.csv"
+    names.write_text(f"code,name\n{series[0].sector.code},{'x' * (_FIELD_LIMIT + 1)}\n")
+    assert run(["stats", "--input", path, "--names", names, "--out-dir", tmp_path / "out"]) == 2
+    assert capsys.readouterr() == ("", _OVER_LIMIT.format(line=2))
+    assert not (tmp_path / "out").exists()
+
+
+def test_deeply_nested_config_exits_2(panel_csv, tmp_path, capsys):
+    path, _ = panel_csv
+    config = tmp_path / "run.json"
+    config.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert run(["msa", "--input", path, "--out-dir", tmp_path / "out", "--config", config]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1 and err.startswith("error: invalid config file: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--mode", "range", "--from", "2000/03/01", "--to", "2000-12-29"],
      "--from must be an ISO-8601 date"),

@@ -13,6 +13,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import re
 import tempfile
 import warnings
@@ -24,9 +25,14 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from infoflow.analysis import MIN_WINDOW_DAYS
+from infoflow.arborescence import ORIENTATIONS, max_spanning_arborescence
 from infoflow.cli import main
+from infoflow.entropy import dai_matrix, te_matrix
+from infoflow.network import build_network
+from infoflow.symbolize import encode, make_partition
+from infoflow.timeseries import load_dataset, returns_panel
 
-pytest.importorskip("networkx")
+nx = pytest.importorskip("networkx")
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -228,3 +234,27 @@ def test_sector_suspended_for_a_year(tmp_path):
     assert (code, lines) == (0, [])
     assert oracle.check_study(tmp_path / "whole", "whole", codes, dates, closes, 10,
                               MIN_WINDOW_DAYS) == []
+
+
+def test_dropped_pairs_are_exact_ties_and_each_tree_is_maximal(tmp_path):
+    # The program drops six pairs of this panel, each with equal transfer
+    # entropies both ways.  The oracle's own float net flows put 4.9e-16 on
+    # two of them, and its maximum (3.02593 for the outgoing tree) uses one
+    # of these edges, so it fails this input although the program's tree is
+    # the maximum on the network the program builds.
+    csv, *_ = write_panel(tmp_path, 23, 30, 23, "student-t")
+    returns = returns_panel(load_dataset(csv))
+    te = te_matrix(encode(returns, make_partition(returns, 2)))
+    with pytest.warns(UserWarning, match="dropped 6 tied pair"):
+        net = build_network(returns.sectors, dai_matrix(te))
+    assert all(te[i, j] == te[j, i] for i, j in net.ties)
+    for o in ORIENTATIONS:
+        weight = {(i, j) if o == "outgoing" else (j, i): w for i, j, w in net.edges}
+        graph = nx.DiGraph()
+        graph.add_weighted_edges_from((u, v, w) for (u, v), w in weight.items())
+        # networkx 3.6 moves the weights of ``graph`` by rounding errors, so
+        # the maximum is summed from the network's own weights.
+        best = nx.maximum_spanning_arborescence(graph)
+        expected = math.fsum(weight[e] for e in best.edges)
+        tree = max_spanning_arborescence(net, o)
+        assert tree.total_weight == pytest.approx(expected, rel=0, abs=1e-12)
