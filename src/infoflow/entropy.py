@@ -34,7 +34,9 @@ exact integer combination sum_p d_p log2 p; d is accumulated exactly, as
 integer-valued float64 sums far below 2**53.  Logs of distinct primes are
 linearly independent over the rationals, so d is zero exactly when the
 estimate is zero and equal for two estimates exactly when they are equal.
-Only the last step, sum_p d_p log2 p, rounds, and it depends on d alone.
+Only the last step, sum_p d_p log2 p, rounds, and it depends on d alone;
+the prime logs come from libm (``math.log2``), not from numpy's SIMD
+loops, so an estimate has the same bits at any numpy SIMD level.
 Hence an estimate is exactly 0.0 when the counts factor exactly; two equal
 estimates (such as the two directions of an exactly tied pair) give the
 same float, so their net flow is exactly 0.0 and the network records a
@@ -57,8 +59,10 @@ def _prime_factors(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns (log_primes, index, weight): row k lists in ``index`` the
     positions in ``log_primes`` of k's distinct prime factors and in
     ``weight`` the matching k * exponent, zero in unused slots, so that
-    k log2 k = sum(weight[k] * log_primes[index[k]]).  Cached per ``n_max``
-    (one table per window length), so the arrays are read-only.
+    k log2 k = sum(weight[k] * log_primes[index[k]]).  The logs come from
+    libm's ``log2`` one prime at a time: numpy's ``np.log2`` gives other
+    last bits with and without AVX-512 (log2(1621), for one).  Cached per
+    ``n_max`` (one table per window length), so the arrays are read-only.
     """
     spf = np.arange(n_max + 1)  # smallest prime factor of each k >= 2
     for p in range(2, math.isqrt(n_max) + 1):
@@ -78,8 +82,8 @@ def _prime_factors(n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             rest = np.where(divides, rest // factor, rest)
         index.append(position[factor])
         weight.append(k * exponent)
-    tables = (np.log2(primes), np.stack(index, axis=1),
-              np.stack(weight, axis=1).astype(np.float64))
+    log_primes = np.array([math.log2(p) for p in primes.tolist()], dtype=np.float64)
+    tables = (log_primes, np.stack(index, axis=1), np.stack(weight, axis=1).astype(np.float64))
     for table in tables:
         table.flags.writeable = False
     return tables

@@ -391,15 +391,21 @@ def returns_panel(dataset: list[PriceSeries]) -> Panel:
     """Log returns ln(close[t+1]) - ln(close[t]) of every sector as one panel.
 
     Each return is dated by the later close.  All series must share one
-    date axis; this is the one place that checks it.
+    date axis; this is the one place that checks it.  The logs are taken
+    in ``np.longdouble``, which numpy computes without SIMD loops, and
+    rounded to float64, so the returns are the same bits at any numpy SIMD
+    level (float64 ``np.log`` differs in last bits with AVX-512).  Where
+    ``np.longdouble`` is float64 (Windows, macOS on arm64) this is the
+    plain float64 log.
     """
     if not dataset:
         raise ValueError("need at least 1 sector")
     dates = dataset[0].dates
     if any(p.dates != dates for p in dataset[1:]):
         raise ValueError("price series are not date-aligned")
-    closes = np.stack([p.closes for p in dataset])
-    return Panel(tuple(p.sector for p in dataset), dates[1:], np.diff(np.log(closes), axis=1))
+    log_closes = np.log(np.stack([p.closes for p in dataset]).astype(np.longdouble))
+    return Panel(tuple(p.sector for p in dataset), dates[1:],
+                 np.diff(log_closes.astype(np.float64), axis=1))
 
 
 def summary_stats(returns: np.ndarray) -> SummaryStats:
@@ -408,6 +414,8 @@ def summary_stats(returns: np.ndarray) -> SummaryStats:
     Standard deviation uses the 1/(n-1) normalization; skewness and
     kurtosis are the standardized third and fourth sample moments on the
     1/n central moments, which is the convention the JB statistic assumes.
+    The powers are products (``np.power`` differs in last bits with
+    AVX-512; a product is correctly rounded at any SIMD level).
     """
     v = np.asarray(returns, dtype=np.float64)
     n = len(v)
@@ -415,11 +423,12 @@ def summary_stats(returns: np.ndarray) -> SummaryStats:
         raise ValueError("summary_stats needs at least 4 observations")
     mean = float(v.mean())
     centered = v - mean
-    m2 = float((centered**2).mean())
+    c2 = centered * centered
+    m2 = float(c2.mean())
     if m2 == 0.0:
         raise ValueError("degenerate series: zero variance")
-    m3 = float((centered**3).mean())
-    m4 = float((centered**4).mean())
+    m3 = float((c2 * centered).mean())
+    m4 = float((c2 * c2).mean())
     skew = m3 / m2**1.5
     kurt = m4 / m2**2
     jb = n / 6.0 * (skew**2 + (kurt - 3.0) ** 2 / 4.0)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import make_prices, make_returns, pair_te
 from oracles import te_bruteforce, te_log2_exponents
+from test_golden import run_without_avx512
 
 from infoflow import entropy
 from infoflow.entropy import dai_matrix, te_matrix
@@ -227,3 +228,21 @@ class TestDaiMatrix:
         with pytest.warns(UserWarning, match="tied pair"):
             net = build_network(sectors, d)
         assert (1, 5) in net.ties
+
+
+def test_prime_logs_do_not_depend_on_the_simd_level(tmp_path):
+    """With AVX-512, np.log2(1621) is one ulp below libm's log2(1621).
+
+    The target row's "now" symbols are 1621 ones and 3242 twos, so its
+    counts carry the prime 1621, and a window of 4863 triplets has it in
+    its table.
+    """
+    rng = np.random.default_rng(1621)
+    now = rng.permutation(np.repeat([1, 2], [1621, 3242]))
+    symbols = np.vstack([rng.integers(1, 4, now.size + 1), np.r_[now, 1],
+                         rng.integers(1, 4, now.size + 1)])
+    np.save(tmp_path / "symbols.npy", symbols)
+    script = ("import sys, numpy as np; from infoflow.entropy import te_matrix; "
+              "sys.stdout.write(te_matrix(np.load(sys.argv[1])).tobytes().hex())")
+    without = run_without_avx512(script, str(tmp_path / "symbols.npy"))
+    assert without == te_matrix(symbols).tobytes().hex()

@@ -4,25 +4,19 @@ The panel is built here from integer price ticks, written as exact
 2-decimal closes, so the input bytes are the same on every CPU: no
 floating-point function touches a price before it is written.
 
-Which files are compared how, and why:
+Every file of every run is compared by its sha256 against one manifest,
+``golden/sha256.json``.  The outputs depend only on the input bytes and
+the options, at any numpy SIMD level: returns take their logs in
+``np.longdouble``, the moments are products and the TE kernel's prime
+logs come from libm.  So the same manifest holds
 
-- every ``msa`` file is compared by its sha256 (``golden/msa_sha256.json``).
-  Its text holds symbols, trees and sums that were the same with and
-  without AVX-512 on this panel, and the test ``..._without_avx512``
-  checks that on every host that can switch AVX-512 off;
-- ``stats`` and ``specificity`` files are compared by value
-  (``golden/stats_specificity.json``): each number within ``REL_TOL`` /
-  ``ABS_TOL``, every other cell and key exactly.  Their moment sums and
-  correlations are numpy reductions whose last bits change with numpy's
-  SIMD level.  On this panel ``stats`` writes other bytes without AVX-512,
-  and the largest change of a value is 2.5e-13 of itself, so the tolerance
-  leaves more than three orders of magnitude of margin, while any change
-  of data or method moves a value far more.
-
-Every file must also be byte-identical between two fresh interpreters
-with other string-hash seeds (acceptance criterion 8 across processes):
-a renderer that iterated a set of codes would fail there.  One run of
-the list goes through ``python -m infoflow.cli``.
+- in this process;
+- in two fresh interpreters with other string-hash seeds (acceptance
+  criterion 8 across processes): a renderer that iterated a set of codes
+  would fail there.  One run of the list goes through
+  ``python -m infoflow.cli``;
+- in a fresh interpreter with numpy's AVX-512 loops switched off, on
+  every host that can switch them off.
 
 After a change that alters outputs on purpose, rewrite the manifest with
 
@@ -35,7 +29,6 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 import os
 import subprocess
 import sys
@@ -49,9 +42,7 @@ import pytest
 from infoflow.cli import main
 
 TESTS = Path(__file__).resolve().parent
-GOLDEN = TESTS / "golden"
-REL_TOL = 1e-9
-ABS_TOL = 1e-12
+MANIFEST = TESTS / "golden" / "sha256.json"
 
 # The runs, each into its own directory; "{index}" is the index CSV.
 RANGE = ["--mode", "range", "--from", "2001-01-01", "--to", "2002-12-31"]
@@ -107,34 +98,19 @@ def panel_csvs(days: int = 1461, seed: int = 17) -> tuple[str, str]:
             csv(["000001"], cents[:, 12:]))
 
 
-def _cell(text: str):
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def parsed(path: Path):
-    """A JSON file's value, or a CSV file's rows of cells with numbers as floats."""
-    text = path.read_text(encoding="utf-8")
-    if path.suffix == ".json":
-        return json.loads(text)
-    return [[_cell(c) for c in line.split(",")] for line in text.splitlines()]
-
-
 def child_env(**extra: str) -> dict[str, str]:
     """This process's environment with ``src`` on the import path, plus ``extra``."""
     path = os.pathsep.join(filter(None, [str(TESTS.parent / "src"), os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path, **extra}
 
 
-def outputs(work: Path) -> tuple[dict, dict]:
-    """Every run's file hashes and stats/specificity values, by run and file."""
+def outputs(work: Path) -> dict:
+    """Every run's file hashes, by run and file."""
     work.mkdir(exist_ok=True)
     panel, index = panel_csvs()
     (work / "panel.csv").write_text(panel, encoding="utf-8")
     (work / "index.csv").write_text(index, encoding="utf-8")
-    hashes, values = {}, {}
+    hashes = {}
     for run, argv in RUNS.items():
         out = work / run
         argv = [a.replace("{index}", str(work / "index.csv")) for a in argv]
@@ -147,62 +123,38 @@ def outputs(work: Path) -> tuple[dict, dict]:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)
         assert code == 0, run
-        files = sorted(out.iterdir())
-        hashes[run] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
-        if argv[0] != "msa":
-            values[run] = {p.name: parsed(p) for p in files}
-    return hashes, values
+        hashes[run] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                       for p in sorted(out.iterdir())}
+    return hashes
 
 
-def fresh_outputs(work: Path, **env: str) -> tuple[dict, dict, dict]:
-    """``outputs`` in a new interpreter with ``env`` set, and that interpreter's CPU features."""
-    script = ("import json, sys, test_golden; "
-              "print(json.dumps([*test_golden.outputs(test_golden.Path(sys.argv[1])), "
-              "test_golden.cpu_features()]))")
-    child = subprocess.run([sys.executable, "-c", script, str(work)], cwd=TESTS,
+def child_stdout(code: str, *args: str, **env: str) -> str:
+    """The stdout of ``python -c code *args``, run in ``tests`` with ``env`` set."""
+    child = subprocess.run([sys.executable, "-c", code, *args], cwd=TESTS,
                            env=child_env(**env), capture_output=True, text=True, timeout=600)
     assert child.returncode == 0, child.stderr
-    return tuple(json.loads(child.stdout))
+    return child.stdout
 
 
-def msa_hashes(hashes: dict) -> dict:
-    return {run: files for run, files in hashes.items() if RUNS[run][0] == "msa"}
+def fresh_outputs(work: Path, **env: str) -> tuple[dict, dict]:
+    """``outputs`` in a new interpreter with ``env`` set, and that interpreter's CPU features."""
+    script = ("import json, sys, test_golden; "
+              "print(json.dumps([test_golden.outputs(test_golden.Path(sys.argv[1])), "
+              "test_golden.cpu_features()]))")
+    return tuple(json.loads(child_stdout(script, str(work), **env)))
 
 
-def close(a, b) -> bool:
-    """Equal structure, numbers within the tolerance, everything else equal."""
-    if isinstance(a, dict) and isinstance(b, dict):
-        return a.keys() == b.keys() and all(close(a[k], b[k]) for k in a)
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(close(x, y) for x, y in zip(a, b))
-    if isinstance(a, float) or isinstance(b, float):
-        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
-        return numbers and math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
-    return a == b
-
-
-def read(name: str) -> dict:
-    return json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
-
-
-def assert_golden(hashes: dict, values: dict) -> None:
-    assert msa_hashes(hashes) == read("msa_sha256")
-    golden = read("stats_specificity")
-    assert {run: sorted(files) for run, files in values.items()} == {
-        run: sorted(files) for run, files in golden.items()}
-    for run, files in values.items():
-        for name, value in files.items():
-            assert close(value, golden[run][name]), f"{run}/{name}"
+def golden() -> dict:
+    return json.loads(MANIFEST.read_text(encoding="utf-8"))
 
 
 def test_outputs_match_the_golden_manifest(tmp_path):
-    assert_golden(*outputs(tmp_path))
+    assert outputs(tmp_path) == golden()
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     first, second = (fresh_outputs(tmp_path / seed, PYTHONHASHSEED=seed)[0] for seed in "12")
-    assert first == second
-    assert msa_hashes(first) == read("msa_sha256")
+    assert first == second == golden()
 
 
 def cpu_features() -> dict:
@@ -224,20 +176,29 @@ def _avx512_switch_missing() -> str | None:
     return None
 
 
+def run_without_avx512(code: str, *args: str) -> str:
+    """The stdout of ``python -c code *args`` in a child with numpy's AVX-512 loops off.
+
+    Skips the calling test where this host cannot switch them off.
+    """
+    reason = _avx512_switch_missing()
+    if reason:
+        pytest.skip(reason)
+    return child_stdout(code, *args, NPY_DISABLE_CPU_FEATURES="X86_V4")
+
+
 def test_outputs_match_the_golden_manifest_without_avx512(tmp_path):
     reason = _avx512_switch_missing()
     if reason:
         pytest.skip(reason)
-    hashes, values, features = fresh_outputs(tmp_path, NPY_DISABLE_CPU_FEATURES="X86_V4")
+    hashes, features = fresh_outputs(tmp_path, NPY_DISABLE_CPU_FEATURES="X86_V4")
     assert not features["AVX512_SKX"], "NPY_DISABLE_CPU_FEATURES=X86_V4 left AVX512_SKX on"
-    assert_golden(hashes, values)
+    assert hashes == golden()
 
 
 if __name__ == "__main__":
-    GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        hashes, stats = outputs(Path(tmp))
-    for name, manifest in (("msa_sha256", msa_hashes(hashes)), ("stats_specificity", stats)):
-        (GOLDEN / f"{name}.json").write_text(json.dumps(manifest, indent=1) + "\n",
-                                             encoding="utf-8")
-        print(GOLDEN / f"{name}.json")
+        hashes = outputs(Path(tmp))
+    MANIFEST.parent.mkdir(exist_ok=True)
+    MANIFEST.write_text(json.dumps(hashes, indent=1) + "\n", encoding="utf-8")
+    print(MANIFEST)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import math
 from datetime import date
 from unittest import mock
@@ -8,8 +9,10 @@ import pytest
 
 from conftest import make_prices, make_returns
 from oracles import log_returns_mpmath, stats_mpmath
+from test_golden import run_without_avx512
 
 from infoflow import timeseries
+from infoflow.synth import Segment, SyntheticDataset, dataset_to_csv, generate_dataset
 from infoflow.timeseries import (
     JB_CRITICAL_1PCT,
     DatasetError,
@@ -275,6 +278,19 @@ class TestLogReturns:
         r = returns_panel([make_prices(closes)])
         rebuilt = closes[0] * np.exp(np.concatenate([[0.0], np.cumsum(r.values[0])]))
         np.testing.assert_allclose(rebuilt, closes, rtol=1e-9)
+
+    def test_returns_of_17_digit_closes_do_not_depend_on_the_simd_level(self, tmp_path):
+        # The generator's closes carry 17 significant digits, where float64
+        # np.log gives other last bits with AVX-512.
+        spec = SyntheticDataset(n_sectors=28, segments=(Segment(4400),), seed=601)
+        path = write_csv(tmp_path, dataset_to_csv(generate_dataset(spec)))
+        script = ("import hashlib, sys; "
+                  "from infoflow.timeseries import load_dataset, returns_panel; "
+                  "values = returns_panel(load_dataset(sys.argv[1])).values; "
+                  "sys.stdout.write(hashlib.sha256(values.tobytes()).hexdigest())")
+        without = run_without_avx512(script, str(path))
+        values = returns_panel(load_dataset(path)).values
+        assert without == hashlib.sha256(values.tobytes()).hexdigest()
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
