@@ -30,9 +30,10 @@ def equal_weight_index(dataset):
 
 def main():
     dataset = demo_dataset()
-    index = equal_weight_index(dataset)
-    windows = yearly_reports(returns_panel(dataset), q=15)
-    result = specificity_study(returns_panel([*dataset, index]), windows, seed=12345, samples=5)
+    returns = returns_panel(dataset)
+    index = returns_panel([equal_weight_index(dataset)])
+    windows = yearly_reports(returns, q=15)
+    result = specificity_study(returns, index, windows, seed=12345, samples=5)
 
     print(render_specificity_csv(result))
     print(f"source-root mean correlation : {result.source_mean:.4f}")

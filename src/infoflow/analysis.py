@@ -158,7 +158,7 @@ def msas_from_returns(
     shorter than ``MIN_WINDOW_DAYS`` trading days, a sector whose returns
     are constant there, or a network with so many tied pairs that no root
     reaches every sector (the message gives the window's trading days and
-    tied pairs, and the first sector by code that no edge is left to).
+    tied pairs, and the first sector, by index, that no edge is left to).
     """
     if not orientations or not set(orientations) <= set(ORIENTATIONS):
         raise ValueError(f"orientations must be a non-empty subset of {ORIENTATIONS}")
@@ -174,7 +174,7 @@ def msas_from_returns(
                  for o in ORIENTATIONS if o in orientations}
     except ValueError as exc:
         linked = {k for i, j, _ in net.edges for k in (i, j)}
-        isolated = sorted(s.code for k, s in enumerate(net.sectors) if k not in linked)
+        isolated = [s.code for k, s in enumerate(net.sectors) if k not in linked]
         sector = f"sector {isolated[0]}, " if isolated else ""
         raise ValueError(f"{sector}{window} ({len(days)} trading days, "
                          f"{len(net.ties)} tied pairs): {exc}") from None
@@ -243,13 +243,12 @@ def root_occurrences(windows: list[WindowResult], orientation: str) -> dict[str,
 def degree_heatmap(windows: list[WindowResult], orientation: str) -> np.ndarray:
     """Total tree degree of each sector (column) in each window (row), as int64.
 
-    Columns follow the sectors' panel order; rows follow ``windows``.
+    Columns follow the sectors' panel order, code order; rows follow ``windows``.
     """
     if not windows:
         raise ValueError("no windows")
-    sectors = windows[0].trees[orientation].sectors
-    degs = [degrees(w.trees[orientation]) for w in windows]
-    return np.array([[d[s.code][2] for s in sectors] for d in degs], dtype=np.int64)
+    return np.array([[d[2] for d in degrees(w.trees[orientation]).values()] for w in windows],
+                    dtype=np.int64)
 
 
 def turmoil_study(
@@ -304,53 +303,54 @@ def pearson(x, y) -> float:
 
 def specificity_study(
     returns: Panel,
+    index: Panel,
     windows: list[WindowResult],
     seed: int,
     samples: int = 1,
 ) -> SpecificityResult:
     """Correlate each yearly window's root sectors with the market index.
 
-    ``returns`` holds the sectors' returns with the index's as its last
-    row, as ``returns_panel([*dataset, index])`` builds them; that one
-    call checks that the index is date-aligned with the sectors.  For
-    every window of ``yearly_reports``, the daily returns of the source
-    root and the sink root are correlated with the index returns within
-    that window.  A control group of ``samples`` uniformly drawn non-root
-    sectors per year (excluding both roots, PCG64 seeded with ``seed``)
-    provides the comparison distribution.  If the index or a sector is
-    constant within a year, the error names the year and that series.
+    ``index`` is the market index's returns as a 1-row panel on the dates
+    of ``returns``.  For every window of ``yearly_reports``, the daily
+    returns of the source root and the sink root are correlated with the
+    index returns within that window.  A control group of ``samples``
+    uniformly drawn non-root sectors per year (excluding both roots, PCG64
+    seeded with ``seed``) provides the comparison distribution.  If the
+    index or a sector is constant within a year, the error names the year
+    and that series.
     """
+    if index.dates != returns.dates:
+        raise ValueError("price series are not date-aligned")
     if samples < 1:
         raise ValueError("samples must be at least 1")
-    row = {s.code: k for k, s in enumerate(returns.sectors[:-1])}
 
     rng = np.random.default_rng(seed)
     source_corr, sink_corr = [], []
     control_sectors, control_corr = [], []
     for w in windows:
         values = slice_returns(returns, w.interval).values
+        market = slice_returns(index, w.interval).values[0]
 
-        def year_corr(code: str) -> float:
+        def year_corr(row: int) -> float:
             try:
-                return pearson(values[row[code]], values[-1])
+                return pearson(values[row], market)
             except ValueError as exc:
-                series = (f"index {returns.sectors[-1].code}" if np.ptp(values[-1]) == 0
-                          else f"sector {code}")
+                series = (f"index {index.sectors[0].code}" if np.ptp(market) == 0
+                          else f"sector {returns.sectors[row].code}")
                 raise ValueError(f"year {w.interval[0].year}, {series}: {exc}") from None
 
-        src = w.trees["outgoing"].root_sector.code
-        snk = w.trees["incoming"].root_sector.code
-        source_corr.append(year_corr(src))
-        sink_corr.append(year_corr(snk))
+        roots = (w.trees["outgoing"].root, w.trees["incoming"].root)
+        source_corr.append(year_corr(roots[0]))
+        sink_corr.append(year_corr(roots[1]))
 
-        candidates = sorted(code for code in row if code not in {src, snk})
+        candidates = [row for row in range(len(values)) if row not in roots]
         if samples > len(candidates):
             raise ValueError(f"year {w.interval[0].year}: {samples} control samples requested, "
                              f"but only {len(candidates)} sectors are neither root")
         picks = rng.choice(len(candidates), size=samples, replace=False)
-        chosen = tuple(candidates[k] for k in picks.tolist())
-        control_sectors.append(chosen)
-        control_corr.append(tuple(year_corr(code) for code in chosen))
+        chosen = [candidates[k] for k in picks.tolist()]
+        control_sectors.append(tuple(returns.sectors[row].code for row in chosen))
+        control_corr.append(tuple(year_corr(row) for row in chosen))
 
     return SpecificityResult(
         seed=seed,

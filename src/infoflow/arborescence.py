@@ -15,8 +15,9 @@ it takes exactly one such edge, whose head is the best root.  Costs are
 exact integers: the super-root edge count, the negated weight and a
 tie key, packed lexicographically.  The tie key makes the optimum unique
 and equal to the documented rule: largest total weight, then the smaller
-root code, then the lexicographically smallest sorted edge-code list.
-Path ties also go to smaller sector codes, so results are deterministic.
+root index, then the smallest sorted list of edge index pairs.  Path ties
+also go to smaller indices.  A ``Panel`` keeps its sectors in code order,
+so each tie goes to the smaller sector code, and results are deterministic.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ ORIENTATIONS = ("outgoing", "incoming")
 
 @dataclass(frozen=True)
 class Arborescence:
-    """Spanning directed tree over all sectors, edges in flow direction."""
+    """Spanning directed tree over all sectors, edges in flow direction and index order."""
 
     orientation: str
     root: int
@@ -41,10 +42,7 @@ class Arborescence:
 
     def __post_init__(self):
         object.__setattr__(self, "sectors", tuple(self.sectors))
-        object.__setattr__(self, "edges", tuple(sorted(
-            self.edges,
-            key=lambda e: (self.sectors[e[0]].code, self.sectors[e[1]].code),
-        )))
+        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
         n = len(self.sectors)
         if self.orientation not in ORIENTATIONS:
             raise ValueError(f"orientation must be one of {ORIENTATIONS}")
@@ -194,13 +192,13 @@ def max_spanning_arborescence(g: InfoFlowNetwork, orientation: str = "outgoing")
     """Maximum spanning arborescence over all roots, found by one solve.
 
     The winner has the largest exact total weight; ties go to the smaller
-    root code, then to the lexicographically smallest sorted list of
-    (source code, target code) edges.  A virtual super-root with an edge
+    root index, then to the lexicographically smallest sorted list of
+    (source index, target index) edges.  A virtual super-root with an edge
     to every sector lets one minimum-arborescence solve choose the root.
     Each edge cost is the lexicographic triple (super-root edges, -weight,
     -key) packed into one exact integer.  The key is 2**(K - 1 - rank):
-    super-root edges rank first by root code, then real edges in their
-    (source code, target code) order in ``g.edges``, so a larger key sum
+    super-root edges rank first by root index, then real edges in their
+    (source index, target index) order in ``g.edges``, so a larger key sum
     is exactly the tie rule above.  Raises if no root reaches every node
     (possible when tied pairs were dropped).
     """
@@ -219,9 +217,7 @@ def max_spanning_arborescence(g: InfoFlowNetwork, orientation: str = "outgoing")
     key_bits = n + m
     super_cost = (n * max(weights, default=0) + 1) << key_bits  # beats any real tree
 
-    by_code = sorted(range(n), key=lambda v: g.sectors[v].code)
-    work = [(n, v, super_cost - (1 << (key_bits - 1 - rank)), m + v)
-            for rank, v in enumerate(by_code)]
+    work = [(n, v, super_cost - (1 << (key_bits - 1 - v)), m + v) for v in range(n)]
     for eid, ((i, j, _), w) in enumerate(zip(g.edges, weights)):  # rank n + eid
         u, v = (i, j) if orientation == "outgoing" else (j, i)
         work.append((u, v, -(w << key_bits) - (1 << (m - 1 - eid)), eid))
@@ -238,7 +234,7 @@ def maximal_information_flow_path(a: Arborescence) -> InfoFlowPath:
 
     Outgoing trees: root-to-leaf path of maximum total weight.  Incoming
     trees: leaf-to-root path, reported in flow order.  Exact weight ties
-    go to the lexicographically smallest sector-code sequence.  An incoming
+    go to the lexicographically smallest sector-index sequence.  An incoming
     tree's leaf-to-root paths are the root-to-leaf paths of its reversed
     edges, read backwards, so one walk from the root serves both.  Totals
     are ``math.fsum``s, exactly rounded, so the walking order cannot
@@ -260,7 +256,7 @@ def maximal_information_flow_path(a: Arborescence) -> InfoFlowPath:
             continue
         flow = trail if forward else trail[::-1]
         total = math.fsum(weights)
-        key = (-total, tuple(a.sectors[v].code for v in flow))
+        key = (-total, flow)
         if best_key is None or key < best_key:
             best_key, best = key, (flow, total)
     flow, total = best
@@ -309,7 +305,7 @@ def arborescence_to_dot(a: Arborescence, path: InfoFlowPath, name: str = "msa") 
     path_edges = set(zip(path.codes, path.codes[1:]))
 
     lines = [f"digraph {name} {{"]
-    for s in sorted(a.sectors, key=lambda s: s.code):
+    for s in a.sectors:
         label = s.short_code
         if label in path_nodes:
             lines.append(

@@ -9,12 +9,12 @@ override file values.
 
 Each command runs its study and returns every file it can produce as an
 ordered ``{filename: renderer}`` mapping of zero-argument callables.
-``main`` is the one writer: it checks ``--format``, ``--q`` and
-``--samples`` before any command runs (and ``msa`` checks its date flags
-before it reads the input), renders only the files whose suffix is a
-requested format, in order, and writes each atomically (temp file +
-rename); a format that selects none of the command's files is an
-error.  Every command is deterministic given input bytes, configuration,
+``main`` is the one writer: it checks ``--format``, ``--q``, ``--seed``
+and ``--samples`` before any command runs (and ``msa`` checks its date
+flags and their order before it reads the input), renders only the files
+whose suffix is a requested format, in order, and writes each atomically
+(temp file + rename); a format that selects none of the command's files
+is an error.  Every command is deterministic given input bytes, configuration,
 and seed.
 
 ``--orientation`` selects the trees a command writes, and ``whole``,
@@ -34,7 +34,7 @@ import os
 import sys
 import tempfile
 from collections.abc import Callable
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from datetime import date
 from functools import partial
 from pathlib import Path
@@ -269,6 +269,8 @@ def _cmd_msa(cfg: dict) -> Files:
     if not all(cfg.get(key) for key, _ in flags):
         raise CliError(f"{mode} mode requires {flags[0][1]} and {flags[1][1]}")
     dates = tuple(_parse_date(cfg[key], flag) for key, flag in flags)
+    if dates and dates[0] > dates[1]:
+        raise CliError(f"{flags[0][1]} {dates[0]} is after {flags[1][1]} {dates[1]}")
 
     returns = analysis.returns_panel(_load_input(cfg))
 
@@ -321,16 +323,15 @@ def _cmd_specificity(cfg: dict) -> Files:
         raise CliError(f"{cfg['samples']} control samples requested, but at most "
                        f"{len(dataset) - 1} of the {len(dataset)} sectors can be neither "
                        "root in a year")
-    # One panel with the index as its last row; the yearly study runs on the
-    # sector rows above it.
     index = load_dataset(cfg["index"])
     if len(index) != 1:
         raise CliError(f"--index must hold one price column, not {len(index)}")
-    returns = analysis.returns_panel([*dataset, *index])
-    sectors = replace(returns, sectors=returns.sectors[:-1], values=returns.values[:-1])
-    windows = analysis.yearly_reports(sectors, int(cfg["q"]))
+    returns, index = analysis.returns_panel(dataset), analysis.returns_panel(index)
+    if index.dates != returns.dates:  # as specificity_study checks, but before any estimate
+        raise ValueError("price series are not date-aligned")
+    windows = analysis.yearly_reports(returns, int(cfg["q"]))
     result = analysis.specificity_study(
-        returns, windows, seed=int(cfg["seed"]), samples=int(cfg["samples"]),
+        returns, index, windows, seed=int(cfg["seed"]), samples=int(cfg["samples"]),
     )
     return {"specificity.csv": partial(analysis.render_specificity_csv, result),
             "specificity.json": partial(analysis.render_specificity_json, result)}
@@ -346,6 +347,8 @@ def main(argv: list[str] | None = None) -> int:
         requested = _formats(cfg)
         if cfg["q"] < 2:
             raise CliError("--q must be at least 2")
+        if cfg["seed"] < 0:
+            raise CliError("--seed must be at least 0")
         if cfg["samples"] < 1:
             raise CliError("--samples must be at least 1")
         files = _COMMANDS[args.command](cfg)

@@ -4,7 +4,8 @@ Each unordered sector pair contributes at most one edge, oriented along
 the positive net flow and weighted by its magnitude.  An exactly zero net
 flow would be directionless; the pair is skipped with a warning instead
 of picking an arbitrary orientation, so downstream consumers must accept
-a non-complete orientation.
+a non-complete orientation.  Edges and ties come in (source, target) index
+order; on a ``Panel``'s sectors that is code order, which the tie rules rank.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ _LISTED_TIES = 10
 class InfoFlowNetwork:
     """Directed graph over sectors; edges are (source, target, weight > 0).
 
-    Edges are kept sorted by (source code, target code), whatever order they come in.
+    Edges are kept sorted by (source index, target index), whatever order they come in.
     """
 
     sectors: tuple[SectorMeta, ...]
@@ -34,9 +35,7 @@ class InfoFlowNetwork:
 
     def __post_init__(self):
         object.__setattr__(self, "sectors", tuple(self.sectors))
-        codes = [s.code for s in self.sectors]
-        object.__setattr__(self, "edges", tuple(sorted(
-            self.edges, key=lambda e: (codes[e[0]], codes[e[1]]))))
+        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
         object.__setattr__(self, "ties", tuple(self.ties))
         seen_pairs = set()
         for i, j, w in self.edges:
@@ -53,22 +52,19 @@ class InfoFlowNetwork:
 def build_network(sectors: tuple[SectorMeta, ...], dai: np.ndarray) -> InfoFlowNetwork:
     """Orient each pair of ``sectors`` along the sign of its net flow.
 
-    ``dai`` is the n x n net-flow matrix over the n sectors, in their
-    order.  dai[i, j] > 0 yields edge i -> j with weight dai[i, j]; an
-    exact zero drops the pair and records it in ``ties``.
+    ``dai`` is the antisymmetric n x n net-flow matrix over the n sectors,
+    in their order, as ``dai_matrix`` gives it.  dai[i, j] > 0 yields edge
+    i -> j with weight dai[i, j]; an exact zero drops the pair and records
+    it in ``ties``.  Both come out in row-major (i, j) order.
     """
     n = len(sectors)
     dai = np.asarray(dai, dtype=np.float64)
     if dai.shape != (n, n):
         raise ValueError("dai matrix shape does not match sector count")
-    rows, cols = np.triu_indices(n, 1)  # pairs in row-major order
-    value = dai[rows, cols]
-    forward, backward = value > 0, value < 0
-    oriented = forward | backward
-    edges = list(zip(np.where(forward, rows, cols)[oriented].tolist(),
-                     np.where(forward, cols, rows)[oriented].tolist(),
-                     np.where(forward, value, -value)[oriented].tolist()))
-    ties = list(zip(rows[~oriented].tolist(), cols[~oriented].tolist()))
+    sources, targets = np.nonzero(dai > 0)
+    edges = list(zip(sources.tolist(), targets.tolist(), dai[sources, targets].tolist()))
+    tie_rows, tie_cols = np.nonzero(np.triu(dai == 0, 1))
+    ties = list(zip(tie_rows.tolist(), tie_cols.tolist()))
     if ties:
         labels = ", ".join(
             f"{sectors[i].code}/{sectors[j].code}" for i, j in ties[:_LISTED_TIES]

@@ -15,11 +15,11 @@ diagnostic.  The fast path returns a result only when it is the one the
 row path would return.
 
 ``returns_panel`` checks that alignment once and turns the whole dataset
-into one ``Panel``: the sectors, the return dates and an n x L matrix of
-log returns.  The panel is the only return type: one sector's returns are
-a 1-row panel, and ``summary_stats`` takes one row of its matrix.  Every
-study window is a column span of that matrix, cut by ``slice_returns``,
-which bisects the panel's date axis.
+into one ``Panel``: the sectors in code order, the return dates and an
+n x L matrix of log returns.  The panel is the only return type: one
+sector's returns are a 1-row panel, and ``summary_stats`` takes one row of
+its matrix.  Every study window is a column span of that matrix, cut by
+``slice_returns``, which bisects the panel's date axis.
 """
 
 from __future__ import annotations
@@ -131,7 +131,8 @@ class Panel:
     """Daily log returns of n sectors on one strictly increasing date axis.
 
     Row i of the n x L matrix ``values`` holds the returns of ``sectors[i]``,
-    each dated by the later close.  One sector is a 1-row panel.
+    each dated by the later close, and sectors are in strictly increasing
+    code order.  One sector is a 1-row panel.
     """
 
     sectors: tuple[SectorMeta, ...]
@@ -146,6 +147,8 @@ class Panel:
             raise ValueError("values do not match the sectors and dates")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite return value")
+        if not all(a.code < b.code for a, b in zip(self.sectors, self.sectors[1:])):
+            raise ValueError("sectors not in strictly increasing code order")
         _check_increasing(self.dates)
 
 
@@ -390,16 +393,17 @@ def _read_rows(path: Path) -> _Table:
 def returns_panel(dataset: list[PriceSeries]) -> Panel:
     """Log returns ln(close[t+1]) - ln(close[t]) of every sector as one panel.
 
-    Each return is dated by the later close.  All series must share one
-    date axis; this is the one place that checks it.  The logs are taken
-    in ``np.longdouble``, which numpy computes without SIMD loops, and
-    rounded to float64, so the returns are the same bits at any numpy SIMD
-    level (float64 ``np.log`` differs in last bits with AVX-512).  Where
-    ``np.longdouble`` is float64 (Windows, macOS on arm64) this is the
-    plain float64 log.
+    Rows are in sector code order; each return is dated by the later close.
+    All series must share one date axis; this is the one place that checks
+    it.  The logs are taken in ``np.longdouble``, which numpy computes
+    without SIMD loops, and rounded to float64, so the returns are the same
+    bits at any numpy SIMD level (float64 ``np.log`` differs in last bits
+    with AVX-512).  Where ``np.longdouble`` is float64 (Windows, macOS on
+    arm64) this is the plain float64 log.
     """
     if not dataset:
         raise ValueError("need at least 1 sector")
+    dataset = sorted(dataset, key=lambda p: p.sector.code)
     dates = dataset[0].dates
     if any(p.dates != dates for p in dataset[1:]):
         raise ValueError("price series are not date-aligned")

@@ -127,8 +127,8 @@ def enumerate_arborescences(g, orientation="outgoing"):
 
     Tries every in-edge assignment for every root and keeps the best under
     the solver's tie rule: largest exact total weight, then smaller root
-    code, then the lexicographically smallest sorted list of
-    (source code, target code) edge pairs.
+    index, then the lexicographically smallest sorted list of
+    (source index, target index) edge pairs.
     """
     if orientation not in ORIENTATIONS:
         raise ValueError(f"orientation must be one of {ORIENTATIONS}")
@@ -140,7 +140,6 @@ def enumerate_arborescences(g, orientation="outgoing"):
     if n == 1:
         return Arborescence(orientation, 0, g.sectors, ())
 
-    codes = [s.code for s in g.sectors]
     # Totals are compared exactly, as integer multiples of 1/denominator.
     exact = [Fraction(w) for _, _, w in g.edges]
     denominator = max((f.denominator for f in exact), default=1)
@@ -162,8 +161,8 @@ def enumerate_arborescences(g, orientation="outgoing"):
             edges = [e for _, e, _ in choice]
             key = (
                 -sum(units for _, _, units in choice),
-                codes[root],
-                sorted((codes[i], codes[j]) for i, j, _ in edges),
+                root,
+                sorted((i, j) for i, j, _ in edges),
             )
             if best_key is None or key < best_key:
                 best_key = key
@@ -202,11 +201,11 @@ def path_candidates(a):
 
 
 def maximal_path_by_leaves(a):
-    """The candidate with the largest total, then the smallest codes in flow order.
+    """The candidate with the largest total, then the smallest indices in flow order.
 
     Returns (sectors in flow order, total).
     """
-    total, _, nodes = min(path_candidates(a), key=lambda c: (-c[0], c[1]))
+    total, _, nodes = min(path_candidates(a), key=lambda c: (-c[0], c[2]))
     return tuple(a.sectors[v] for v in nodes), total
 
 

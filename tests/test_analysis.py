@@ -75,8 +75,8 @@ class TestWholeSample:
             msas_from_returns(returns, q=5)
 
     @pytest.mark.parametrize("codes, edges, sector", [
-        # Sectors 900005 and 900004 have no edge; the first by code is named.
-        (("900005", "900001", "900004", "900002"), ((1, 3, 0.5),), "sector 900004, "),
+        # Sectors 900004 and 900005 have no edge; the first by index is named.
+        (("900001", "900002", "900004", "900005"), ((0, 1, 0.5),), "sector 900004, "),
         # Two components: every sector has an edge, so none is named.
         (("900001", "900002", "900003", "900004"), ((0, 1, 0.5), (2, 3, 0.25)), ""),
     ])
@@ -241,6 +241,12 @@ class TestTurmoil:
                           crash_start=crash_start - timedelta(days=300),
                           crash_end=crash_end)
 
+    def test_reversed_crash_interval_is_refused(self):
+        series, crash_start, crash_end = turmoil_dataset(seed=0, t_len=100, n=4)
+        with pytest.raises(ValueError, match="^crash_start must not be after crash_end$"):
+            turmoil_study(returns_panel(series), q=10, crash_start=crash_end,
+                          crash_end=crash_start)
+
     def test_csv_shape(self):
         series, crash_start, crash_end = turmoil_dataset(seed=0, t_len=60, n=4)
         with pytest.warns(UserWarning, match="tied pair"):
@@ -277,11 +283,13 @@ class TestPearson:
 class TestSpecificity:
     def make_study(self, seed=0, samples=1):
         dataset = hub_panel(n=6, years=3, coupling=0.85)
-        windows = yearly_reports(returns_panel(dataset), q=10)
+        returns = returns_panel(dataset)
+        windows = yearly_reports(returns, q=10)
         hub = dataset[0]
-        index = PriceSeries(SectorMeta("000001", "composite index"), hub.dates, hub.closes)
+        index = returns_panel(
+            [PriceSeries(SectorMeta("000001", "composite index"), hub.dates, hub.closes)])
         return dataset, windows, index, specificity_study(
-            returns_panel([*dataset, index]), windows, seed=seed, samples=samples
+            returns, index, windows, seed=seed, samples=samples
         )
 
     def test_index_copy_of_root_sector_gives_unit_correlation(self):
@@ -324,21 +332,23 @@ class TestSpecificity:
 
     def test_constant_root_names_year_and_sector(self):
         dataset, windows, index, _ = self.make_study()
-        returns = returns_panel([*dataset, index])
+        returns = returns_panel(dataset)
         values = returns.values.copy()
         values[0, [d.year == 2002 for d in returns.dates]] = 0.0  # the root trades flat
         flat = replace(returns, values=values)
         with pytest.raises(ValueError) as excinfo:
-            specificity_study(flat, windows, seed=0)
+            specificity_study(flat, index, windows, seed=0)
         assert str(excinfo.value) == "year 2002, sector 910010: zero variance"
 
     def test_misaligned_index_rejected(self):
         dataset = hub_panel(n=4, years=1)
-        windows = yearly_reports(returns_panel(dataset), q=10)
+        returns = returns_panel(dataset)
+        windows = yearly_reports(returns, q=10)
         shifted_dates = tuple(d + timedelta(days=1) for d in dataset[0].dates)
-        index = PriceSeries(SectorMeta("000001"), shifted_dates, dataset[0].closes)
-        with pytest.raises(ValueError, match="aligned"):
-            specificity_study(returns_panel([*dataset, index]), windows, seed=0)
+        index = returns_panel([PriceSeries(SectorMeta("000001"), shifted_dates,
+                                           dataset[0].closes)])
+        with pytest.raises(ValueError, match="^price series are not date-aligned$"):
+            specificity_study(returns, index, windows, seed=0)
 
 
 class TestRenderers:

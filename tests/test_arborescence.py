@@ -191,21 +191,18 @@ class TestSolver:
 
     @pytest.mark.parametrize("n", [2, 3, 7, 28])
     def test_edge_order_given_changes_neither_network_nor_trees(self, n):
-        # A network keeps its edges in (source code, target code) order, the
-        # order the tie rule ranks them by.  Codes are shuffled against the
-        # indices and weights come from a three-value set, so ties are common.
+        # A network keeps its edges in (source index, target index) order,
+        # the order the tie rule ranks them by.  Weights come from a
+        # three-value set, so ties are common.
         rng = np.random.default_rng(n)
         for _ in range(10):
-            g = random_complete_network(n, rng, weights=(0.25, 0.5, 0.75))
-            sectors = tuple(g.sectors[k] for k in rng.permutation(n))
-            given = InfoFlowNetwork(sectors=sectors, edges=g.edges)
-            assert [(sectors[i].code, sectors[j].code) for i, j, _ in given.edges] == sorted(
-                (sectors[i].code, sectors[j].code) for i, j, _ in g.edges)
+            given = random_complete_network(n, rng, weights=(0.25, 0.5, 0.75))
+            assert [e[:2] for e in given.edges] == sorted(e[:2] for e in given.edges)
             trees = [max_spanning_arborescence(given, o) for o in ("outgoing", "incoming")]
             for _ in range(3):
-                order = rng.permutation(len(g.edges))
-                shuffled = InfoFlowNetwork(sectors=sectors,
-                                           edges=tuple(g.edges[k] for k in order))
+                order = rng.permutation(len(given.edges))
+                shuffled = InfoFlowNetwork(sectors=given.sectors,
+                                           edges=tuple(given.edges[k] for k in order))
                 assert shuffled.edges == given.edges
                 assert [max_spanning_arborescence(shuffled, o)
                         for o in ("outgoing", "incoming")] == trees
@@ -275,9 +272,10 @@ class TestPaths:
     @pytest.mark.parametrize("orientation", ["outgoing", "incoming"])
     def test_matches_candidate_enumeration_with_planted_ties(self, rng, orientation):
         # Weights from a three-value set: many paths have equal totals, which
-        # the sector codes in flow order must settle; 0.1 + 0.2 != 0.3 in
-        # floating point, so near-ties must not be mistaken for ties.
-        settled_by_codes = 0
+        # the sector indices in flow order must settle, whatever the codes;
+        # 0.1 + 0.2 != 0.3 in floating point, so near-ties must not be
+        # mistaken for ties.
+        settled_by_order = 0
         for _ in range(300):
             n = int(rng.integers(1, 29))
             sectors = tuple(SectorMeta(str(c)) for c in rng.choice(900, n, replace=False) + 900100)
@@ -292,8 +290,8 @@ class TestPaths:
             p = maximal_information_flow_path(a)
             assert (p.nodes, p.total_weight) == maximal_path_by_leaves(a)
             totals = [total for total, _, _ in path_candidates(a)]
-            settled_by_codes += totals.count(p.total_weight) > 1
-        assert settled_by_codes > 20
+            settled_by_order += totals.count(p.total_weight) > 1
+        assert settled_by_order > 20
 
     def test_single_node_path(self):
         a = max_spanning_arborescence(net(["900001"], []), "outgoing")

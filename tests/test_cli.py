@@ -242,7 +242,6 @@ class TestMsa:
 
     @pytest.mark.parametrize("start, end, reason", [
         ("2030-05-01", "2031-01-01", "empty result"),    # no trading day inside
-        ("2031-01-01", "2030-05-01", "empty interval"),  # --from after --to
     ])
     def test_empty_range_is_named(self, panel_csv, tmp_path, capsys, start, end, reason):
         path, _ = panel_csv
@@ -412,7 +411,11 @@ class TestSpecificity:
         assert capsys.readouterr().err == "error: --index must hold one price column, not 5\n"
         assert not out.exists()
 
-    def test_misaligned_index_exits_2(self, panel_csv, tmp_path, capsys):
+    def test_misaligned_index_exits_2(self, panel_csv, tmp_path, capsys, monkeypatch):
+        def no_estimate(symbols):
+            raise AssertionError("a TE matrix was estimated")
+
+        monkeypatch.setattr("infoflow.analysis.te_matrix", no_estimate)
         path, series = panel_csv
         index_csv = tmp_path / "index.csv"
         lines = ["date,000001"]
@@ -679,7 +682,8 @@ CONSTANT = "error: sector 910020, whole sample: degenerate series: constant valu
 @pytest.mark.parametrize("edit, argv, warning, message", [
     pytest.param("none", ["--mode", "turmoil", "--crash-start", "2000-10-31",
                           "--crash-end", "2000-09-01"], None,
-                 "error: crash_start must not be after crash_end", id="turmoil-reversed"),
+                 "error: --crash-start 2000-10-31 is after --crash-end 2000-09-01",
+                 id="turmoil-reversed"),
     pytest.param("none", ["--mode", "turmoil", "--crash-start", "2030-01-01",
                           "--crash-end", "2030-01-31"], None,
                  "error: no trading days inside the crash interval", id="turmoil-no-days"),
@@ -688,7 +692,7 @@ CONSTANT = "error: sector 910020, whole sample: degenerate series: constant valu
                  "error: turmoil windows need 153 trading days before the crash start and 153 "
                  "from it; the dataset has 9 and 721", id="turmoil-uncovered"),
     pytest.param("none", ["--mode", "range", "--from", "2031-01-01", "--to", "2030-05-01"],
-                 None, "error: range 2031-01-01 to 2030-05-01: empty interval",
+                 None, "error: --from 2031-01-01 is after --to 2030-05-01",
                  id="range-empty-interval"),
     pytest.param("none", ["--mode", "range", "--from", "2030-05-01", "--to", "2031-01-01"],
                  None, "error: range 2030-05-01 to 2031-01-01: empty result",
@@ -865,6 +869,15 @@ def test_only_yyyy_mm_dd_is_a_date(panel_csv, tmp_path, capsys, text):
                  id="specificity-q"),
     pytest.param(["specificity", "--samples", "0"], "--samples must be at least 1",
                  id="specificity-samples"),
+    pytest.param(["specificity", "--seed", "-1"], "--seed must be at least 0",
+                 id="specificity-seed"),
+    pytest.param(["stats", "--seed", "-5"], "--seed must be at least 0", id="stats-seed"),
+    pytest.param(["msa", "--mode", "range", "--from", "2001-01-01", "--to", "2000-12-31"],
+                 "--from 2001-01-01 is after --to 2000-12-31", id="range-reversed"),
+    pytest.param(["msa", "--mode", "turmoil", "--crash-start", "2000-10-31",
+                  "--crash-end", "2000-09-01"],
+                 "--crash-start 2000-10-31 is after --crash-end 2000-09-01",
+                 id="turmoil-reversed"),
     pytest.param(["msa", "--mode", "range", "--from", "2000-03-01", "--to", "2000/12/29"],
                  "--to must be an ISO-8601 date", id="range-date"),
     pytest.param(["msa", "--mode", "turmoil", "--crash-start", "2000-09-31",

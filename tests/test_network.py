@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,26 @@ class TestBuildNetwork:
         rev = build_network(*dai_from(-dai, codes))
         assert sorted((j, i, w) for i, j, w in fwd.edges) == sorted(rev.edges)
 
+    @pytest.mark.parametrize("n", [2, 3, 28, 99])
+    def test_matches_a_double_loop_over_pairs(self, n):
+        # Exactly antisymmetric net flows, about a fifth of the pairs tied.
+        rng = np.random.default_rng(n)
+        codes = [str(900000 + k) for k in range(1, n + 1)]
+        planted = 0
+        for _ in range(10):
+            te = rng.uniform(0, 1, size=(n, n))
+            tied = np.triu(rng.random((n, n)) < 0.2, 1)
+            te.T[tied] = te[tied]
+            dai = te - te.T
+            edges = [(i, j, dai[i, j]) for i in range(n) for j in range(n) if dai[i, j] > 0]
+            ties = [(i, j) for i in range(n) for j in range(i + 1, n) if dai[i, j] == 0]
+            planted += len(ties)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                net = build_network(*dai_from(dai, codes))
+            assert net.edges == tuple(edges)
+            assert net.ties == tuple(ties)
+        assert planted > 0
 
     @pytest.mark.parametrize("shape", [(2, 3), (3, 3), (2,)])
     def test_dai_shape_must_match_the_sectors(self, shape):

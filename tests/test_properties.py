@@ -250,12 +250,16 @@ def test_dai_antisymmetric_and_te_bounded(n, length, q, fill, seed):
     assert np.array_equal(dai, -dai.T)
 
 
-# msa studies whose every output file names sectors by code, never by column.
-MSA_MODES = {
-    "whole": ["--mode", "whole"],
-    "yearly": ["--mode", "yearly"],
-    "range": ["--mode", "range", "--from", "2001-03-01", "--to", "2002-09-30"],
-    "turmoil": ["--mode", "turmoil", "--crash-start", "2002-01-01", "--crash-end", "2002-03-31"],
+# Runs whose every output file lists sectors in code order, never by column:
+# each msa mode, stats, and specificity against an index file of its own.
+RUNS = {
+    "whole": ["msa", "--mode", "whole"],
+    "yearly": ["msa", "--mode", "yearly"],
+    "range": ["msa", "--mode", "range", "--from", "2001-03-01", "--to", "2002-09-30"],
+    "turmoil": ["msa", "--mode", "turmoil", "--crash-start", "2002-01-01",
+                "--crash-end", "2002-03-31"],
+    "stats": ["stats"],
+    "specificity": ["specificity", "--samples", "3"],
 }
 N_PERMUTED = 12
 
@@ -270,22 +274,27 @@ def unpermuted_csv() -> str:
     return dataset_to_csv(generate_dataset(spec))
 
 
-def msa_outputs(csv_text: str, mode: str) -> dict[str, bytes]:
-    """Every file one ``msa`` study writes for the CSV, by file name."""
+def run_outputs(csv_text: str, run: str) -> dict[str, bytes]:
+    """Every file one CLI run writes for the CSV, by file name."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "prices.csv"
         path.write_text(csv_text, encoding="utf-8")
+        argv = [*RUNS[run], "--input", str(path)]
+        if run == "specificity":  # the unpermuted file's fourth sector, in every run
+            index = Path(tmp) / "index.csv"
+            index.write_text(permute_columns(unpermuted_csv(), [3]), encoding="utf-8")
+            argv += ["--index", str(index)]
         out = Path(tmp) / "out"
         with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert main(["msa", "--input", str(path), *MSA_MODES[mode], "--q", "15",
-                         "--format", "csv,json,dot", "--out-dir", str(out)]) == 0
+            assert main([*argv, "--q", "15", "--format", "csv,json,dot",
+                         "--out-dir", str(out)]) == 0
         return {f.name: f.read_bytes() for f in out.iterdir()}
 
 
 @functools.lru_cache(maxsize=None)
-def unpermuted_outputs(mode: str) -> dict[str, bytes]:
-    return msa_outputs(unpermuted_csv(), mode)
+def unpermuted_outputs(run: str) -> dict[str, bytes]:
+    return run_outputs(unpermuted_csv(), run)
 
 
 def permute_columns(csv_text: str, order) -> str:
@@ -294,17 +303,14 @@ def permute_columns(csv_text: str, order) -> str:
     return "".join(",".join([row[0]] + [row[1 + k] for k in order]) + "\n" for row in rows)
 
 
-@pytest.mark.parametrize("mode", sorted(MSA_MODES))
+@pytest.mark.parametrize("mode", sorted(RUNS))
 @settings(deadline=None, max_examples=3)
 @given(order=st.permutations(range(N_PERMUTED)))
 def test_msa_outputs_do_not_depend_on_column_order(mode, order):
-    # Only the degree heatmaps list sectors in input order; with their
-    # columns put back in the original order they match too.
+    # Every panel holds its sectors in code order, so every file of every
+    # run (msa, stats and specificity alike) is byte-identical.
     want = unpermuted_outputs(mode)
-    got = msa_outputs(permute_columns(unpermuted_csv(), order), mode)
+    got = run_outputs(permute_columns(unpermuted_csv(), order), mode)
     assert sorted(got) == sorted(want)
     for name, data in got.items():
-        if name.startswith("degree_heatmap_"):
-            back = np.argsort(order)
-            data = permute_columns(data.decode(), back).encode()
         assert data == want[name], name

@@ -292,6 +292,19 @@ class TestLogReturns:
         values = returns_panel(load_dataset(path)).values
         assert without == hashlib.sha256(values.tobytes()).hexdigest()
 
+    def test_rows_come_in_code_order(self, rng):
+        codes = ["900003", "900010", "900001", "900002"]
+        series = [make_prices(np.exp(rng.normal(0, 0.05, 30).cumsum()), code) for code in codes]
+        r = returns_panel(series)
+        assert [s.code for s in r.sectors] == sorted(codes)
+        for sector, row in zip(r.sectors, r.values):
+            [own] = (p for p in series if p.sector == sector)
+            np.testing.assert_array_equal(row, returns_panel([own]).values[0])
+
+    def test_rejects_a_repeated_code(self):
+        with pytest.raises(ValueError, match="strictly increasing code order"):
+            returns_panel([make_prices([1.0, 2.0]), make_prices([3.0, 4.0])])
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             PriceSeries(SectorMeta("801010"), make_prices([1.0, 2.0]).dates, np.array([1.0, 0.0]))
@@ -368,6 +381,14 @@ class TestSlice:
         r = make_returns([0.1, -0.2])
         with pytest.raises(ValueError, match="empty interval"):
             slice_returns(r, (r.dates[1], r.dates[0]))
+
+    @pytest.mark.parametrize("codes", [("900002", "900001"), ("900001", "900001"),
+                                       ("900001", "900003", "900002"), ("90002", "900010")])
+    def test_panel_rejects_codes_out_of_order_or_repeated(self, codes):
+        # Codes compare as text: "90002" comes after "900010".
+        days = (date(2001, 1, 2), date(2001, 1, 3))
+        with pytest.raises(ValueError, match="^sectors not in strictly increasing code order$"):
+            Panel(tuple(SectorMeta(c) for c in codes), days, np.zeros((len(codes), 2)))
 
     @pytest.mark.parametrize("order", [(0, 2, 1), (0, 1, 1)])
     def test_return_series_rejects_unsorted_dates(self, order):
