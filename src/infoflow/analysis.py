@@ -173,9 +173,8 @@ def msas_from_returns(
         trees = {o: max_spanning_arborescence(net, o)
                  for o in ORIENTATIONS if o in orientations}
     except ValueError as exc:
-        linked = {k for i, j, _ in net.edges for k in (i, j)}
-        isolated = [s.code for k, s in enumerate(net.sectors) if k not in linked]
-        sector = f"sector {isolated[0]}, " if isolated else ""
+        isolated = np.flatnonzero(~net.dai.any(axis=1))
+        sector = f"sector {net.sectors[isolated[0]].code}, " if isolated.size else ""
         raise ValueError(f"{sector}{window} ({len(days)} trading days, "
                          f"{len(net.ties)} tied pairs): {exc}") from None
     paths = {o: maximal_information_flow_path(a) for o, a in trees.items()}

@@ -175,7 +175,7 @@ def load_sector_names(source: str | Path) -> dict[str, str]:
     """Read an optional ``code,name`` metadata CSV into a code -> name map."""
     path = Path(source)
     if not path.exists():
-        raise DatasetError("input not found")
+        raise DatasetError(f"input not found: {path}")
     names: dict[str, str] = {}
     with path.open(newline="", encoding="utf-8-sig") as handle:
         records = _records(handle)
@@ -213,7 +213,7 @@ def load_dataset(
     """
     path = Path(source)
     if not path.exists():
-        raise DatasetError("input not found")
+        raise DatasetError(f"input not found: {path}")
     table = _read_columns(path)
     if table is None:
         table = _read_rows(path)

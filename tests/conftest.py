@@ -26,6 +26,14 @@ def make_prices(closes, code="900001", start=date(2000, 1, 3)):
     return PriceSeries(SectorMeta(code), dates, np.asarray(closes, dtype=float))
 
 
+def flow_matrix(n, edges):
+    """The n x n net-flow matrix whose positive entries are the (i, j, w) ``edges``."""
+    dai = np.zeros((n, n))
+    for i, j, w in edges:
+        dai[i, j], dai[j, i] = w, -w
+    return dai
+
+
 def random_complete_network(n, rng, code_base=900000, weights=None):
     """Complete orientation with random weights and random directions.
 
@@ -44,7 +52,7 @@ def random_complete_network(n, rng, code_base=900000, weights=None):
                 edges.append((i, j, w))
             else:
                 edges.append((j, i, w))
-    return InfoFlowNetwork(sectors=sectors, edges=tuple(edges))
+    return InfoFlowNetwork(sectors, flow_matrix(n, edges))
 
 
 def turmoil_dataset(seed, t_len=250, n=8, coupling=0.9):

@@ -134,12 +134,8 @@ def test_criterion_05_arborescence_invariants_and_duality():
                 for code, d in deg.items():
                     if code != root_code:
                         assert d[in_pos] == 1
-            reversed_net = InfoFlowNetwork(
-                sectors=g.sectors,
-                edges=tuple((j, i, w) for i, j, w in g.edges),
-            )
             incoming = max_spanning_arborescence(g, "incoming")
-            dual = max_spanning_arborescence(reversed_net, "outgoing")
+            dual = max_spanning_arborescence(InfoFlowNetwork(g.sectors, -g.dai), "outgoing")
             assert incoming.root == dual.root
             assert incoming.total_weight == dual.total_weight
             assert sorted(incoming.edges) == sorted((j, i, w) for i, j, w in dual.edges)

@@ -4,7 +4,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from conftest import turmoil_dataset
+from conftest import flow_matrix, turmoil_dataset
 from oracles import pearson_mpmath
 
 from infoflow.analysis import (
@@ -64,7 +64,7 @@ class TestWholeSample:
         # A -> C and B -> C: no root reaches every sector along the edges, but
         # every sector reaches C, so only the incoming tree exists.
         sectors = tuple(SectorMeta(code) for code in ("900001", "900002", "900003"))
-        net = InfoFlowNetwork(sectors, ((0, 2, 0.5), (1, 2, 0.25)))
+        net = InfoFlowNetwork(sectors, flow_matrix(3, ((0, 2, 0.5), (1, 2, 0.25))))
         monkeypatch.setattr("infoflow.analysis.build_network", lambda sectors, dai: net)
         returns = returns_panel(hub_panel(n=3, years=1))
         w = msas_from_returns(returns, q=5, orientations=("incoming",))
@@ -82,13 +82,16 @@ class TestWholeSample:
     ])
     def test_no_root_refusal_names_a_sector_left_without_edges(self, monkeypatch, codes,
                                                                edges, sector):
-        net = InfoFlowNetwork(tuple(SectorMeta(code) for code in codes), edges)
+        # Every pair without an edge has zero net flow, so it counts as tied.
+        ties = len(codes) * (len(codes) - 1) // 2 - len(edges)
+        net = InfoFlowNetwork(tuple(SectorMeta(code) for code in codes),
+                              flow_matrix(len(codes), edges))
         monkeypatch.setattr("infoflow.analysis.build_network", lambda sectors, dai: net)
         returns = returns_panel(hub_panel(n=4, years=1))
         with pytest.raises(ValueError) as excinfo:
             msas_from_returns(returns, q=5, orientations=("incoming",))
         assert str(excinfo.value) == (f"{sector}whole sample ({len(returns.dates)} trading "
-                                      "days, 0 tied pairs): no root reaches all nodes")
+                                      f"days, {ties} tied pairs): no root reaches all nodes")
 
     def test_orientations_keep_their_order(self):
         w = msas_from_returns(returns_panel(hub_panel(years=1)), q=10,

@@ -170,6 +170,18 @@ class TestStats:
         assert run(["stats", "--input", tmp_path / "nope.csv"]) == 2
         assert "input not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["stats", "--input", "{missing}"],
+        ["msa", "--input", "{panel}", "--names", "{missing}"],
+        ["specificity", "--input", "{panel}", "--index", "{missing}"],
+    ], ids=["input", "names", "index"])
+    def test_missing_file_is_named_by_its_path(self, panel_csv, tmp_path, capsys, argv):
+        missing, out = tmp_path / "nope.csv", tmp_path / "out"
+        argv = [arg.format(panel=panel_csv[0], missing=missing) for arg in argv]
+        assert run([*argv, "--out-dir", out]) == 2
+        assert capsys.readouterr().err == f"error: input not found: {missing}\n"
+        assert not out.exists()
+
     def test_no_input_flag_exits_2(self, capsys):
         assert run(["stats"]) == 2
         assert "--input is required" in capsys.readouterr().err

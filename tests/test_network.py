@@ -67,11 +67,13 @@ class TestBuildNetwork:
     def test_sign_flip_reverses_every_edge(self, rng):
         n = 5
         te = rng.uniform(0, 1, size=(n, n))
-        dai = te - te.T
+        te.T[0, 1] = te[0, 1]  # one tied pair, which stays tied
         codes = [str(900000 + k) for k in range(1, n + 1)]
-        fwd = build_network(*dai_from(dai, codes))
-        rev = build_network(*dai_from(-dai, codes))
+        fwd = InfoFlowNetwork(*dai_from(te - te.T, codes))
+        rev = InfoFlowNetwork(fwd.sectors, -fwd.dai)
+        assert len(fwd.edges) == 9
         assert sorted((j, i, w) for i, j, w in fwd.edges) == sorted(rev.edges)
+        assert rev.ties == fwd.ties == ((0, 1),)
 
     @pytest.mark.parametrize("n", [2, 3, 28, 99])
     def test_matches_a_double_loop_over_pairs(self, n):
@@ -100,18 +102,30 @@ class TestBuildNetwork:
         with pytest.raises(ValueError, match="dai matrix shape does not match sector count"):
             build_network(sectors, np.zeros(shape))
 
-    @pytest.mark.parametrize("w", [0.0, -0.1, float("nan"), float("inf")])
-    def test_rejects_non_positive_or_non_finite_weight(self, w):
+    @pytest.mark.parametrize("dai, message", [
+        ([[0.0, -0.2], [-0.2, 0.0]], "dai matrix is not exactly antisymmetric"),
+        ([[0.0, np.nan], [np.nan, 0.0]], "dai matrix has a non-finite entry"),
+        ([[0.0, np.inf], [-np.inf, 0.0]], "dai matrix has a non-finite entry"),
+        ([[0.0, -np.inf], [np.inf, 0.0]], "dai matrix has a non-finite entry"),
+        ([[0.0, 0.3], [0.1, 0.0]], "dai matrix is not exactly antisymmetric"),
+        ([[0.5, 0.0], [0.0, 0.0]], "dai matrix is not exactly antisymmetric"),
+        (np.zeros((3, 3)), "dai matrix shape does not match sector count"),
+    ], ids=["both-negative", "nan-pair", "inf", "minus-inf", "unequal-pair",
+            "self-flow", "wrong-shape"])
+    def test_refuses_a_matrix_that_is_not_a_net_flow(self, dai, message):
         sectors = (SectorMeta("900001"), SectorMeta("900002"))
-        with pytest.raises(ValueError, match="positive and finite"):
-            InfoFlowNetwork(sectors=sectors, edges=((0, 1, w),))
+        for make in (InfoFlowNetwork, build_network):
+            with pytest.raises(ValueError, match=message):
+                make(sectors, dai)
 
-    @pytest.mark.parametrize("edges, message", [
-        (((1, 1, 0.5),), "self-edge"),
-        (((0, 1, 0.5), (0, 1, 0.25)), "duplicate edge for one sector pair"),
-        (((0, 1, 0.5), (1, 0, 0.25)), "duplicate edge for one sector pair"),
-    ])
-    def test_rejects_self_edge_and_second_edge_of_a_pair(self, edges, message):
+    def test_matrix_is_a_read_only_copy_outside_equality(self):
         sectors = (SectorMeta("900001"), SectorMeta("900002"))
-        with pytest.raises(ValueError, match=message):
-            InfoFlowNetwork(sectors=sectors, edges=edges)
+        dai = np.array([[0.0, 0.2], [-0.2, 0.0]])
+        net = InfoFlowNetwork(sectors, dai)
+        dai[0, 1] = 0.3
+        assert net.dai[0, 1] == 0.2 and net.dai.dtype == np.float64
+        with pytest.raises(ValueError, match="read-only"):
+            net.dai[0, 1] = 0.3
+        same = InfoFlowNetwork(sectors, [[0, 0.2], [-0.2, 0]])
+        assert same == net and hash(same) == hash(net)
+        assert net != InfoFlowNetwork(sectors, -net.dai)

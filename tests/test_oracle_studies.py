@@ -6,7 +6,9 @@ maximum spanning arborescence.  It is loaded from its file, unchanged, so
 the same checks guard the benchmark runs and these small panels.  Its
 ``check_study`` knows the whole-sample and yearly studies; for a date
 range and for turmoil windows these tests pick each window's return rows
-themselves and check the written trees with the oracle's parts.
+themselves and check the written trees with the oracle's parts.  The
+benchmark's tracer is loaded the same way, to show that it still finds
+and reads every library function it wraps.
 """
 
 import contextlib
@@ -15,6 +17,7 @@ import io
 import json
 import math
 import re
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -24,6 +27,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import infoflow.cli
 from infoflow.analysis import MIN_WINDOW_DAYS
 from infoflow.arborescence import ORIENTATIONS, max_spanning_arborescence
 from infoflow.cli import main
@@ -40,6 +44,7 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 def _load(name):
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # where the tracer's dataclasses look up their types
     spec.loader.exec_module(module)
     return module
 
@@ -258,3 +263,27 @@ def test_dropped_pairs_are_exact_ties_and_each_tree_is_maximal(tmp_path):
         expected = math.fsum(weight[e] for e in best.edges)
         tree = max_spanning_arborescence(net, o)
         assert tree.total_weight == pytest.approx(expected, rel=0, abs=1e-12)
+
+
+def test_bench_tracer_finds_and_reads_every_function_it_wraps(tmp_path):
+    # The bench's tracer wraps library functions by the names their callers
+    # use and reads counters off their results; a renamed function or a
+    # changed result shape would leave a bench metric unmeasured.
+    tracer = _load("tracer")
+    n = 6
+    csv, *_ = write_panel(tmp_path, n, 3 * 261, 601)
+    traced = tracer.Tracer()
+    for study, mode in enumerate(("yearly", "whole")):
+        traced.study = study
+        with traced.installed(), warnings.catch_warnings(), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("ignore")
+            # Through the module attribute, which the tracer patches, as bench/worker.py calls it.
+            assert infoflow.cli.main(["msa", "--input", str(csv), "--mode", mode,
+                                      "--out-dir", str(tmp_path / mode)]) == 0
+    assert traced.absent == [] and traced.counter_errors == set()
+    metrics = tracer.layer_metrics(traced, [0, 1])
+    assert [name for name, value in metrics.items() if value is None] == []
+    assert metrics["analysis.windows"] == (3 + 1) / 2
+    assert (metrics["network.edges"] + metrics["network.tied_pairs"]
+            == metrics["analysis.windows"] * n * (n - 1) / 2)
