@@ -33,8 +33,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from bisect import bisect_left, bisect_right
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from datetime import date
@@ -168,7 +166,13 @@ def msas_from_returns(
                          f"minimum of {MIN_WINDOW_DAYS}")
     if partitions is None:
         partitions = checked_partition(returns, q, window)
-    net = build_network(returns.sectors, dai_matrix(te_matrix(encode(returns, partitions))))
+    try:
+        te = te_matrix(encode(returns, partitions))
+    except ValueError as exc:
+        if len(returns.sectors) < 2:  # one sector is the input's fault, not the window's
+            raise
+        raise ValueError(f"{window}: {exc}") from None
+    net = build_network(returns.sectors, dai_matrix(te))
     try:
         trees = {o: max_spanning_arborescence(net, o)
                  for o in ORIENTATIONS if o in orientations}
@@ -178,7 +182,7 @@ def msas_from_returns(
         raise ValueError(f"{sector}{window} ({len(days)} trading days, "
                          f"{len(net.ties)} tied pairs): {exc}") from None
     paths = {o: maximal_information_flow_path(a) for o, a in trees.items()}
-    return WindowResult(label, (days[0], days[-1]), trees, paths)
+    return WindowResult(label, (days[0].item(), days[-1].item()), trees, paths)
 
 
 def run_windows(
@@ -217,7 +221,8 @@ def yearly_reports(
     a warning; if every year is, the study fails.
     """
     def years():
-        for year, days in sorted(Counter(d.year for d in returns.dates).items()):
+        firsts, counts = np.unique(returns.dates.astype("datetime64[Y]"), return_counts=True)
+        for year, days in zip((d.year for d in firsts.tolist()), counts.tolist()):
             if days < MIN_WINDOW_DAYS:
                 # Attributed to the caller of ``yearly_reports``, past ``run_windows``.
                 warnings.warn(f"skipping year {year}: only {days} trading day(s)", stacklevel=4)
@@ -267,8 +272,8 @@ def turmoil_study(
     if crash_start > crash_end:
         raise ValueError("crash_start must not be after crash_end")
     dates = returns.dates
-    i0 = bisect_left(dates, crash_start)
-    t_len = bisect_right(dates, crash_end) - i0
+    i0 = int(dates.searchsorted(np.datetime64(crash_start, "D")))
+    t_len = int(dates.searchsorted(np.datetime64(crash_end, "D"), "right")) - i0
     if t_len == 0:
         raise ValueError("no trading days inside the crash interval")
     if i0 - 3 * t_len < 0 or i0 + 3 * t_len > len(dates):
@@ -276,7 +281,7 @@ def turmoil_study(
                          f"and {3 * t_len} from it; the dataset has {i0} and {len(dates) - i0}")
     # Each window is 2T trading days and starts k*T days from the crash start.
     windows = [(label, f"{label} window",
-                (dates[i0 + k * t_len], dates[i0 + (k + 2) * t_len - 1]))
+                (dates[i0 + k * t_len].item(), dates[i0 + (k + 2) * t_len - 1].item()))
                for label, k in (("before", -3), ("during", -1), ("after", 1))]
     results = run_windows(returns, q, windows, global_partition)
     return TurmoilStudy(crash_start, crash_end, t_len, q, {w.label: w for w in results})
@@ -318,7 +323,7 @@ def specificity_study(
     index or a sector is constant within a year, the error names the year
     and that series.
     """
-    if index.dates != returns.dates:
+    if not np.array_equal(index.dates, returns.dates):
         raise ValueError("price series are not date-aligned")
     if samples < 1:
         raise ValueError("samples must be at least 1")

@@ -39,6 +39,8 @@ from datetime import date
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis
 from .arborescence import ORIENTATIONS, arborescence_to_dot, arborescence_to_json
 from .timeseries import (
@@ -276,7 +278,7 @@ def _cmd_msa(cfg: dict) -> Files:
 
     if mode in ("whole", "range"):
         if mode == "whole":
-            stem, name, span = "msa_whole", "whole sample", (returns.dates[0], returns.dates[-1])
+            stem, name, span = "msa_whole", "whole sample", returns.dates[[0, -1]].tolist()
         else:
             stem, name, span = "msa_range", f"range {dates[0]} to {dates[1]}", dates
         [result] = analysis.run_windows(returns, q, [(stem, name, span)],
@@ -327,7 +329,8 @@ def _cmd_specificity(cfg: dict) -> Files:
     if len(index) != 1:
         raise CliError(f"--index must hold one price column, not {len(index)}")
     returns, index = analysis.returns_panel(dataset), analysis.returns_panel(index)
-    if index.dates != returns.dates:  # as specificity_study checks, but before any estimate
+    # As specificity_study checks, but before any estimate.
+    if not np.array_equal(index.dates, returns.dates):
         raise ValueError("price series are not date-aligned")
     windows = analysis.yearly_reports(returns, int(cfg["q"]))
     result = analysis.specificity_study(

@@ -21,7 +21,7 @@ from __future__ import annotations
 import graphlib
 import math
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
@@ -175,7 +175,7 @@ def generate_dataset(spec: SyntheticDataset) -> list[PriceSeries]:
         [np.zeros((1, n)), np.cumsum(returns, axis=0)], axis=0
     )
     closes = INITIAL_PRICE * np.exp(log_prices)
-    dates = tuple(spec.start + timedelta(days=t) for t in range(total + 1))
+    dates = np.datetime64(spec.start, "D") + np.arange(total + 1)
     return [
         PriceSeries(SectorMeta(f"910{(i + 1) * 10:03d}", f"synthetic sector {i + 1:02d}"),
                     dates, closes[:, i])
@@ -212,11 +212,11 @@ def dataset_to_csv(series: list[PriceSeries]) -> str:
         raise ValueError("empty dataset")
     dates = series[0].dates
     for s in series[1:]:
-        if s.dates != dates:
+        if not np.array_equal(s.dates, dates):
             raise ValueError("series are not date-aligned")
     header = "date," + ",".join(s.sector.code for s in series)
     lines = [header]
-    for t, day in enumerate(dates):
+    for t, day in enumerate(dates.tolist()):
         row = ",".join(repr(float(s.closes[t])) for s in series)
         lines.append(f"{day.isoformat()},{row}")
     return "\n".join(lines) + "\n"

@@ -19,7 +19,8 @@ into one ``Panel``: the sectors in code order, the return dates and an
 n x L matrix of log returns.  The panel is the only return type: one
 sector's returns are a 1-row panel, and ``summary_stats`` takes one row of
 its matrix.  Every study window is a column span of that matrix, cut by
-``slice_returns``, which bisects the panel's date axis.
+``slice_returns``, which searches the panel's date axis: like a
+``PriceSeries``' dates, a read-only ``datetime64[D]`` array.
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ import codecs
 import csv
 import io
 import math
-import operator
 import re
 import warnings
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from datetime import date
 from pathlib import Path
@@ -88,31 +87,25 @@ def _freeze(values, dtype) -> np.ndarray:
     return arr
 
 
-class _IncreasingDates(tuple):
-    """A date axis already checked to be strictly increasing.
-
-    ``load_dataset`` gives all its series one such axis, so it is checked
-    once per file and not once per sector.
-    """
-
-
-def _check_increasing(dates: tuple[date, ...]) -> None:
-    # Windows are cut by bisection, which needs a sorted date axis.
-    if type(dates) is not _IncreasingDates and not all(map(operator.lt, dates, dates[1:])):
+def _date_axis(dates) -> np.ndarray:
+    """A read-only ``datetime64[D]`` copy of ``dates``, which must strictly increase."""
+    days = _freeze(dates, "datetime64[D]")
+    # Windows are cut by binary search, which needs a sorted date axis.
+    if not np.all(days[1:] > days[:-1]):
         raise ValueError("dates not strictly increasing")
+    return days
 
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Daily closing prices of one sector on a strictly increasing date axis."""
+    """Daily closing prices of one sector on a strictly increasing ``datetime64[D]`` axis."""
 
     sector: SectorMeta
-    dates: tuple[date, ...]
+    dates: np.ndarray
     closes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if type(self.dates) is not _IncreasingDates:
-            object.__setattr__(self, "dates", tuple(self.dates))
+        object.__setattr__(self, "dates", _date_axis(self.dates))
         object.__setattr__(self, "closes", _freeze(self.closes, np.float64))
         if len(self.dates) != len(self.closes):
             raise ValueError("dates and closes differ in length")
@@ -120,7 +113,6 @@ class PriceSeries:
             raise ValueError("price series needs at least 2 observations")
         if not np.all(self.closes > 0):
             raise ValueError("non-positive price")
-        _check_increasing(self.dates)
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -128,7 +120,7 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class Panel:
-    """Daily log returns of n sectors on one strictly increasing date axis.
+    """Daily log returns of n sectors on one strictly increasing ``datetime64[D]`` axis.
 
     Row i of the n x L matrix ``values`` holds the returns of ``sectors[i]``,
     each dated by the later close, and sectors are in strictly increasing
@@ -136,12 +128,12 @@ class Panel:
     """
 
     sectors: tuple[SectorMeta, ...]
-    dates: tuple[date, ...]
+    dates: np.ndarray
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sectors", tuple(self.sectors))
-        object.__setattr__(self, "dates", tuple(self.dates))
+        object.__setattr__(self, "dates", _date_axis(self.dates))
         object.__setattr__(self, "values", _freeze(self.values, np.float64))
         if self.values.shape != (len(self.sectors), len(self.dates)):
             raise ValueError("values do not match the sectors and dates")
@@ -149,7 +141,6 @@ class Panel:
             raise ValueError("non-finite return value")
         if not all(a.code < b.code for a, b in zip(self.sectors, self.sectors[1:])):
             raise ValueError("sectors not in strictly increasing code order")
-        _check_increasing(self.dates)
 
 
 @dataclass(frozen=True)
@@ -239,7 +230,7 @@ class _Table(NamedTuple):
     """
 
     codes: list[str]
-    dates: _IncreasingDates
+    dates: np.ndarray  # datetime64[D]
     closes: np.ndarray
     dropped: int
 
@@ -316,7 +307,7 @@ def _read_columns(path: Path) -> _Table | None:
         and np.all((closes > 0) & (closes < np.inf))
     ):
         return None
-    return _Table(codes, _IncreasingDates(days.tolist()), closes, 0)
+    return _Table(codes, days, closes, 0)
 
 
 def _records(handle):
@@ -387,7 +378,7 @@ def _read_rows(path: Path) -> _Table:
             kept_rows.append(prices)
 
     closes = np.asarray(kept_rows, dtype=np.float64)
-    return _Table(codes, _IncreasingDates(kept_dates), closes, dropped)
+    return _Table(codes, np.array(kept_dates, "datetime64[D]"), closes, dropped)
 
 
 def returns_panel(dataset: list[PriceSeries]) -> Panel:
@@ -405,7 +396,7 @@ def returns_panel(dataset: list[PriceSeries]) -> Panel:
         raise ValueError("need at least 1 sector")
     dataset = sorted(dataset, key=lambda p: p.sector.code)
     dates = dataset[0].dates
-    if any(p.dates != dates for p in dataset[1:]):
+    if any(not np.array_equal(p.dates, dates) for p in dataset[1:]):
         raise ValueError("price series are not date-aligned")
     log_closes = np.log(np.stack([p.closes for p in dataset]).astype(np.longdouble))
     return Panel(tuple(p.sector for p in dataset), dates[1:],
@@ -453,8 +444,8 @@ def slice_returns(returns: Panel, window: tuple[date, date]) -> Panel:
     start, end = window
     if start > end:
         raise ValueError("empty interval")
-    lo = bisect_left(returns.dates, start)
-    hi = bisect_right(returns.dates, end)
+    lo = returns.dates.searchsorted(np.datetime64(start, "D"))
+    hi = returns.dates.searchsorted(np.datetime64(end, "D"), "right")
     if lo >= hi:
         raise ValueError("empty result")
     return replace(returns, dates=returns.dates[lo:hi], values=returns.values[:, lo:hi])

@@ -108,7 +108,7 @@ class TestYearlyReports:
         assert [w.label for w in windows] == ["2001", "2002", "2003"]
         for w in windows:
             # The interval is the year's first and last trading day.
-            year = [d for d in returns.dates if d.year == int(w.label)]
+            year = [d for d in returns.dates.tolist() if d.year == int(w.label)]
             assert w.interval == (year[0], year[-1])
             for orientation in ("outgoing", "incoming"):
                 assert w.trees[orientation].orientation == orientation
@@ -337,7 +337,7 @@ class TestSpecificity:
         dataset, windows, index, _ = self.make_study()
         returns = returns_panel(dataset)
         values = returns.values.copy()
-        values[0, [d.year == 2002 for d in returns.dates]] = 0.0  # the root trades flat
+        values[0, [d.year == 2002 for d in returns.dates.tolist()]] = 0.0  # the root trades flat
         flat = replace(returns, values=values)
         with pytest.raises(ValueError) as excinfo:
             specificity_study(flat, index, windows, seed=0)

@@ -4,6 +4,7 @@ import json
 from datetime import timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import turmoil_dataset
@@ -43,7 +44,7 @@ def copy_as_index(series, tmp_path):
     """An index price CSV holding the closes of one sector's series."""
     index_csv = tmp_path / "index.csv"
     lines = ["date,000001"]
-    for t, day in enumerate(series.dates):
+    for t, day in enumerate(series.dates.tolist()):
         lines.append(f"{day.isoformat()},{float(series.closes[t])!r}")
     index_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return index_csv
@@ -235,7 +236,7 @@ class TestMsa:
     def test_range_mode(self, panel_csv, tmp_path):
         path, series = panel_csv
         out = tmp_path / "out"
-        dates = series[0].dates
+        dates = series[0].dates.tolist()
         assert run(["msa", "--input", path, "--out-dir", out, "--mode", "range",
                     "--from", dates[10].isoformat(),
                     "--to", dates[400].isoformat()]) == 0
@@ -244,7 +245,7 @@ class TestMsa:
     def test_short_range_failure_names_window_days_and_minimum(self, panel_csv, tmp_path,
                                                                capsys):
         path, series = panel_csv
-        dates = series[0].dates
+        dates = series[0].dates.tolist()
         assert run(["msa", "--input", path, "--out-dir", tmp_path / "out", "--mode", "range",
                     "--from", dates[10].isoformat(), "--to", dates[12].isoformat()]) == 2
         err = capsys.readouterr().err.strip()
@@ -316,7 +317,7 @@ class TestMsa:
 
     def test_one_day_crash_failure_names_window(self, panel_csv, tmp_path, capsys):
         path, series = panel_csv
-        day = series[0].dates[300].isoformat()
+        day = series[0].dates.tolist()[300].isoformat()
         assert run(["msa", "--input", path, "--out-dir", tmp_path, "--mode", "turmoil",
                     "--crash-start", day, "--crash-end", day]) == 2
         err = capsys.readouterr().err.strip()
@@ -431,7 +432,7 @@ class TestSpecificity:
         path, series = panel_csv
         index_csv = tmp_path / "index.csv"
         lines = ["date,000001"]
-        for t, day in enumerate(series[0].dates[1:], start=1):  # one close short
+        for t, day in enumerate(series[0].dates.tolist()[1:], start=1):  # one close short
             lines.append(f"{day.isoformat()},{float(series[0].closes[t])!r}")
         index_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
         out = tmp_path / "out"
@@ -913,6 +914,32 @@ def test_oversized_alphabet_is_refused_on_one_line(panel_csv, tmp_path, capsys):
     path, _ = panel_csv
     out = tmp_path / "out"
     assert run(["msa", "--input", path, "--out-dir", out, "--q", "2000"]) == 2
-    assert capsys.readouterr() == ("", "error: alphabet of 2000 symbols is too large for "
-                                       "5 sectors: 5 x 2000^2 count cells exceed 16777216\n")
+    assert capsys.readouterr() == ("", "error: whole sample: alphabet of 2000 symbols is too "
+                                       "large for 5 sectors: 5 x 2000^2 count cells exceed "
+                                       "16777216\n")
+    assert not out.exists()
+
+
+def test_oversized_alphabet_names_the_window_that_reaches_it(tmp_path, capsys, monkeypatch):
+    # Whole-sample bins leave 2000's top bin empty: each sector's one jump, the top of
+    # its range, comes in 2001.  So 2000 is estimated on fewer symbols, and 2001 is
+    # the first window whose alphabet outgrows the (lowered) limit.
+    from datetime import date
+
+    from infoflow import entropy
+
+    monkeypatch.setattr(entropy, "_MAX_COUNT_CELLS", 3 * 4**2)
+    returns = np.random.default_rng(3).uniform(-0.01, 0.01, size=(731, 3))
+    returns[[0, 400, 500, 600], [0, 0, 1, 2]] = [0.0, 0.05, 0.05, 0.05]
+    closes = 100.0 * np.exp(np.cumsum(returns, axis=0))
+    lines = ["date,910010,910020,910030"]
+    lines += [f"{date(2000, 1, 1) + timedelta(days=t)}," + ",".join(map(repr, row))
+              for t, row in enumerate(closes.tolist())]
+    path = tmp_path / "panel.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run(["msa", "--input", path, "--out-dir", out, "--q", 5, "--mode", "yearly",
+                "--global-partition"]) == 2
+    assert capsys.readouterr() == ("", "error: year 2001: alphabet of 5 symbols is too large "
+                                       "for 3 sectors: 3 x 5^2 count cells exceed 48\n")
     assert not out.exists()

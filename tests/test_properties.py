@@ -1,12 +1,15 @@
-"""Property tests of the pipeline: loading, symbolization, TE invariance, bounds,
-and CLI outputs under a permutation of the input's sector columns."""
+"""Property tests of the pipeline: loading, symbolization, date windows, TE
+invariance, bounds, CLI outputs under a permutation of the input's sector
+columns, and CLI runs on damaged input files."""
 
+import codecs
 import contextlib
 import functools
 import io
 import math
 import tempfile
 import warnings
+from collections import Counter
 from datetime import date, timedelta
 from pathlib import Path
 from unittest import mock
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from infoflow import timeseries
+from infoflow.analysis import MIN_WINDOW_DAYS, yearly_reports
 from infoflow.cli import main
 from infoflow.entropy import dai_matrix, te_matrix
 from infoflow.symbolize import encode, make_partition
@@ -117,7 +121,7 @@ def load_outcome(path):
         except DatasetError as exc:
             result = str(exc)
         else:
-            result = ([s.sector for s in series], series[0].dates,
+            result = ([s.sector for s in series], series[0].dates.tolist(),
                       np.stack([s.closes for s in series]).tobytes())
     return result, [str(w.message) for w in caught]
 
@@ -134,7 +138,7 @@ def test_columnar_loader_equals_the_row_path(text):
         event("columnar" if fast is not None else "row by row")
         if fast is not None:
             rows = timeseries._read_rows(path)
-            assert fast.codes == rows.codes and fast.dates == rows.dates
+            assert fast.codes == rows.codes and np.array_equal(fast.dates, rows.dates)
             assert fast.dropped == rows.dropped == 0
             assert fast.closes.shape == rows.closes.shape
             assert np.array_equal(fast.closes, rows.closes)
@@ -207,6 +211,70 @@ def test_window_symbols_under_the_global_partition(panel, q, data):
         whole = row_series(panel, i)
         want = encode(slice_returns(whole, interval), make_partition(whole, q))[0]
         assert np.array_equal(symbols[i], want)
+
+
+@st.composite
+def date_axes(draw):
+    """Strictly increasing date axes: gaps of 1-10 days over 30-900 calendar days.
+
+    Each axis starts before a New Year's Day and ends after it, so it
+    crosses 2-4 calendar years.  The largest gap an axis may take is drawn
+    too, so that dense and sparse axes are both common.
+    """
+    span = draw(st.integers(30, 900))
+    new_year = date(draw(st.integers(1991, 2030)), 1, 1)
+    start = new_year - timedelta(days=draw(st.integers(1, span - 10)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gaps = rng.integers(1, draw(st.integers(1, 10)) + 1, size=span)
+    offsets = np.concatenate([[0], np.cumsum(gaps)])
+    return np.datetime64(start, "D") + offsets[offsets < span]
+
+
+@settings(deadline=None)
+@given(date_axes(), st.integers(1, 3), st.data())
+def test_slice_keeps_the_columns_a_date_filter_keeps(dates, n, data):
+    panel = Panel(sectors(n), dates, np.arange(n * len(dates), dtype=float).reshape(n, -1))
+    first, last = dates[[0, -1]].tolist()
+    days = st.integers(-20, (last - first).days + 20).map(lambda k: first + timedelta(days=k))
+    interval = lo, hi = data.draw(days), data.draw(days)
+    keep = [k for k, day in enumerate(dates.tolist()) if lo <= day <= hi]
+    if lo > hi:
+        with pytest.raises(ValueError, match="^empty interval$"):
+            slice_returns(panel, interval)
+    elif not keep:
+        with pytest.raises(ValueError, match="^empty result$"):
+            slice_returns(panel, interval)
+    else:
+        out = slice_returns(panel, interval)
+        assert out.dates.tolist() == [dates.tolist()[k] for k in keep]
+        assert np.array_equal(out.values, panel.values[:, keep])
+
+
+@settings(deadline=None)
+@given(date_axes(), st.integers(2, 3), st.integers(0, 2**32 - 1))
+def test_yearly_windows_are_the_years_with_enough_days(dates, n, seed):
+    # Each sector repeats the previous sector's return of the day before, so
+    # each drives the next and every year that is kept has a tree.
+    base = np.random.default_rng(seed).normal(0.0, 0.01, len(dates) + n - 1)
+    values = np.stack([base[n - 1 - i:len(base) - i] for i in range(n)])
+    returns = Panel(sectors(n), dates, values)
+    counts = sorted(Counter(day.year for day in dates.tolist()).items())
+    kept = [year for year, days in counts if days >= MIN_WINDOW_DAYS]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if kept:
+            windows = yearly_reports(returns, q=3)
+        else:
+            with pytest.raises(ValueError, match="no calendar year has the minimum"):
+                yearly_reports(returns, q=3)
+            windows = []
+    assert [w.label for w in windows] == [str(year) for year in kept]
+    for w in windows:
+        year = [day for day in dates.tolist() if day.year == int(w.label)]
+        assert w.interval == (year[0], year[-1])
+    assert [str(w.message) for w in caught if "skipping year" in str(w.message)] == [
+        f"skipping year {year}: only {days} trading day(s)"
+        for year, days in counts if days < MIN_WINDOW_DAYS]
 
 
 @st.composite
@@ -314,3 +382,75 @@ def test_msa_outputs_do_not_depend_on_column_order(mode, order):
     assert sorted(got) == sorted(want)
     for name, data in got.items():
         assert data == want[name], name
+
+
+# The input contract over damaged files: the golden panel and index with a
+# few bytes replaced, deleted or inserted.  A run either exits 2 with one
+# ``error:`` line and writes nothing, or exits 0 having written exactly the
+# files it prints.  Tie and dropped-row warnings may come either way.
+MUTATION_BYTES = [bytes([b]) for b in b'0123456789.,-+eE\r\n \t"naNA'] + [codecs.BOM_UTF8]
+MUTATED_RUNS = {
+    "stats": ["stats"],
+    "whole": ["msa", "--mode", "whole"],
+    "yearly": ["msa", "--mode", "yearly"],
+    "range": ["msa", "--mode", "range", "--from", "2001-01-01", "--to", "2002-12-31"],
+    "turmoil": ["msa", "--mode", "turmoil", "--crash-start", "2002-01-01",
+                "--crash-end", "2002-03-31"],
+    "specificity": ["specificity", "--samples", "2"],
+}
+
+
+@functools.lru_cache(maxsize=1)
+def golden_inputs() -> dict[str, bytes]:
+    from test_golden import panel_csvs
+
+    panel, index = panel_csvs()
+    return {"panel": panel.encode(), "index": index.encode()}
+
+
+@st.composite
+def mutated_inputs(draw):
+    """The golden panel and index after 1-4 byte replacements, deletions or insertions."""
+    files = dict(golden_inputs())
+    for _ in range(draw(st.integers(1, 4))):
+        name = draw(st.sampled_from(["panel", "panel", "panel", "index"]))
+        data = files[name]
+        at = draw(st.integers(0, len(data) - 1))
+        kind = draw(st.sampled_from(["replace", "delete", "insert"]))
+        new = b"" if kind == "delete" else draw(st.sampled_from(MUTATION_BYTES))
+        files[name] = data[:at] + new + data[at + (kind != "insert"):]
+    return files
+
+
+@settings(deadline=None, max_examples=200)
+@given(mutated_inputs(), st.sampled_from(sorted(MUTATED_RUNS)), st.sampled_from([2, 5, 15]),
+       st.sampled_from(["out", "in", "both"]), st.booleans())
+def test_damaged_input_exits_2_on_one_line_or_writes_what_it_prints(files, run, q,
+                                                                    orientation, global_edges):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, data in files.items():
+            (tmp / f"{name}.csv").write_bytes(data)
+        out = tmp / "out"
+        argv = [*MUTATED_RUNS[run], "--input", str(tmp / "panel.csv"), "--q", str(q),
+                "--out-dir", str(out)]
+        if run == "specificity":
+            argv += ["--index", str(tmp / "index.csv")]
+        elif run != "stats":
+            argv += ["--orientation", orientation] + ["--global-partition"] * global_edges
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
+              warnings.catch_warnings(record=True)):
+            warnings.simplefilter("always")
+            code = main(argv)
+        event(f"exit {code}")
+        if code == 2:
+            assert stdout.getvalue() == ""
+            assert stderr.getvalue().startswith("error: ")
+            assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n")
+            assert not out.exists()
+        else:
+            assert code == 0 and stderr.getvalue() == ""
+            printed = stdout.getvalue().splitlines()
+            assert printed and all(Path(p).stat().st_size > 0 for p in printed)
+            assert sorted(printed) == sorted(str(p) for p in out.iterdir())

@@ -73,14 +73,14 @@ class TestGenerateDataset:
         b = generate_dataset(self.star_spec(length=500))
         for pa, pb in zip(a, b):
             np.testing.assert_array_equal(pa.closes, pb.closes)
-            assert pa.dates == pb.dates
+            np.testing.assert_array_equal(pa.dates, pb.dates)
 
     def test_prices_positive_and_aligned(self):
         series = generate_dataset(self.star_spec(length=300))
         dates = series[0].dates
         for s in series:
             assert np.all(s.closes > 0)
-            assert s.dates == dates
+            np.testing.assert_array_equal(s.dates, dates)
             assert len(s) == 301
 
     def test_planted_star_recovered_as_root(self):
@@ -124,7 +124,7 @@ class TestGenerateDataset:
         assert [s.sector.code for s in loaded] == [s.sector.code for s in series]
         for got, want in zip(loaded, series):
             np.testing.assert_array_equal(got.closes, want.closes)
-            assert got.dates == want.dates
+            np.testing.assert_array_equal(got.dates, want.dates)
 
 
 class TestDemoDataset:
@@ -132,7 +132,7 @@ class TestDemoDataset:
         series = demo_dataset()
         assert len(series) == 28
         assert len(series[0]) == 1096
-        years = {d.year for d in series[0].dates[1:]}
+        years = {d.year for d in series[0].dates[1:].tolist()}
         assert years == {2001, 2002, 2003}
 
     def test_bit_identical_across_calls(self):

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import itertools
 import math
 from datetime import date
 from unittest import mock
@@ -46,7 +47,7 @@ class TestLoadDataset:
         assert len(series) == 2
         assert [s.sector.code for s in series] == ["801010", "801020"]
         assert all(len(s) == 3 for s in series)
-        assert series[0].dates == series[1].dates
+        assert np.array_equal(series[0].dates, series[1].dates)
 
     def test_missing_cell_drops_row_for_all(self, tmp_path):
         path = write_csv(
@@ -59,7 +60,7 @@ class TestLoadDataset:
         with pytest.warns(UserWarning, match="dropped 1 row"):
             series = load_dataset(path)
         assert all(len(s) == 2 for s in series)
-        assert series[0].dates == (date(2000, 1, 4), date(2000, 1, 6))
+        assert series[0].dates.tolist() == [date(2000, 1, 4), date(2000, 1, 6)]
 
     def test_malformed_header(self, tmp_path):
         path = write_csv(tmp_path, "day,801010\n2000-01-04,10.0\n")
@@ -144,7 +145,7 @@ class TestLoadDataset:
         assert [s.sector for s in bom] == [s.sector for s in plain]
         assert bom[0].sector.name == "Agriculture"
         for a, b in zip(plain, bom):
-            assert a.dates == b.dates
+            assert np.array_equal(a.dates, b.dates)
             np.testing.assert_array_equal(a.closes, b.closes)
 
     def test_large_panel_roundtrip(self, tmp_path, rng):
@@ -167,7 +168,7 @@ class TestLoadDataset:
         path = write_csv(tmp_path, prefix + text.replace("\n", newline))
         table = timeseries._read_columns(path)
         assert table is not None
-        assert table.dates == (date(2000, 1, 4), date(2000, 1, 5))
+        assert table.dates.tolist() == [date(2000, 1, 4), date(2000, 1, 5)]
         np.testing.assert_array_equal(table.closes, [[10.0, 25.0], [10.5, 19.5]])
 
     @pytest.mark.parametrize("rows", [
@@ -198,7 +199,8 @@ class TestLoadDataset:
         path = write_csv(tmp_path, "date,801010,801020\n" + rows)
         fast, slow = timeseries._read_columns(path), timeseries._read_rows(path)
         assert fast is not None
-        assert (fast.codes, fast.dates, fast.dropped) == (slow.codes, slow.dates, slow.dropped)
+        assert (fast.codes, fast.dates.tolist(), fast.dropped) == (
+            slow.codes, slow.dates.tolist(), slow.dropped)
         np.testing.assert_array_equal(fast.closes, slow.closes)
 
     # datetime64 reads most of these as a day (two as the years 20000104 and
@@ -265,7 +267,7 @@ class TestLogReturns:
     def test_dates_shift_to_later_close(self):
         p = make_prices([1.0, 2.0, 3.0])
         r = returns_panel([p])
-        assert r.dates == p.dates[1:]
+        assert np.array_equal(r.dates, p.dates[1:])
 
     def test_matches_high_precision_oracle(self, rng):
         closes = np.exp(rng.normal(0, 0.05, 100).cumsum()) * 30
@@ -311,9 +313,20 @@ class TestLogReturns:
 
     @pytest.mark.parametrize("order", [(0, 2, 1), (0, 1, 1)])
     def test_rejects_unsorted_dates(self, order):
-        days = tuple(date(2001, 1, 2 + k) for k in order)
-        with pytest.raises(ValueError, match="strictly increasing"):
-            PriceSeries(SectorMeta("801010"), days, [1.0, 2.0, 3.0])
+        # Both date axes, given as a tuple or list of dates or as an array.
+        makers = (lambda days: PriceSeries(SectorMeta("801010"), days, [1.0, 2.0, 3.0]),
+                  lambda days: Panel((SectorMeta("801010"),), days, [[0.1, -0.2, 0.3]]))
+        forms = (tuple, list, lambda days: np.array(days, "datetime64[D]"))
+        for make, form in itertools.product(makers, forms):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                make(form([date(2001, 1, 2 + k) for k in order]))
+            # An accepted axis is kept as a read-only datetime64[D] array.
+            days = [date(2001, 1, 2), date(2001, 1, 3), date(2001, 1, 9)]
+            dates = make(form(days)).dates
+            assert dates.dtype == np.dtype("datetime64[D]") and not dates.flags.writeable
+            assert dates.tolist() == days
+            with pytest.raises(ValueError, match="read-only"):
+                dates[0] = dates[-1]
 
 
 class TestSummaryStats:
@@ -363,14 +376,14 @@ class TestSlice:
     def test_full_range_identity(self):
         r = make_returns([0.1, -0.2, 0.3])
         out = slice_returns(r, (r.dates[0], r.dates[-1]))
-        assert out.dates == r.dates
+        assert np.array_equal(out.dates, r.dates)
         np.testing.assert_array_equal(out.values, r.values)
         assert out.sectors == r.sectors
 
     def test_interior_window(self):
         r = make_returns([0.1, -0.2, 0.3, 0.4])
         out = slice_returns(r, (r.dates[1], r.dates[2]))
-        assert out.dates == r.dates[1:3]
+        assert np.array_equal(out.dates, r.dates[1:3])
 
     def test_disjoint_window(self):
         r = make_returns([0.1, -0.2])
