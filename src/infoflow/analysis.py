@@ -155,8 +155,8 @@ def msas_from_returns(
     first and last trading day.  ``window`` names the window in errors: one
     shorter than ``MIN_WINDOW_DAYS`` trading days, a sector whose returns
     are constant there, or a network with so many tied pairs that no root
-    reaches every sector (the message gives the window's trading days and
-    tied pairs, and the first sector, by index, that no edge is left to).
+    reaches every sector (the message puts the window's trading days and
+    tied pairs before the solver's refusal, which names a sector per part).
     """
     if not orientations or not set(orientations) <= set(ORIENTATIONS):
         raise ValueError(f"orientations must be a non-empty subset of {ORIENTATIONS}")
@@ -177,9 +177,7 @@ def msas_from_returns(
         trees = {o: max_spanning_arborescence(net, o)
                  for o in ORIENTATIONS if o in orientations}
     except ValueError as exc:
-        isolated = np.flatnonzero(~net.dai.any(axis=1))
-        sector = f"sector {net.sectors[isolated[0]].code}, " if isolated.size else ""
-        raise ValueError(f"{sector}{window} ({len(days)} trading days, "
+        raise ValueError(f"{window} ({len(days)} trading days, "
                          f"{len(net.ties)} tied pairs): {exc}") from None
     paths = {o: maximal_information_flow_path(a) for o, a in trees.items()}
     return WindowResult(label, (days[0].item(), days[-1].item()), trees, paths)

@@ -11,7 +11,8 @@ The solver runs Chu-Liu/Edmonds cycle contraction once per tree
 time, and after each only the new node picks a new cheapest in-edge, so
 no round rescans every edge.  A virtual super-root has an edge to every
 sector, each costlier than any real tree, so the minimum arborescence from
-it takes exactly one such edge, whose head is the best root.  Costs are
+it takes one such edge per part of the network that no other part reaches
+(one when a root exists, and its head is the best root).  Costs are
 exact integers: the super-root edge count, the negated weight and a
 tie key, packed lexicographically.  The tie key makes the optimum unique
 and equal to the documented rule: largest total weight, then the smaller
@@ -95,16 +96,13 @@ class InfoFlowPath:
         return tuple(s.short_code for s in self.nodes)
 
 
-def _min_arborescence(
-    n_nodes: int,
-    edges: list[tuple[int, int, int, int]],
-    root: int,
-) -> list[int]:
-    """Chu-Liu/Edmonds: edge ids of the minimum-cost arborescence from ``root``.
+def _min_arborescence(n_nodes: int, edges: list[tuple[int, int, int, int]]) -> list[int]:
+    """Chu-Liu/Edmonds: edge ids of the minimum-cost arborescence from the super-root.
 
-    ``edges`` holds (src, dst, cost, edge_id) with exact integer costs, and
-    every node must be reachable from ``root``.  Each node keeps, per source,
-    its cheapest in-edge.  A walk takes the cheapest in-edge of a node and
+    The super-root is the last node and has an edge to every other node.
+    ``edges`` holds (src, dst, cost, edge_id) with exact integer costs, at
+    most one per (src, dst) pair.  Each node keeps, per source, its
+    cheapest in-edge.  A walk takes the cheapest in-edge of a node and
     steps to its source, until it reaches the root or a node already known
     to reach it.  When the walk comes back onto itself, the cycle becomes one
     new node: every edge entering the cycle is charged the cost of the
@@ -114,6 +112,7 @@ def _min_arborescence(
     Unwinding the contractions, each cycle keeps its edges except the
     displaced one.
     """
+    root = n_nodes - 1
     parent = list(range(n_nodes))  # union-find over nodes and cycle nodes
 
     def find(v: int) -> int:
@@ -124,10 +123,7 @@ def _min_arborescence(
     # in_edges[v]: source -> (cost, edge id, source) of v's cheapest edge from it.
     in_edges: list[dict[int, tuple[int, int, int]]] = [{} for _ in range(n_nodes)]
     for u, v, c, eid in edges:
-        if v != root and u != v:
-            known = in_edges[v].get(u)
-            if known is None or c < known[0]:
-                in_edges[v][u] = (c, eid, u)
+        in_edges[v][u] = (c, eid, u)
     best_cost: list[int] = [0] * n_nodes
     best_eid = [-1] * n_nodes
     state = [0] * n_nodes  # 0 not walked, 1 on the walk, 2 reaches the root
@@ -141,8 +137,6 @@ def _min_arborescence(
         state[start] = 1
         while True:
             v = walk[-1]
-            if not in_edges[v]:
-                raise ValueError("node unreachable from the root")
             best_cost[v], best_eid[v], src = min(in_edges[v].values())
             u = find(src)
             if state[u] == 2:
@@ -185,7 +179,7 @@ def _min_arborescence(
         entered = head[enters[node]]
         for w, eid in zip(cycle, cycle_eids):
             enters[w] = enters[node] if w == entered else eid
-    return [enters[v] for v in range(n_nodes) if v != root]
+    return [enters[v] for v in range(root)]
 
 
 def max_spanning_arborescence(g: InfoFlowNetwork, orientation: str = "outgoing") -> Arborescence:
@@ -199,8 +193,10 @@ def max_spanning_arborescence(g: InfoFlowNetwork, orientation: str = "outgoing")
     -key) packed into one exact integer.  The key is 2**(K - 1 - rank):
     super-root edges rank first by root index, then real edges in their
     (source index, target index) order in ``g.edges``, so a larger key sum
-    is exactly the tie rule above.  Raises if no root reaches every node
-    (possible when tied pairs were dropped).
+    is exactly the tie rule above.  If no root reaches every node (possible
+    when tied pairs were dropped), the solve takes one super-root edge into
+    each part that no other part reaches, and the refusal names their heads
+    in index order.
     """
     if orientation not in ORIENTATIONS:
         raise ValueError(f"orientation must be one of {ORIENTATIONS}")
@@ -222,10 +218,11 @@ def max_spanning_arborescence(g: InfoFlowNetwork, orientation: str = "outgoing")
         u, v = (i, j) if orientation == "outgoing" else (j, i)
         work.append((u, v, -(w << key_bits) - (1 << (m - 1 - eid)), eid))
 
-    chosen = sorted(_min_arborescence(n + 1, work, n))  # super-root edges sort last
+    chosen = sorted(_min_arborescence(n + 1, work))  # super-root edges sort last
     roots = [eid - m for eid in chosen if eid >= m]
     if len(roots) != 1:
-        raise ValueError("no root reaches all nodes")
+        raise ValueError("no root reaches all nodes: the network splits into parts rooted at "
+                         f"sectors {', '.join(g.sectors[v].code for v in roots)}")
     return Arborescence(orientation, roots[0], g.sectors, tuple(g.edges[e] for e in chosen[:-1]))
 
 

@@ -149,9 +149,9 @@ def _merge_config(args: argparse.Namespace) -> dict:
         path = Path(args.config)
         if not path.exists():
             raise CliError("config file not found")
-        try:
+        try:  # a RecursionError is a file nested too deep
             file_values = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+        except (json.JSONDecodeError, RecursionError, UnicodeDecodeError) as exc:
             raise CliError(f"invalid config file: {exc}") from exc
         if not isinstance(file_values, dict):
             raise CliError("config file must hold a JSON object")

@@ -168,7 +168,7 @@ def load_sector_names(source: str | Path) -> dict[str, str]:
     if not path.exists():
         raise DatasetError(f"input not found: {path}")
     names: dict[str, str] = {}
-    with path.open(newline="", encoding="utf-8-sig") as handle:
+    with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
         records = _records(handle)
         _, header = next(records, (1, None))
         if header is None or [h.strip().lower() for h in header[:2]] != ["code", "name"]:
@@ -314,23 +314,27 @@ def _records(handle):
     """Yield (line it starts on, cells) for each ``csv`` record of ``handle``.
 
     A record ``csv`` cannot read, such as a stray quote that runs a cell
-    past the field size limit, is a DatasetError naming that line.
+    past the field size limit, is a DatasetError naming that line, and so is
+    a byte that is not UTF-8 (a lone surrogate under ``surrogateescape``).
     """
     reader = csv.reader(handle)
     while True:
         lineno = reader.line_num + 1
         try:
             row = next(reader)
+            ",".join(row).encode()
         except StopIteration:
             return
         except csv.Error as exc:
             raise DatasetError(f"row {lineno}: {exc}") from exc
+        except UnicodeEncodeError:
+            raise DatasetError(f"row {lineno}: not UTF-8 text") from None
         yield lineno, row
 
 
 def _read_rows(path: Path) -> _Table:
     """The table of any file, read and checked one row at a time."""
-    with path.open(newline="", encoding="utf-8-sig") as handle:
+    with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
         records = _records(handle)
         _, header = next(records, (1, None))
         codes = _sector_codes(header)

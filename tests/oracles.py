@@ -212,18 +212,19 @@ def maximal_path_by_leaves(a):
 def min_arborescence_by_rounds(
     n_nodes: int,
     edges: list[tuple[int, int, int, int]],
-    root: int,
 ) -> list[int]:
     """Chu-Liu/Edmonds in rounds: a drop-in for ``arborescence._min_arborescence``.
 
     The library's former solver, kept as an independent check.  ``edges``
-    holds (src, dst, cost, edge_id) with exact integer costs, and every
-    node must be reachable from ``root``.  Each round rescans every edge and
-    takes the cheapest in-edge of every other node.  If these close cycles, each cycle
-    becomes one node, every edge entering it is charged the cost of the
-    in-edge it would displace, and the round repeats on the smaller graph.
-    Unwinding the rounds, each cycle keeps its edges except the displaced one.
+    holds (src, dst, cost, edge_id) with exact integer costs, the root is
+    the last node, and every node must be reachable from it.  Each round
+    rescans every edge and takes the cheapest in-edge of every other node.
+    If these close cycles, each cycle becomes one node, every edge entering
+    it is charged the cost of the in-edge it would displace, and the round
+    repeats on the smaller graph.  Unwinding the rounds, each cycle keeps
+    its edges except the displaced one.
     """
+    root = n_nodes - 1
     rounds = []
     while True:
         best_cost: list[int] = [0] * n_nodes

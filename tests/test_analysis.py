@@ -74,14 +74,17 @@ class TestWholeSample:
         with pytest.raises(ValueError, match="no root reaches all nodes"):
             msas_from_returns(returns, q=5)
 
-    @pytest.mark.parametrize("codes, edges, sector", [
-        # Sectors 900004 and 900005 have no edge; the first by index is named.
-        (("900001", "900002", "900004", "900005"), ((0, 1, 0.5),), "sector 900004, "),
-        # Two components: every sector has an edge, so none is named.
-        (("900001", "900002", "900003", "900004"), ((0, 1, 0.5), (2, 3, 0.25)), ""),
+    @pytest.mark.parametrize("codes, edges, sectors", [
+        # Incoming trees: 900001 sinks 900002's flow; 900004 and 900005 have no
+        # edge, so each is a part of its own.
+        (("900001", "900002", "900004", "900005"), ((0, 1, 0.5),),
+         "900002, 900004, 900005"),
+        # Two components: every sector has an edge; each part has one sink.
+        (("900001", "900002", "900003", "900004"), ((0, 1, 0.5), (2, 3, 0.25)),
+         "900002, 900004"),
     ])
     def test_no_root_refusal_names_a_sector_left_without_edges(self, monkeypatch, codes,
-                                                               edges, sector):
+                                                               edges, sectors):
         # Every pair without an edge has zero net flow, so it counts as tied.
         ties = len(codes) * (len(codes) - 1) // 2 - len(edges)
         net = InfoFlowNetwork(tuple(SectorMeta(code) for code in codes),
@@ -90,8 +93,9 @@ class TestWholeSample:
         returns = returns_panel(hub_panel(n=4, years=1))
         with pytest.raises(ValueError) as excinfo:
             msas_from_returns(returns, q=5, orientations=("incoming",))
-        assert str(excinfo.value) == (f"{sector}whole sample ({len(returns.dates)} trading "
-                                      f"days, {ties} tied pairs): no root reaches all nodes")
+        assert str(excinfo.value) == (
+            f"whole sample ({len(returns.dates)} trading days, {ties} tied pairs): no root "
+            f"reaches all nodes: the network splits into parts rooted at sectors {sectors}")
 
     def test_orientations_keep_their_order(self):
         w = msas_from_returns(returns_panel(hub_panel(years=1)), q=10,

@@ -60,11 +60,6 @@ class TestSolver:
         with pytest.raises(ValueError, match="no root"):
             max_spanning_arborescence(g, "outgoing")
 
-    def test_unreachable_node_raises(self):
-        # Node 2 has no in-edge, so no arborescence from node 0 spans it.
-        with pytest.raises(ValueError, match="node unreachable from the root"):
-            arborescence._min_arborescence(3, [(0, 1, 1, 0), (1, 0, 1, 1)], 0)
-
     def test_light_spanning_tree_beats_heavier_forest(self):
         # Only 001 reaches every node, through two light edges; dropping
         # them leaves a heavier two-root forest, which must not win.

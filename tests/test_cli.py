@@ -284,9 +284,36 @@ class TestMsa:
         path.write_text("\n".join(lines) + "\n")
         with pytest.warns(UserWarning, match="10 tied pair"):
             assert run(["msa", "--input", path, "--out-dir", tmp_path / "out"]) == 2
-        # No sector has an edge left; the first by code is named.
-        assert capsys.readouterr().err == ("error: sector 910010, whole sample (39 trading "
-                                           "days, 10 tied pairs): no root reaches all nodes\n")
+        # No sector has an edge left, so each is a part of its own.
+        assert capsys.readouterr().err == (
+            "error: whole sample (39 trading days, 10 tied pairs): no root reaches all nodes: "
+            "the network splits into parts rooted at sectors 910010, 910020, 910030, 910040, "
+            "910050\n")
+
+    def test_no_root_refusal_names_sectors_that_only_send_flow(self, tmp_path, capsys):
+        from test_golden import panel_csvs
+
+        # One close of 910110 and one of 910120 lose a digit, so nearly all of
+        # each sector's returns fall in one bin: both only send flow, and their
+        # pair ties.  Each then roots a part of the outgoing network.
+        lines = panel_csvs()[0].splitlines()
+        header = lines[0].split(",")
+        for day, code, close, damaged in (("2000-01-27", "910110", "1002.46", "102.46"),
+                                          ("2000-02-12", "910120", "999.15", "99.15")):
+            k = next(k for k, line in enumerate(lines) if line.startswith(day))
+            cells = lines[k].split(",")
+            assert cells[header.index(code)] == close
+            cells[header.index(code)] = damaged
+            lines[k] = ",".join(cells)
+        path = tmp_path / "damaged.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.warns(UserWarning, match="910110/910120"):
+            assert run(["msa", "--input", path, "--mode", "whole", "--q", 5,
+                        "--out-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == (
+            "error: whole sample (1461 trading days, 1 tied pairs): no root reaches all nodes: "
+            "the network splits into parts rooted at sectors 910110, 910120\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode", ["whole", "yearly"])
     def test_one_sector_file_exits_2(self, panel_csv, tmp_path, capsys, mode):
@@ -833,6 +860,37 @@ def test_deeply_nested_config_exits_2(panel_csv, tmp_path, capsys):
     path, _ = panel_csv
     config = tmp_path / "run.json"
     config.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    assert run(["msa", "--input", path, "--out-dir", tmp_path / "out", "--config", config]) == 2
+    out, err = capsys.readouterr()
+    assert not out and err.count("\n") == 1 and err.startswith("error: invalid config file: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+def test_price_row_that_is_not_utf8_exits_2_naming_its_line(panel_csv, tmp_path, capsys,
+                                                            newline):
+    path, _ = panel_csv
+    lines = path.read_bytes().splitlines()
+    lines[100] = b"\xbb\xbf" + lines[100]  # a BOM without its first byte
+    path.write_bytes(newline.join(lines) + newline)
+    assert run(["stats", "--input", path, "--out-dir", tmp_path / "out"]) == 2
+    assert capsys.readouterr() == ("", "error: row 101: not UTF-8 text\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_names_row_that_is_not_utf8_exits_2_naming_its_line(panel_csv, tmp_path, capsys):
+    path, series = panel_csv
+    names = tmp_path / "names.csv"
+    names.write_bytes(f"code,name\n{series[0].sector.code},Caf".encode() + b"\xe9\n")
+    assert run(["stats", "--input", path, "--names", names, "--out-dir", tmp_path / "out"]) == 2
+    assert capsys.readouterr() == ("", "error: row 2: not UTF-8 text\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_that_is_not_utf8_exits_2(panel_csv, tmp_path, capsys):
+    path, _ = panel_csv
+    config = tmp_path / "run.json"
+    config.write_bytes(b'{"mode": "yearly\xff"}')
     assert run(["msa", "--input", path, "--out-dir", tmp_path / "out", "--config", config]) == 2
     out, err = capsys.readouterr()
     assert not out and err.count("\n") == 1 and err.startswith("error: invalid config file: ")

@@ -227,13 +227,13 @@ def test_sector_suspended_for_a_year(tmp_path):
 
     # Against whole-sample bin edges the flat year is one symbol: every pair
     # with the sector ties, so no edge and no root reaches it, and the
-    # refusal names it.
+    # refusal names it as a part of its own, beside the other sectors' source.
     with pytest.warns(UserWarning, match="5 tied pair"):
         code, lines = run_msa(csv, tmp_path / "global", "--mode", "yearly", "--q", 10,
                               "--global-partition")
     assert (code, lines) == (2, [
-        "error: sector 910030, year 2001 (261 trading days, 5 tied pairs): "
-        "no root reaches all nodes"])
+        "error: year 2001 (261 trading days, 5 tied pairs): no root reaches all nodes: "
+        "the network splits into parts rooted at sectors 910030, 910060"])
 
     code, lines = run_msa(csv, tmp_path / "whole", "--mode", "whole", "--q", 10)
     assert (code, lines) == (0, [])

@@ -1,6 +1,7 @@
 """Property tests of the pipeline: loading, symbolization, date windows, TE
-invariance, bounds, CLI outputs under a permutation of the input's sector
-columns, and CLI runs on damaged input files."""
+invariance, bounds, the arborescence refusal on networks with no root, CLI
+outputs under a permutation of the input's sector columns, and CLI runs on
+damaged input files."""
 
 import codecs
 import contextlib
@@ -20,10 +21,14 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import flow_matrix
+
 from infoflow import timeseries
 from infoflow.analysis import MIN_WINDOW_DAYS, yearly_reports
+from infoflow.arborescence import ORIENTATIONS, max_spanning_arborescence
 from infoflow.cli import main
 from infoflow.entropy import dai_matrix, te_matrix
+from infoflow.network import InfoFlowNetwork
 from infoflow.symbolize import encode, make_partition
 from infoflow.synth import Coupling, Segment, SyntheticDataset, dataset_to_csv, generate_dataset
 from infoflow.timeseries import (
@@ -318,6 +323,48 @@ def test_dai_antisymmetric_and_te_bounded(n, length, q, fill, seed):
     assert np.array_equal(dai, -dai.T)
 
 
+@st.composite
+def tied_networks(draw):
+    """Networks of 1-8 sectors whose pairs are edges either way or exact ties."""
+    n = draw(st.integers(1, 8))
+    flows = st.one_of(st.just(0.0), st.sampled_from([0.25, 0.5]), st.floats(0.01, 1.0))
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            w = draw(flows)
+            if w:
+                edges.append((i, j, w) if draw(st.booleans()) else (j, i, w))
+    return InfoFlowNetwork(tuple(SectorMeta(str(900001 + k)) for k in range(n)),
+                           flow_matrix(n, edges))
+
+
+@settings(deadline=None, max_examples=200)
+@given(tied_networks(), st.sampled_from(ORIENTATIONS))
+def test_no_root_refusal_names_one_sector_of_each_source_part(net, orientation):
+    # The parts are the strongly connected components of the oriented graph
+    # (reversed for incoming trees); a source part is one no edge enters.
+    nx = pytest.importorskip("networkx")
+    graph = nx.DiGraph()
+    graph.add_nodes_from(range(len(net.sectors)))
+    graph.add_edges_from((i, j) if orientation == "outgoing" else (j, i)
+                         for i, j, _ in net.edges)
+    parts = nx.condensation(graph)
+    sources = [parts.nodes[c]["members"] for c in parts if parts.in_degree(c) == 0]
+    try:
+        tree = max_spanning_arborescence(net, orientation)
+    except ValueError as exc:
+        prefix = "no root reaches all nodes: the network splits into parts rooted at sectors "
+        assert str(exc).startswith(prefix)
+        codes = [s.code for s in net.sectors]
+        named = [codes.index(code) for code in str(exc)[len(prefix):].split(", ")]
+        assert named == sorted(set(named))
+        assert sorted(next(k for k, part in enumerate(sources) if v in part)
+                      for v in named) == list(range(len(sources)))
+        assert len(sources) > 1
+    else:
+        assert len(sources) == 1 and tree.root in sources[0]
+
+
 # Runs whose every output file lists sectors in code order, never by column:
 # each msa mode, stats, and specificity against an index file of its own.
 RUNS = {
@@ -445,9 +492,13 @@ def test_damaged_input_exits_2_on_one_line_or_writes_what_it_prints(files, run, 
             code = main(argv)
         event(f"exit {code}")
         if code == 2:
+            line = stderr.getvalue()
             assert stdout.getvalue() == ""
-            assert stderr.getvalue().startswith("error: ")
-            assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n")
+            assert line.startswith("error: ")
+            assert line.count("\n") == 1 and line.endswith("\n")
+            assert "codec can't decode" not in line
+            if "no root reaches all nodes" in line:
+                assert len(line.partition(" rooted at sectors ")[2].split(", ")) >= 2
             assert not out.exists()
         else:
             assert code == 0 and stderr.getvalue() == ""
