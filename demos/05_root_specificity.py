@@ -15,7 +15,6 @@ from infoflow import (
     demo_dataset,
     returns_panel,
     specificity_study,
-    yearly_reports,
 )
 from infoflow.analysis import render_specificity_csv
 
@@ -32,8 +31,7 @@ def main():
     dataset = demo_dataset()
     returns = returns_panel(dataset)
     index = returns_panel([equal_weight_index(dataset)])
-    windows = yearly_reports(returns, q=15)
-    result = specificity_study(returns, index, windows, seed=12345, samples=5)
+    result = specificity_study(returns, index, q=15, seed=12345, samples=5)
 
     print(render_specificity_csv(result))
     print(f"source-root mean correlation : {result.source_mean:.4f}")

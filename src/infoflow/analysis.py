@@ -306,25 +306,29 @@ def pearson(x, y) -> float:
 def specificity_study(
     returns: Panel,
     index: Panel,
-    windows: list[WindowResult],
+    q: int,
     seed: int,
     samples: int = 1,
 ) -> SpecificityResult:
-    """Correlate each yearly window's root sectors with the market index.
+    """Correlate each calendar year's root sectors with the market index.
 
     ``index`` is the market index's returns as a 1-row panel on the dates
-    of ``returns``.  For every window of ``yearly_reports``, the daily
-    returns of the source root and the sink root are correlated with the
-    index returns within that window.  A control group of ``samples``
-    uniformly drawn non-root sectors per year (excluding both roots, PCG64
-    seeded with ``seed``) provides the comparison distribution.  If the
-    index or a sector is constant within a year, the error names the year
-    and that series.
+    of ``returns``.  For every window of ``yearly_reports(returns, q)``,
+    the source and sink roots' daily returns are correlated with the
+    index's, against ``samples`` non-root sectors per year drawn uniformly
+    (PCG64 seeded with ``seed``).  Refused before any estimate: a misaligned
+    index and ``samples`` outside 1..n-1 for n sectors.  A series constant
+    within a year is refused by a line naming the year and the series.
     """
     if not np.array_equal(index.dates, returns.dates):
         raise ValueError("price series are not date-aligned")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    n = len(returns.sectors)
+    if samples > n - 1:
+        raise ValueError(f"{samples} control samples requested, but at most {n - 1} of the "
+                         f"{n} sectors can be neither root in a year")
+    windows = yearly_reports(returns, q)
 
     rng = np.random.default_rng(seed)
     source_corr, sink_corr = [], []

@@ -21,8 +21,8 @@ and seed.
 ``range`` and ``yearly`` solve only those; ``turmoil`` and ``specificity``
 always solve both, because ``turmoil.csv``/``turmoil.json`` and the
 specificity study read both.  A configuration, input or file-system error
-(say, an input or config path that is a directory, or an output directory
-that is a file) is reported as one ``error:`` line on stderr, exit status 2.
+(say, an input path that is a directory) is one ``error:`` line on stderr,
+exit status 2; an error in the ``--names`` or ``--index`` file names its flag.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from dataclasses import asdict
 from datetime import date
 from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 from . import analysis
 from .arborescence import ORIENTATIONS, arborescence_to_dot, arborescence_to_json
@@ -189,12 +187,20 @@ def _orientations(cfg: dict) -> tuple[str, ...]:
     return {"out": ("outgoing",), "in": ("incoming",), "both": ORIENTATIONS}[cfg["orientation"]]
 
 
+@contextlib.contextmanager
+def _file_of(flag: str):
+    """An input error raised inside names the flag whose file was being read."""
+    try:
+        yield
+    except DatasetError as exc:
+        raise DatasetError(f"{flag}: {exc}") from None
+
+
 def _load_input(cfg: dict) -> list[PriceSeries]:
     if not cfg.get("input"):
         raise CliError("--input is required")
-    names = None
-    if cfg.get("names"):
-        names = load_sector_names(cfg["names"])
+    with _file_of("--names"):
+        names = load_sector_names(cfg["names"]) if cfg.get("names") else None
     return load_dataset(cfg["input"], names=names)
 
 
@@ -320,22 +326,12 @@ def _cmd_specificity(cfg: dict) -> Files:
     if not cfg.get("index"):
         raise CliError("--index is required for the specificity study")
     dataset = _load_input(cfg)
-    # Each year's control sectors exclude its roots, one sector or two.
-    if cfg["samples"] > len(dataset) - 1:
-        raise CliError(f"{cfg['samples']} control samples requested, but at most "
-                       f"{len(dataset) - 1} of the {len(dataset)} sectors can be neither "
-                       "root in a year")
-    index = load_dataset(cfg["index"])
+    with _file_of("--index"):
+        index = load_dataset(cfg["index"])
     if len(index) != 1:
         raise CliError(f"--index must hold one price column, not {len(index)}")
     returns, index = analysis.returns_panel(dataset), analysis.returns_panel(index)
-    # As specificity_study checks, but before any estimate.
-    if not np.array_equal(index.dates, returns.dates):
-        raise ValueError("price series are not date-aligned")
-    windows = analysis.yearly_reports(returns, int(cfg["q"]))
-    result = analysis.specificity_study(
-        returns, index, windows, seed=int(cfg["seed"]), samples=int(cfg["samples"]),
-    )
+    result = analysis.specificity_study(returns, index, cfg["q"], cfg["seed"], cfg["samples"])
     return {"specificity.csv": partial(analysis.render_specificity_csv, result),
             "specificity.json": partial(analysis.render_specificity_json, result)}
 

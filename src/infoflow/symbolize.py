@@ -25,7 +25,7 @@ from .timeseries import Panel
 class Partition:
     """Equal-width bin layout over the closed ranges [x_min, x_max].
 
-    ``x_min`` and ``x_max`` are n x 1 columns, one range per panel row.
+    ``x_min`` and ``x_max`` are n x 1 columns, one range per panel row; 2 <= q <= 2**53.
     """
 
     q: int
@@ -35,6 +35,8 @@ class Partition:
     def __post_init__(self):
         if self.q < 2:
             raise ValueError("q must be at least 2")
+        if self.q > 2**53:  # past 2**53, float64 no longer counts bins exactly
+            raise ValueError(f"q must be at most 2**53, not {self.q}")
         if not np.all(self.x_max > self.x_min):
             raise ValueError("degenerate partition: x_max must exceed x_min")
         if not np.all(self.width > 0):  # a subnormal range over q underflows
@@ -48,10 +50,8 @@ class Partition:
 def make_partition(returns: Panel, q: int) -> Partition:
     """Partition spanning the observed min/max of each row with q bins.
 
-    A constant row has zero range and cannot be partitioned.
+    A constant row has zero range and cannot be partitioned; ``Partition`` checks q.
     """
-    if q < 2:
-        raise ValueError("q must be at least 2")
     lo = returns.values.min(axis=1, keepdims=True)
     hi = returns.values.max(axis=1, keepdims=True)
     if np.any(hi == lo):

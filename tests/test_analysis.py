@@ -291,17 +291,16 @@ class TestSpecificity:
     def make_study(self, seed=0, samples=1):
         dataset = hub_panel(n=6, years=3, coupling=0.85)
         returns = returns_panel(dataset)
-        windows = yearly_reports(returns, q=10)
         hub = dataset[0]
         index = returns_panel(
             [PriceSeries(SectorMeta("000001", "composite index"), hub.dates, hub.closes)])
-        return dataset, windows, index, specificity_study(
-            returns, index, windows, seed=seed, samples=samples
+        return dataset, index, specificity_study(
+            returns, index, q=10, seed=seed, samples=samples
         )
 
     def test_index_copy_of_root_sector_gives_unit_correlation(self):
-        dataset, windows, _, result = self.make_study()
-        assert result.windows == tuple(windows)
+        dataset, _, result = self.make_study()
+        assert result.windows == tuple(yearly_reports(returns_panel(dataset), q=10))
         # The planted hub is the outgoing root every year; the index is its copy.
         assert [w.interval[0].year for w in result.windows] == [2001, 2002, 2003]
         assert [w.trees["outgoing"].root_sector.code for w in result.windows] == [
@@ -309,25 +308,25 @@ class TestSpecificity:
         assert result.source_correlations == (1.0, 1.0, 1.0)
 
     def test_fixed_seed_bit_identical(self):
-        _, _, _, a = self.make_study(seed=123)
-        _, _, _, b = self.make_study(seed=123)
+        _, _, a = self.make_study(seed=123)
+        _, _, b = self.make_study(seed=123)
         assert a.control_sectors == b.control_sectors
         assert a.control_correlations == b.control_correlations
 
     def test_different_seeds_vary_controls(self):
-        _, _, _, a = self.make_study(seed=1)
-        draws = {self.make_study(seed=s)[3].control_sectors for s in range(2, 6)}
+        _, _, a = self.make_study(seed=1)
+        draws = {self.make_study(seed=s)[2].control_sectors for s in range(2, 6)}
         assert len(draws | {a.control_sectors}) > 1
 
     def test_controls_exclude_roots(self):
-        _, _, _, result = self.make_study(samples=3)
+        _, _, result = self.make_study(samples=3)
         for k, w in enumerate(result.windows):
             forbidden = {a.root_sector.code for a in w.trees.values()}
             assert forbidden.isdisjoint(result.control_sectors[k])
             assert len(set(result.control_sectors[k])) == 3
 
     def test_correlations_in_range_and_means(self):
-        _, _, _, result = self.make_study(samples=2)
+        _, _, result = self.make_study(samples=2)
         everything = (
             list(result.source_correlations)
             + list(result.sink_correlations)
@@ -338,24 +337,37 @@ class TestSpecificity:
         assert result.source_mean == 1.0
 
     def test_constant_root_names_year_and_sector(self):
-        dataset, windows, index, _ = self.make_study()
+        dataset, index, _ = self.make_study()
         returns = returns_panel(dataset)
         values = returns.values.copy()
         values[0, [d.year == 2002 for d in returns.dates.tolist()]] = 0.0  # the root trades flat
         flat = replace(returns, values=values)
         with pytest.raises(ValueError) as excinfo:
-            specificity_study(flat, index, windows, seed=0)
-        assert str(excinfo.value) == "year 2002, sector 910010: zero variance"
+            specificity_study(flat, index, q=10, seed=0)
+        # The year's own estimate refuses the flat sector before any correlation.
+        assert str(excinfo.value) == "sector 910010, year 2002: degenerate series: constant values"
+
+    def test_more_samples_than_sectors_allow_are_refused_before_any_estimate(
+            self, monkeypatch):
+        def no_estimate(symbols):
+            raise AssertionError("a TE matrix was estimated")
+
+        monkeypatch.setattr("infoflow.analysis.te_matrix", no_estimate)
+        dataset = hub_panel(n=6, years=1)
+        with pytest.raises(ValueError) as excinfo:
+            specificity_study(returns_panel(dataset), returns_panel(dataset[:1]), q=10,
+                              seed=0, samples=6)
+        assert str(excinfo.value) == ("6 control samples requested, but at most 5 of the 6 "
+                                      "sectors can be neither root in a year")
 
     def test_misaligned_index_rejected(self):
         dataset = hub_panel(n=4, years=1)
         returns = returns_panel(dataset)
-        windows = yearly_reports(returns, q=10)
         shifted_dates = tuple(d + timedelta(days=1) for d in dataset[0].dates)
         index = returns_panel([PriceSeries(SectorMeta("000001"), shifted_dates,
                                            dataset[0].closes)])
         with pytest.raises(ValueError, match="^price series are not date-aligned$"):
-            specificity_study(returns, index, windows, seed=0)
+            specificity_study(returns, index, q=10, seed=0)
 
 
 class TestRenderers:
@@ -384,7 +396,7 @@ class TestRenderers:
         assert any(line.startswith("outgoing,") for line in lines[1:])
 
     def test_specificity_csv_records_seed(self):
-        _, _, _, result = TestSpecificity().make_study(seed=77)
+        _, _, result = TestSpecificity().make_study(seed=77)
         text = render_specificity_csv(result)
         assert text.startswith("# seed=77 samples_per_year=1\n")
         assert "year,kind,sector,correlation" in text

@@ -164,23 +164,23 @@ class TestStats:
         out = tmp_path / "out"
         assert run(["stats", "--input", path, "--names", meta, "--out-dir", out]) == 2
         assert capsys.readouterr().err == (
-            "error: sector-metadata CSV lists code 910010 twice\n")
+            "error: --names: sector-metadata CSV lists code 910010 twice\n")
         assert not out.exists()
 
     def test_missing_input_exits_2(self, tmp_path, capsys):
         assert run(["stats", "--input", tmp_path / "nope.csv"]) == 2
         assert "input not found" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["stats", "--input", "{missing}"],
-        ["msa", "--input", "{panel}", "--names", "{missing}"],
-        ["specificity", "--input", "{panel}", "--index", "{missing}"],
+    @pytest.mark.parametrize("argv, flag", [
+        (["stats", "--input", "{missing}"], ""),
+        (["msa", "--input", "{panel}", "--names", "{missing}"], "--names: "),
+        (["specificity", "--input", "{panel}", "--index", "{missing}"], "--index: "),
     ], ids=["input", "names", "index"])
-    def test_missing_file_is_named_by_its_path(self, panel_csv, tmp_path, capsys, argv):
+    def test_missing_file_is_named_by_its_path(self, panel_csv, tmp_path, capsys, argv, flag):
         missing, out = tmp_path / "nope.csv", tmp_path / "out"
         argv = [arg.format(panel=panel_csv[0], missing=missing) for arg in argv]
         assert run([*argv, "--out-dir", out]) == 2
-        assert capsys.readouterr().err == f"error: input not found: {missing}\n"
+        assert capsys.readouterr().err == f"error: {flag}input not found: {missing}\n"
         assert not out.exists()
 
     def test_no_input_flag_exits_2(self, capsys):
@@ -466,6 +466,18 @@ class TestSpecificity:
         assert run(["specificity", "--input", path, "--index", index_csv,
                     "--out-dir", out]) == 2
         assert capsys.readouterr().err == "error: price series are not date-aligned\n"
+        assert not out.exists()
+
+    def test_unparsable_index_row_names_the_flag(self, panel_csv, tmp_path, capsys):
+        path, series = panel_csv
+        index_csv = copy_as_index(series[0], tmp_path)
+        lines = index_csv.read_text().splitlines()
+        lines[5] = lines[5].split(",")[0] + ",abc"
+        index_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(["specificity", "--input", path, "--index", index_csv,
+                    "--out-dir", out]) == 2
+        assert capsys.readouterr() == ("", "error: --index: row 6: unparsable price 'abc'\n")
         assert not out.exists()
 
     def test_constant_index_names_year_and_index(self, panel_csv, tmp_path, capsys):
@@ -852,7 +864,8 @@ def test_unreadable_names_record_exits_2_naming_its_first_line(panel_csv, tmp_pa
     names = tmp_path / "names.csv"
     names.write_text(f"code,name\n{series[0].sector.code},{'x' * (_FIELD_LIMIT + 1)}\n")
     assert run(["stats", "--input", path, "--names", names, "--out-dir", tmp_path / "out"]) == 2
-    assert capsys.readouterr() == ("", _OVER_LIMIT.format(line=2))
+    assert capsys.readouterr() == (
+        "", "error: --names: row 2: field larger than field limit (131072)\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -883,7 +896,7 @@ def test_names_row_that_is_not_utf8_exits_2_naming_its_line(panel_csv, tmp_path,
     names = tmp_path / "names.csv"
     names.write_bytes(f"code,name\n{series[0].sector.code},Caf".encode() + b"\xe9\n")
     assert run(["stats", "--input", path, "--names", names, "--out-dir", tmp_path / "out"]) == 2
-    assert capsys.readouterr() == ("", "error: row 2: not UTF-8 text\n")
+    assert capsys.readouterr() == ("", "error: --names: row 2: not UTF-8 text\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -965,6 +978,28 @@ def test_q_and_samples_are_checked_before_the_input_is_read(panel_csv, tmp_path,
         assert run([*argv, *index, "--input", source, "--out-dir", out]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("mode, q, window", [
+    ("whole", 2**63, "whole sample"), ("yearly", 2**63 - 1, "year 2000"),
+], ids=["whole-2**63", "yearly-2**63-1"])
+def test_q_above_2_pow_53_is_refused_on_one_line(panel_csv, tmp_path, capsys, via, mode, q,
+                                                  window):
+    # Both lie past 2**53, where float64 no longer counts bins exactly; 2**63
+    # does not even fit an int64.
+    path, _ = panel_csv
+    out = tmp_path / "out"
+    argv = ["msa", "--input", path, "--out-dir", out, "--mode", mode]
+    if via == "flag":
+        argv += ["--q", q]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"q": q}), encoding="utf-8")
+        argv += ["--config", config]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {window}: q must be at most 2**53, not {q}\n")
+    assert not out.exists()
 
 
 def test_oversized_alphabet_is_refused_on_one_line(panel_csv, tmp_path, capsys):
