@@ -10,23 +10,24 @@ lag on each side.  Every probability is a marginal of the one empirical
 triplet distribution, which makes the estimate an empirical conditional
 mutual information: nonnegative, and zero for a series against itself.
 
-With a = target next, b = target now, c = source now, N = L - 1 triplets
-and n_* their counts, the sample sizes cancel and
+With a = target next, b = target now, c = source now, N triplets and n_*
+their counts, the sample sizes cancel and
 
     N * TE = S(n_abc) - S(n_ab) - S(n_bc) + S(n_b),   S(n) = sum n log2 n.
 
-One kernel, behind ``te_matrix``, evaluates this for a whole window's
-n x L symbol matrix, every target against every source; the estimate for
-one pair is ``te_matrix(pair)[0, 1]`` of its 2-row matrix.  The alphabet
-is 1..max(symbols): symbols that never occur add no counts, so the
-estimate does not depend on them.  The targets' own counts n_ab and n_b
-come from one bincount over all series.  Each observed (target, now,
-next) state gets one global column, and n_abc comes from one bincount per
-block of targets, keyed by (source, source symbol) and column; one
-reduceat over the columns that share (target, now) gives n_bc.  Blocks
-are sized from the window's shape, so short windows take many targets per
-call and long ones keep their arrays bounded.  All counts are exact
-integers.
+One kernel, behind ``te_matrix``, evaluates this for every target against
+every source.  It counts a set of N triplet columns, each holding every
+series' symbol at one time and at the next, so every estimate depends only
+on the multiset of those columns; ``te_matrix`` passes the N = L - 1
+columns of a window's n x L symbol matrix.  The alphabet is
+1..max(symbols): symbols that never occur add no counts.  The targets' own
+counts n_ab and n_b come from one bincount over all series.  Each observed
+(target, now, next) state gets one count column, and n_abc comes from one
+bincount per block of targets, keyed by (source, source symbol) and count
+column; one reduceat over the count columns that share (target, now) gives
+n_bc.  Blocks are sized from the arrays' shape, so a few triplets take many
+targets per call and many triplets keep the arrays bounded.  All counts are
+exact integers.
 
 The n log2 n sums are not added up in floating point.  Each count k is
 factored into primes, k log2 k = sum_p k e_p(k) log2 p, so N * TE is an
@@ -101,13 +102,12 @@ _MAX_COUNT_CELLS = 1 << 24
 _BLOCK_CELLS = 1 << 16
 
 
-def _te_columns(symbols: np.ndarray, q: int) -> np.ndarray:
-    """te[i, j] in bits for every ordered pair of rows of ``symbols``.
-
-    ``symbols`` is an n x L int64 matrix of aligned symbols in [1, q].
-    """
-    n, length = symbols.shape
-    n_tri = length - 1
+def _te_columns(now: np.ndarray, nxt: np.ndarray, q: int) -> np.ndarray:
+    """te[i, j] in bits for every ordered pair of rows, from N triplet columns:
+    column t of the n x N int64 arrays ``now`` and ``nxt`` holds every series'
+    symbol in [1, q] at one time and at the next.  The estimate depends only
+    on the multiset of these columns."""
+    n, n_tri = now.shape
     log_primes, factor_index, factor_weight = _prime_factors(n_tri)
     n_primes = len(log_primes)
 
@@ -128,7 +128,7 @@ def _te_columns(symbols: np.ndarray, q: int) -> np.ndarray:
     # Series i's state (now, next) at t gets the key (i * q + now) * q + next:
     # keys are series-major, then now-major, so the states that share a
     # series and a "now" symbol are adjacent.
-    state = symbols[:, :-1] - 1  # updated in place
+    state = now - 1  # updated in place
     state += rows * q
     n_b = np.bincount(state.ravel(), minlength=n * q).reshape(n, q)
     # Count rows: one per (series, symbol) seen at "now", in key order.
@@ -138,7 +138,7 @@ def _te_columns(symbols: np.ndarray, q: int) -> np.ndarray:
     source_row = np.take(np.cumsum(n_b > 0) - 1, state)
     n_rows = len(source)
     state *= q
-    state += symbols[:, 1:]
+    state += nxt
     state -= 1
     n_ab = np.bincount(state.ravel(), minlength=n * q * q)
     no_col = np.zeros(q * q, dtype=np.intp)
@@ -205,7 +205,7 @@ def te_matrix(symbols: np.ndarray) -> np.ndarray:
     if n * q * q > _MAX_COUNT_CELLS:
         raise ValueError(f"alphabet of {q} symbols is too large for {n} sectors: "
                          f"{n} x {q}^2 count cells exceed {_MAX_COUNT_CELLS}")
-    return _te_columns(symbols, q)
+    return _te_columns(symbols[:, :-1], symbols[:, 1:], q)
 
 
 def dai_matrix(te: np.ndarray) -> np.ndarray:

@@ -278,6 +278,12 @@ class TestPearson:
         y = 0.4 * x + rng.normal(0, 1, 1000)
         assert pearson(x, y) == pytest.approx(pearson_mpmath(x, y), abs=1e-12)
 
+    def test_two_observations(self):
+        assert pearson([1, 2], [3, 5]) == 1.0
+        assert pearson([1, 2], [5, 3]) == -1.0
+        with pytest.raises(ValueError, match="^need at least 2 observations$"):
+            pearson([1.0], [2.0])
+
     def test_zero_variance(self):
         with pytest.raises(ValueError, match="zero variance"):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])

@@ -438,6 +438,10 @@ class TestSpecificity:
         assert payload["source"]["correlations"] == [1.0, 1.0]
         text = (out / "specificity.csv").read_text()
         assert text.startswith("# seed=99 ")
+        # No --samples: one control sector per year.
+        assert payload["samples_per_year"] == 1
+        rows = list(csv.DictReader(text.splitlines()[1:]))
+        assert [row["year"] for row in rows if row["kind"] == "control"] == ["2000", "2001"]
 
     def test_requires_index(self, panel_csv, tmp_path, capsys):
         path, _ = panel_csv
@@ -939,6 +943,17 @@ def test_only_yyyy_mm_dd_is_a_date(panel_csv, tmp_path, capsys, text):
         assert run([*argv, "--out-dir", tmp_path / "out"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+
+def test_repeated_date_in_a_clean_file_names_its_row(tmp_path, capsys):
+    # A file the one-call loader would parse: only its date check declines
+    # it, so the refusal and its row come from the row-by-row reader.
+    prices = tmp_path / "prices.csv"
+    prices.write_text("date,801010,801020\n2000-01-04,1.0,2.0\n2000-01-05,1.5,2.5\n"
+                      "2000-01-05,2.0,3.0\n2000-01-06,2.5,3.5\n")
+    assert run(["stats", "--input", prices, "--out-dir", tmp_path / "out"]) == 2
+    assert capsys.readouterr() == ("", "error: row 4: dates not strictly increasing\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv, message", [

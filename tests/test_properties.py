@@ -1,7 +1,7 @@
 """Property tests of the pipeline: loading, symbolization, date windows, TE
-invariance, bounds, the arborescence refusal on networks with no root, CLI
-outputs under a permutation of the input's sector columns, and CLI runs on
-damaged input files."""
+invariance, the TE kernel's triplet columns, bounds, the arborescence
+refusal on networks with no root, CLI outputs under a permutation of the
+input's sector columns, and CLI runs on damaged input files."""
 
 import codecs
 import contextlib
@@ -27,7 +27,7 @@ from infoflow import timeseries
 from infoflow.analysis import MIN_WINDOW_DAYS, yearly_reports
 from infoflow.arborescence import ORIENTATIONS, max_spanning_arborescence
 from infoflow.cli import main
-from infoflow.entropy import dai_matrix, te_matrix
+from infoflow.entropy import _te_columns, dai_matrix, te_matrix
 from infoflow.network import InfoFlowNetwork
 from infoflow.symbolize import encode, make_partition
 from infoflow.synth import Coupling, Segment, SyntheticDataset, dataset_to_csv, generate_dataset
@@ -135,6 +135,7 @@ def load_outcome(path):
 @given(price_csv_texts())
 @example("date,801010\n")  # a header-only body
 @example("date,801010,801020\r\n\r\n\n")  # a body of blank rows only
+@example("date,801010\n2000-01-04,1.0\n2000-01-05,1.5\n2000-01-05,2.0\n")  # a repeated date
 def test_columnar_loader_equals_the_row_path(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "prices.csv"
@@ -306,6 +307,20 @@ def test_te_is_unchanged_by_relabelling_the_alphabet(matrix, data, shift):
     before = te_matrix(symbols)
     assert np.array_equal(before, te_matrix(relabelled))
     assert np.array_equal(before, te_matrix(relabelled + shift))
+
+
+@settings(deadline=None)
+@given(symbol_matrices(), st.data())
+def test_te_kernel_counts_a_multiset_of_triplet_columns(matrix, data):
+    # te_matrix hands the kernel the L - 1 (now, next) columns of one
+    # series; any order of those columns, moved together in both arrays,
+    # gives the same bits.  The drawn q may exceed every symbol.
+    symbols, q = matrix
+    now, nxt = symbols[:, :-1], symbols[:, 1:]
+    te = te_matrix(symbols)
+    assert np.array_equal(te, _te_columns(now, nxt, q))
+    order = np.asarray(data.draw(st.permutations(range(now.shape[1]))), dtype=np.intp)
+    assert np.array_equal(te, _te_columns(now[:, order], nxt[:, order], q))
 
 
 @settings(deadline=None, max_examples=30)

@@ -50,17 +50,19 @@ class TestLoadDataset:
         assert np.array_equal(series[0].dates, series[1].dates)
 
     def test_missing_cell_drops_row_for_all(self, tmp_path):
-        path = write_csv(
-            tmp_path,
-            "date,801010,801020\n"
-            "2000-01-04,10.0,20.0\n"
-            "2000-01-05,,19.5\n"
-            "2000-01-06,11.0,21.0\n",
-        )
-        with pytest.warns(UserWarning, match="dropped 1 row"):
-            series = load_dataset(path)
-        assert all(len(s) == 2 for s in series)
-        assert series[0].dates.tolist() == [date(2000, 1, 4), date(2000, 1, 6)]
+        # An empty cell, or a NaN that float() reads through its sign.
+        for cell in ("", "+nan", "-nan"):
+            path = write_csv(
+                tmp_path,
+                "date,801010,801020\n"
+                "2000-01-04,10.0,20.0\n"
+                f"2000-01-05,{cell},19.5\n"
+                "2000-01-06,11.0,21.0\n",
+            )
+            with pytest.warns(UserWarning, match="dropped 1 row"):
+                series = load_dataset(path)
+            assert all(len(s) == 2 for s in series)
+            assert series[0].dates.tolist() == [date(2000, 1, 4), date(2000, 1, 6)]
 
     def test_malformed_header(self, tmp_path):
         path = write_csv(tmp_path, "day,801010\n2000-01-04,10.0\n")
@@ -123,14 +125,17 @@ class TestLoadDataset:
             load_dataset(tmp_path / "nope.csv")
 
     def test_names_metadata(self, tmp_path):
-        meta = write_csv(tmp_path, "code,name\n801010,Agriculture\n", name="names.csv")
+        # A blank row is skipped; the names after it still apply.
+        meta = write_csv(tmp_path, "code,name\n801010,Agriculture\n\n801020,Forestry\n",
+                         name="names.csv")
         path = write_csv(
             tmp_path,
-            "date,801010\n2000-01-04,10.0\n2000-01-05,10.5\n",
+            "date,801010,801020\n2000-01-04,10.0,20.0\n2000-01-05,10.5,19.5\n",
         )
         names = load_sector_names(meta)
+        assert names == {"801010": "Agriculture", "801020": "Forestry"}
         series = load_dataset(path, names=names)
-        assert series[0].sector.name == "Agriculture"
+        assert [s.sector.name for s in series] == ["Agriculture", "Forestry"]
         assert series[0].sector.short_code == "010"
 
     def test_byte_order_mark_is_ignored(self, tmp_path):
