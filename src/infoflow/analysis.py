@@ -54,7 +54,7 @@ from .network import build_network
 from .symbolize import Partition, encode, make_partition
 # ``returns_panel`` builds the one panel that every study takes; the CLI
 # calls it from here.
-from .timeseries import Panel, SectorMeta, returns_panel, slice_returns
+from .timeseries import Panel, SectorMeta, aligned_dates, returns_panel, slice_returns
 
 # Windows shorter than this many trading days are refused (calendar years
 # are skipped): the estimator has nothing to say about a handful of samples,
@@ -320,8 +320,7 @@ def specificity_study(
     index and ``samples`` outside 1..n-1 for n sectors.  A series constant
     within a year is refused by a line naming the year and the series.
     """
-    if not np.array_equal(index.dates, returns.dates):
-        raise ValueError("price series are not date-aligned")
+    aligned_dates((returns, index))
     if samples < 1:
         raise ValueError("samples must be at least 1")
     n = len(returns.sectors)

@@ -25,7 +25,7 @@ from datetime import date
 
 import numpy as np
 
-from .timeseries import PriceSeries, SectorMeta
+from .timeseries import PriceSeries, SectorMeta, aligned_dates
 
 
 # A synthetic return is +-BASE_MOVE plus uniform noise in [-JITTER, JITTER],
@@ -208,15 +208,9 @@ def demo_dataset(seed: int = 7) -> list[PriceSeries]:
 
 def dataset_to_csv(series: list[PriceSeries]) -> str:
     """Wide-format CSV (``date,<code1>,...``) consumable by the loader."""
-    if not series:
-        raise ValueError("empty dataset")
-    dates = series[0].dates
-    for s in series[1:]:
-        if not np.array_equal(s.dates, dates):
-            raise ValueError("series are not date-aligned")
-    header = "date," + ",".join(s.sector.code for s in series)
-    lines = [header]
-    for t, day in enumerate(dates.tolist()):
-        row = ",".join(repr(float(s.closes[t])) for s in series)
-        lines.append(f"{day.isoformat()},{row}")
+    dates = aligned_dates(series)
+    rows = np.column_stack([s.closes for s in series]).tolist()
+    lines = ["date," + ",".join(s.sector.code for s in series)]
+    lines += [f"{day.isoformat()},{','.join(map(repr, row))}"
+              for day, row in zip(dates.tolist(), rows)]
     return "\n".join(lines) + "\n"

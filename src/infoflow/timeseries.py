@@ -14,13 +14,13 @@ row through ``csv`` and ``float``, the only path that writes a
 diagnostic.  The fast path returns a result only when it is the one the
 row path would return.
 
-``returns_panel`` checks that alignment once and turns the whole dataset
-into one ``Panel``: the sectors in code order, the return dates and an
-n x L matrix of log returns.  The panel is the only return type: one
-sector's returns are a 1-row panel, and ``summary_stats`` takes one row of
-its matrix.  Every study window is a column span of that matrix, cut by
-``slice_returns``, which searches the panel's date axis: like a
-``PriceSeries``' dates, a read-only ``datetime64[D]`` array.
+``aligned_dates`` is the one check of that alignment, and ``returns_panel``
+turns the whole dataset into one ``Panel``: the sectors in code order, the
+return dates and an n x L matrix of log returns.  The panel is the only
+return type: one sector's returns are a 1-row panel, and ``summary_stats``
+takes one row of its matrix.  Every study window is a column span of that
+matrix, cut by ``slice_returns``, which searches the panel's date axis:
+like a ``PriceSeries``' dates, a read-only ``datetime64[D]`` array.
 """
 
 from __future__ import annotations
@@ -385,23 +385,29 @@ def _read_rows(path: Path) -> _Table:
     return _Table(codes, np.array(kept_dates, "datetime64[D]"), closes, dropped)
 
 
+def aligned_dates(items) -> np.ndarray:
+    """The one date axis that every item's ``dates`` holds (``PriceSeries`` or ``Panel``)."""
+    if not items:
+        raise ValueError("need at least 1 sector")
+    dates = items[0].dates
+    if any(not np.array_equal(p.dates, dates) for p in items[1:]):
+        raise ValueError("price series are not date-aligned")
+    return dates
+
+
 def returns_panel(dataset: list[PriceSeries]) -> Panel:
     """Log returns ln(close[t+1]) - ln(close[t]) of every sector as one panel.
 
     Rows are in sector code order; each return is dated by the later close.
-    All series must share one date axis; this is the one place that checks
+    All series must share one date axis; ``aligned_dates`` checks
     it.  The logs are taken in ``np.longdouble``, which numpy computes
     without SIMD loops, and rounded to float64, so the returns are the same
     bits at any numpy SIMD level (float64 ``np.log`` differs in last bits
     with AVX-512).  Where ``np.longdouble`` is float64 (Windows, macOS on
     arm64) this is the plain float64 log.
     """
-    if not dataset:
-        raise ValueError("need at least 1 sector")
     dataset = sorted(dataset, key=lambda p: p.sector.code)
-    dates = dataset[0].dates
-    if any(not np.array_equal(p.dates, dates) for p in dataset[1:]):
-        raise ValueError("price series are not date-aligned")
+    dates = aligned_dates(dataset)
     log_closes = np.log(np.stack([p.closes for p in dataset]).astype(np.longdouble))
     return Panel(tuple(p.sector for p in dataset), dates[1:],
                  np.diff(log_closes.astype(np.float64), axis=1))

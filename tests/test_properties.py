@@ -131,6 +131,7 @@ def load_outcome(path):
     return result, [str(w.message) for w in caught]
 
 
+@pytest.mark.seeded
 @settings(deadline=None, max_examples=200)
 @given(price_csv_texts())
 @example("date,801010\n")  # a header-only body
@@ -236,6 +237,7 @@ def date_axes(draw):
     return np.datetime64(start, "D") + offsets[offsets < span]
 
 
+@pytest.mark.seeded
 @settings(deadline=None)
 @given(date_axes(), st.integers(1, 3), st.data())
 def test_slice_keeps_the_columns_a_date_filter_keeps(dates, n, data):
@@ -256,6 +258,7 @@ def test_slice_keeps_the_columns_a_date_filter_keeps(dates, n, data):
         assert np.array_equal(out.values, panel.values[:, keep])
 
 
+@pytest.mark.seeded
 @settings(deadline=None)
 @given(date_axes(), st.integers(2, 3), st.integers(0, 2**32 - 1))
 def test_yearly_windows_are_the_years_with_enough_days(dates, n, seed):
@@ -309,6 +312,7 @@ def test_te_is_unchanged_by_relabelling_the_alphabet(matrix, data, shift):
     assert np.array_equal(before, te_matrix(relabelled + shift))
 
 
+@pytest.mark.seeded
 @settings(deadline=None)
 @given(symbol_matrices(), st.data())
 def test_te_kernel_counts_a_multiset_of_triplet_columns(matrix, data):
@@ -353,6 +357,7 @@ def tied_networks(draw):
                            flow_matrix(n, edges))
 
 
+@pytest.mark.seeded
 @settings(deadline=None, max_examples=200)
 @given(tied_networks(), st.sampled_from(ORIENTATIONS))
 def test_no_root_refusal_names_one_sector_of_each_source_part(net, orientation):
@@ -433,6 +438,7 @@ def permute_columns(csv_text: str, order) -> str:
     return "".join(",".join([row[0]] + [row[1 + k] for k in order]) + "\n" for row in rows)
 
 
+@pytest.mark.seeded
 @pytest.mark.parametrize("mode", sorted(RUNS))
 @settings(deadline=None, max_examples=3)
 @given(order=st.permutations(range(N_PERMUTED)))
@@ -484,6 +490,7 @@ def mutated_inputs(draw):
     return files
 
 
+@pytest.mark.seeded
 @settings(deadline=None, max_examples=200)
 @given(mutated_inputs(), st.sampled_from(sorted(MUTATED_RUNS)), st.sampled_from([2, 5, 15]),
        st.sampled_from(["out", "in", "both"]), st.booleans())

@@ -127,6 +127,27 @@ class TestGenerateDataset:
             np.testing.assert_array_equal(got.dates, want.dates)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Coupling(1, 1, 0.5), "coupling source and target must differ"),
+    (lambda: Coupling(0, 1, 1.5), r"coupling strength must lie in \[0, 1\]"),
+    (lambda: Segment(0), "segment length must be positive"),
+    (lambda: Segment(10, (Coupling(0, 2, 0.5), Coupling(1, 2, 0.5))),
+     "at most one coupling per target per segment"),
+    (lambda: SyntheticDataset(1, (Segment(10),), seed=0), r"n_sectors must lie in \[2, 99\]"),
+    (lambda: SyntheticDataset(100, (Segment(10),), seed=0), r"n_sectors must lie in \[2, 99\]"),
+    (lambda: SyntheticDataset(2, (), seed=0), "need at least one segment"),
+    (lambda: SyntheticDataset(2, (Segment(10, (Coupling(0, 2, 0.5),)),), seed=0),
+     "coupling endpoint out of range"),
+    (lambda: analytic_te_coupled_binary(-0.1), r"coupling must lie in \[0, 1\]"),
+    (lambda: analytic_te_coupled_binary(1.1), r"coupling must lie in \[0, 1\]"),
+], ids=["coupling-self", "coupling-strength", "segment-empty", "segment-two-into-one-target",
+        "n-below-2", "n-above-99", "no-segments", "endpoint-out-of-range",
+        "analytic-below-0", "analytic-above-1"])
+def test_spec_guards_refuse_with_their_message(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 class TestDemoDataset:
     def test_shape_and_span(self):
         series = demo_dataset()

@@ -13,6 +13,7 @@ from oracles import log_returns_mpmath, stats_mpmath
 from test_golden import run_without_avx512
 
 from infoflow import timeseries
+from infoflow.analysis import specificity_study
 from infoflow.synth import Segment, SyntheticDataset, dataset_to_csv, generate_dataset
 from infoflow.timeseries import (
     JB_CRITICAL_1PCT,
@@ -332,6 +333,26 @@ class TestLogReturns:
             assert dates.tolist() == days
             with pytest.raises(ValueError, match="read-only"):
                 dates[0] = dates[-1]
+
+
+def one_day_apart(make):
+    """Two sectors' series whose date axes are one day apart."""
+    return [make([1.0, 2.0, 3.0], "900001"),
+            make([1.0, 2.0, 3.0], "900002", start=date(2000, 1, 4))]
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (returns_panel, ([],), "need at least 1 sector"),
+    (dataset_to_csv, ([],), "need at least 1 sector"),
+    (returns_panel, (one_day_apart(make_prices),), "price series are not date-aligned"),
+    (dataset_to_csv, (one_day_apart(make_prices),), "price series are not date-aligned"),
+    (lambda returns, index: specificity_study(returns, index, q=2, seed=0),
+     one_day_apart(make_returns), "price series are not date-aligned"),
+], ids=["returns_panel-empty", "dataset_to_csv-empty", "returns_panel-misaligned",
+        "dataset_to_csv-misaligned", "specificity_study-misaligned"])
+def test_every_caller_refuses_by_the_one_date_axis_rule(call, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(*args)
 
 
 class TestSummaryStats:
