@@ -133,8 +133,9 @@ def checked_partition(returns: Panel, q: int, window: str = "whole sample") -> P
     try:
         return make_partition(returns, q)
     except ValueError as exc:
-        constant = np.flatnonzero(np.ptp(returns.values, axis=1) == 0)
-        sector = f"sector {returns.sectors[constant[0]].code}, " if len(constant) else ""
+        # A row at fault has no positive bin width; a q Partition refuses is clamped to its bounds.
+        narrow = np.flatnonzero(np.ptp(returns.values, axis=1) / min(max(q, 2), 2**53) <= 0)
+        sector = f"sector {returns.sectors[narrow[0]].code}, " if len(narrow) else ""
         raise ValueError(f"{sector}{window}: {exc}") from None
 
 
@@ -153,8 +154,8 @@ def msas_from_returns(
     Only the arborescences in ``orientations`` are solved, each with its
     maximal path.  The result is labelled ``label`` and spans the panel's
     first and last trading day.  ``window`` names the window in errors: one
-    shorter than ``MIN_WINDOW_DAYS`` trading days, a sector whose returns
-    are constant there, or a network with so many tied pairs that no root
+    shorter than ``MIN_WINDOW_DAYS`` trading days, a sector whose range there
+    is too narrow for q bins, or a network with so many tied pairs that no root
     reaches every sector (the message puts the window's trading days and
     tied pairs before the solver's refusal, which names a sector per part).
     """

@@ -2,20 +2,20 @@
 
 Three subcommands cover the studies: ``stats`` (per-sector summary table),
 ``msa`` (whole-sample / yearly / date-range / turmoil arborescences), and
-``specificity`` (root-vs-index correlation study).  A JSON config file can
-hold any long-form option, keyed by its dest; its values pass the flags'
-own types and choices, an unknown key is an error, and explicit flags
-override file values.
+``specificity`` (root-vs-index correlation study); each takes only the
+options it reads.  A JSON config file holds long-form options keyed by
+dest; values pass the flags' own types and choices, an unknown key is an
+error, another command's key is ignored, and explicit flags win.
 
 Each command runs its study and returns every file it can produce as an
 ordered ``{filename: renderer}`` mapping of zero-argument callables.
-``main`` is the one writer: it checks ``--format``, ``--q``, ``--seed``
-and ``--samples`` before any command runs (and ``msa`` checks its date
-flags and their order before it reads the input), renders only the files
-whose suffix is a requested format, in order, and writes each atomically
-(temp file + rename); a format that selects none of the command's files
-is an error.  Every command is deterministic given input bytes, configuration,
-and seed.
+``main`` is the one writer: before any command runs it checks ``--format``,
+and ``--q``, ``--seed`` and ``--samples`` where the command takes them
+(``msa`` checks its date flags and their order before it reads the input);
+it renders only the files whose suffix is a requested format, in order, and
+writes each atomically (temp file + rename); a format that selects none of
+the command's files is an error.  Every command is deterministic given input
+bytes, configuration, and seed.
 
 ``--orientation`` selects the trees a command writes, and ``whole``,
 ``range`` and ``yearly`` solve only those; ``turmoil`` and ``specificity``
@@ -82,23 +82,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="wide-format price CSV (date,<code>,...)")
-    common.add_argument("--names", help="optional code,name sector metadata CSV")
-    common.add_argument("--q", type=int,
-                        help=f"number of discretization bins (default {_DEFAULTS['q']})")
-    common.add_argument("--seed", type=int, help="seed for any randomized step")
     common.add_argument("--out-dir", dest="out_dir", help="output directory")
     common.add_argument("--format", help="comma list out of csv,json,dot")
-    common.add_argument("--workers", type=int,
-                        help="accepted for compatibility; has no effect")
     common.add_argument("--config", help="JSON config file; flags override its values")
-    common.add_argument("--report", action="store_true",
-                        help="round tables to display precision")
+    binned = argparse.ArgumentParser(add_help=False)
+    binned.add_argument("--q", type=int,
+                        help=f"number of discretization bins (default {_DEFAULTS['q']})")
+    rounded = argparse.ArgumentParser(add_help=False)
+    rounded.add_argument("--report", action="store_true",
+                         help="round tables to display precision")
 
-    sub.add_parser("stats", parents=[common],
-                   help="per-sector return summary statistics")
+    stats = sub.add_parser("stats", parents=[common, rounded],
+                           help="per-sector return summary statistics")
+    stats.add_argument("--names", help="optional code,name sector metadata CSV")
 
-    msa = sub.add_parser("msa", parents=[common],
+    msa = sub.add_parser("msa", parents=[common, binned, rounded],
                          help="maximum spanning arborescences and flow paths")
+    msa.add_argument("--workers", type=int,
+                     help="has no effect; kept because bench/run.py passes it")
     msa.add_argument("--mode", choices=["whole", "yearly", "range", "turmoil"])
     msa.add_argument("--from", dest="date_from", help="range mode start date (YYYY-MM-DD)")
     msa.add_argument("--to", dest="date_to", help="range mode end date (YYYY-MM-DD)")
@@ -108,8 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     msa.add_argument("--global-partition", dest="global_partition", action="store_true",
                      help="reuse whole-sample bin edges in every window")
 
-    spc = sub.add_parser("specificity", parents=[common],
+    spc = sub.add_parser("specificity", parents=[common, binned],
                          help="root-sector vs index correlation study")
+    spc.add_argument("--seed", type=int, help="seed for any randomized step")
     spc.add_argument("--index", help="index price CSV aligned with the dataset")
     spc.add_argument("--samples", type=int, help="control draws per year (default 1)")
 
@@ -141,7 +143,7 @@ def _config_value(key: str, value, option: argparse.Action):
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Layer resolution: hard defaults, then config file, then explicit flags."""
+    """The command's own options: hard defaults, then config file, then explicit flags."""
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -163,7 +165,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
             continue
         if value is not None and value is not False:
             merged[key] = value
-    return merged
+    return {key: value for key, value in merged.items() if key in vars(args)}
 
 
 def _parse_date(value: str, flag: str) -> date:
@@ -344,12 +346,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _merge_config(args)
         requested = _formats(cfg)
-        if cfg["q"] < 2:
-            raise CliError("--q must be at least 2")
-        if cfg["seed"] < 0:
-            raise CliError("--seed must be at least 0")
-        if cfg["samples"] < 1:
-            raise CliError("--samples must be at least 1")
+        for key, floor in (("q", 2), ("seed", 0), ("samples", 1)):
+            if key in cfg and cfg[key] < floor:
+                raise CliError(f"--{key} must be at least {floor}")
         files = _COMMANDS[args.command](cfg)
         selected = [name for name in files if name.rsplit(".", 1)[1] in requested]
         if not selected:

@@ -51,12 +51,29 @@ EQUIVALENT = {
     ("arborescence.py", "del walk[len(walk) + len(cycle):]"),
     # Two root-to-leaf trails never have equal keys: their node lists differ.
     ("arborescence.py", "if best_key is None or key <= best_key:"),
+    # Any super-root cost above every real tree's weight gives the same
+    # optimum, which the tie bits make unique; with no edges, any positive one.
+    ("arborescence.py",
+     "super_cost = (n * max(weights, default=1) + 1) << key_bits  # beats any real tree"),
+    ("arborescence.py",
+     "super_cost = (n * max(weights, default=0) + 2) << key_bits  # beats any real tree"),
+    # Every output file name holds one dot.
+    ("cli.py", 'selected = [name for name in files if name.rsplit(".", 2)[1] in requested]'),
+    # numpy reads any negative size as the one to infer.
+    ("entropy.py", "- log_terms(n_ab.reshape(n, -2), series, no_col, n))"),
+    # How many targets share one count changes memory, not counts.
+    ("entropy.py", "per_block = max(2, _BLOCK_CELLS // max(n * n_tri, n_rows * widest))"),
     # The default's line number is discarded.
     ("timeseries.py", "_, header = next(records, (2, None))"),
     # Drops the digit check of the year's third character: numpy's
     # datetime64 parse already refuses every byte the columnar path lets
     # through there.
     ("timeseries.py", "digits = chars[:, [0, 1, 3, 3, 5, 6, 8, 9]]"),
+    # The same for the day's first digit.
+    ("timeseries.py", "digits = chars[:, [0, 1, 2, 3, 5, 6, 9, 9]]"),
+    # A clean file with a close in (0, 1] goes to the row path, which gives
+    # the same series.
+    ("timeseries.py", "and np.all((closes > 1) & (closes < np.inf))"),
 }
 
 

@@ -104,6 +104,17 @@ class TestWholeSample:
         with pytest.raises(ValueError, match="orientations"):
             msas_from_returns(returns_panel(hub_panel(years=1)), q=10, orientations=("in",))
 
+    def test_range_too_narrow_for_q_bins_names_its_sector(self):
+        # The second row's range is the smallest subnormal: positive, but its
+        # width over q bins underflows to 0.
+        returns = returns_panel(hub_panel(n=3, years=1))
+        values = returns.values.copy()
+        values[1] = np.resize([0.0, 5e-324], values.shape[1])
+        with pytest.raises(ValueError) as excinfo:
+            msas_from_returns(replace(returns, values=values), q=15)
+        assert str(excinfo.value) == (f"sector {returns.sectors[1].code}, whole sample: "
+                                      "degenerate partition: range too narrow for q bins")
+
 
 class TestYearlyReports:
     def test_one_report_per_year_per_orientation(self):

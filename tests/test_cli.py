@@ -1,6 +1,8 @@
 import contextlib
 import csv
 import json
+import re
+import shlex
 from datetime import timedelta
 from pathlib import Path
 
@@ -9,7 +11,7 @@ import pytest
 
 from conftest import turmoil_dataset
 
-from infoflow.cli import main
+from infoflow.cli import build_parser, main
 from infoflow.synth import (
     Coupling,
     Segment,
@@ -173,7 +175,7 @@ class TestStats:
 
     @pytest.mark.parametrize("argv, flag", [
         (["stats", "--input", "{missing}"], ""),
-        (["msa", "--input", "{panel}", "--names", "{missing}"], "--names: "),
+        (["stats", "--input", "{panel}", "--names", "{missing}"], "--names: "),
         (["specificity", "--input", "{panel}", "--index", "{missing}"], "--index: "),
     ], ids=["input", "names", "index"])
     def test_missing_file_is_named_by_its_path(self, panel_csv, tmp_path, capsys, argv, flag):
@@ -610,6 +612,72 @@ class TestConfigFile:
         assert "unknown format" in capsys.readouterr().err
 
 
+# The flags each command takes besides -h: the ones it reads, and --workers
+# on msa, which bench/run.py passes.
+COMMAND_FLAGS = {
+    "stats": "--input --names --out-dir --format --config --report",
+    "msa": "--input --q --out-dir --format --workers --config --report --mode --from --to "
+           "--crash-start --crash-end --orientation --global-partition",
+    "specificity": "--input --q --seed --out-dir --format --config --index --samples",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_each_command_takes_only_the_flags_it_reads(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    listed = re.findall(r"(?<![\w-])--?[a-z][a-z-]*", capsys.readouterr().out)
+    assert set(listed) == {"-h", "--help", *COMMAND_FLAGS[command].split()}
+    for flag in sorted({"--names", "--q", "--seed", "--workers", "--report"} - set(listed)):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, flag, "1"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, values", [
+    ("msa", {"names": "names.csv"}),
+    ("stats", {"q": 1, "seed": -1, "samples": 0}),
+    ("specificity", {"names": "names.csv", "report": True, "workers": 0}),
+])
+def test_config_key_of_another_command_is_checked_then_ignored(panel_csv, tmp_path, capsys,
+                                                               monkeypatch, command, values):
+    path, series = panel_csv
+    monkeypatch.chdir(tmp_path)
+    # It repeats a code, which a command that reads --names refuses.
+    (tmp_path / "names.csv").write_text("code,name\n910010,Mining\n910010,Steel\n")
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(values), encoding="utf-8")
+    argv = [command, "--input", path]
+    if command == "specificity":
+        argv += ["--index", copy_as_index(series[0], tmp_path)]
+    outputs = []
+    for k, extra in enumerate(([], ["--config", config])):
+        out = tmp_path / f"out{k}"
+        assert run([*argv, *extra, "--out-dir", out]) == 0
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert outputs[0] == outputs[1]
+    key = next(iter(values))
+    config.write_text(json.dumps({key: [1]}), encoding="utf-8")
+    capsys.readouterr()
+    assert run([*argv, "--config", config, "--out-dir", tmp_path / "bad"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config key {key!r} must be ")
+
+
+def test_readme_cli_examples_parse():
+    # Each `infoflow ...` line of README's sh blocks, continuations joined,
+    # names only flags its command takes.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, re.S | re.M)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    examples = [shlex.split(line, comments=True) for line in lines
+                if line.startswith("infoflow ")]
+    assert len(examples) >= 4
+    for argv in examples:
+        build_parser().parse_args(argv[1:])
+
+
 # Every command and msa mode, as run on the ``panel_csv`` fixture; "{index}"
 # stands for an index CSV.
 STUDIES = {
@@ -957,7 +1025,6 @@ def test_repeated_date_in_a_clean_file_names_its_row(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    pytest.param(["stats", "--q", "0"], "--q must be at least 2", id="stats-q"),
     pytest.param(["msa", "--q", "1"], "--q must be at least 2", id="whole-q"),
     pytest.param(["msa", "--mode", "yearly", "--q", "1"], "--q must be at least 2",
                  id="yearly-q"),
@@ -970,7 +1037,6 @@ def test_repeated_date_in_a_clean_file_names_its_row(tmp_path, capsys):
                  id="specificity-samples"),
     pytest.param(["specificity", "--seed", "-1"], "--seed must be at least 0",
                  id="specificity-seed"),
-    pytest.param(["stats", "--seed", "-5"], "--seed must be at least 0", id="stats-seed"),
     pytest.param(["msa", "--mode", "range", "--from", "2001-01-01", "--to", "2000-12-31"],
                  "--from 2001-01-01 is after --to 2000-12-31", id="range-reversed"),
     pytest.param(["msa", "--mode", "turmoil", "--crash-start", "2000-10-31",

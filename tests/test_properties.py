@@ -419,11 +419,12 @@ def run_outputs(csv_text: str, run: str) -> dict[str, bytes]:
             index = Path(tmp) / "index.csv"
             index.write_text(permute_columns(unpermuted_csv(), [3]), encoding="utf-8")
             argv += ["--index", str(index)]
+        if run != "stats":
+            argv += ["--q", "15"]
         out = Path(tmp) / "out"
         with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert main([*argv, "--q", "15", "--format", "csv,json,dot",
-                         "--out-dir", str(out)]) == 0
+            assert main([*argv, "--format", "csv,json,dot", "--out-dir", str(out)]) == 0
         return {f.name: f.read_bytes() for f in out.iterdir()}
 
 
@@ -501,12 +502,12 @@ def test_damaged_input_exits_2_on_one_line_or_writes_what_it_prints(files, run, 
         for name, data in files.items():
             (tmp / f"{name}.csv").write_bytes(data)
         out = tmp / "out"
-        argv = [*MUTATED_RUNS[run], "--input", str(tmp / "panel.csv"), "--q", str(q),
-                "--out-dir", str(out)]
+        argv = [*MUTATED_RUNS[run], "--input", str(tmp / "panel.csv"), "--out-dir", str(out)]
         if run == "specificity":
-            argv += ["--index", str(tmp / "index.csv")]
+            argv += ["--index", str(tmp / "index.csv"), "--q", str(q)]
         elif run != "stats":
-            argv += ["--orientation", orientation] + ["--global-partition"] * global_edges
+            argv += ["--q", str(q), "--orientation", orientation]
+            argv += ["--global-partition"] * global_edges
         stdout, stderr = io.StringIO(), io.StringIO()
         with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr),
               warnings.catch_warnings(record=True)):

@@ -60,8 +60,9 @@ class TestLoadDataset:
                 f"2000-01-05,{cell},19.5\n"
                 "2000-01-06,11.0,21.0\n",
             )
-            with pytest.warns(UserWarning, match="dropped 1 row"):
+            with pytest.warns(UserWarning, match="dropped 1 row") as caught:
                 series = load_dataset(path)
+            assert caught[0].filename == __file__  # attributed to load_dataset's caller
             assert all(len(s) == 2 for s in series)
             assert series[0].dates.tolist() == [date(2000, 1, 4), date(2000, 1, 6)]
 
