@@ -15,8 +15,9 @@ entropy -> net flows -> network -> the requested arborescences -> their
 maximal paths.  Partitions are recomputed per window by default so each
 window's symbol alphabet covers its own observed range; with
 ``global_partition=True`` the runner cuts the whole-sample bin edges
-(``checked_partition``) once, for every window.  Any other window shorter
-than ``MIN_WINDOW_DAYS`` trading days is refused before any estimate.
+(``make_partition``) once, for every window.  Any other window shorter
+than ``MIN_WINDOW_DAYS`` trading days is refused before any estimate.  The
+runner alone names a refused window: ``<name> (<N> trading days): <reason>``.
 
 The engine returns one record per window, ``WindowResult(label, interval,
 trees, paths)``: its label, its first and last trading day, and its
@@ -128,58 +129,37 @@ class SpecificityResult:
         return math.fsum(flat) / len(flat)
 
 
-def checked_partition(returns: Panel, q: int, window: str = "whole sample") -> Partition:
-    """Per-row partition of ``returns``; a failure names the sector and the window."""
-    try:
-        return make_partition(returns, q)
-    except ValueError as exc:
-        # A row at fault has no positive bin width; a q Partition refuses is clamped to its bounds.
-        narrow = np.flatnonzero(np.ptp(returns.values, axis=1) / min(max(q, 2), 2**53) <= 0)
-        sector = f"sector {returns.sectors[narrow[0]].code}, " if len(narrow) else ""
-        raise ValueError(f"{sector}{window}: {exc}") from None
-
-
 def msas_from_returns(
     returns: Panel,
     q: int,
     partitions: Partition | None = None,
-    window: str = "whole sample",
     label: str = "whole sample",
     orientations: tuple[str, ...] = ORIENTATIONS,
 ) -> WindowResult:
     """Run the estimation pipeline on one window of the returns panel.
 
     Every row is symbolized at once, against its own range in this window
-    or against ``partitions`` (per-row bin edges, e.g. the whole sample's).
-    Only the arborescences in ``orientations`` are solved, each with its
-    maximal path.  The result is labelled ``label`` and spans the panel's
-    first and last trading day.  ``window`` names the window in errors: one
-    shorter than ``MIN_WINDOW_DAYS`` trading days, a sector whose range there
-    is too narrow for q bins, or a network with so many tied pairs that no root
-    reaches every sector (the message puts the window's trading days and
-    tied pairs before the solver's refusal, which names a sector per part).
+    or against ``partitions`` (the same sectors' bin edges, e.g. the whole
+    sample's).  Only the arborescences in ``orientations`` are solved, each
+    with its maximal path.  The result is labelled ``label`` and spans the
+    panel's first and last trading day.  A refusal gives its reason without
+    the window's name: too few trading days, the first sector that cannot
+    be binned, or the tied pairs before the solver's refusal.
     """
     if not orientations or not set(orientations) <= set(ORIENTATIONS):
         raise ValueError(f"orientations must be a non-empty subset of {ORIENTATIONS}")
     days = returns.dates
     if len(days) < MIN_WINDOW_DAYS:
-        raise ValueError(f"{window} ({len(days)} trading days): fewer than the "
-                         f"minimum of {MIN_WINDOW_DAYS}")
+        raise ValueError(f"fewer than the minimum of {MIN_WINDOW_DAYS}")
     if partitions is None:
-        partitions = checked_partition(returns, q, window)
-    try:
-        te = te_matrix(encode(returns, partitions))
-    except ValueError as exc:
-        if len(returns.sectors) < 2:  # one sector is the input's fault, not the window's
-            raise
-        raise ValueError(f"{window}: {exc}") from None
+        partitions = make_partition(returns, q)
+    te = te_matrix(encode(returns, partitions))
     net = build_network(returns.sectors, dai_matrix(te))
     try:
         trees = {o: max_spanning_arborescence(net, o)
                  for o in ORIENTATIONS if o in orientations}
     except ValueError as exc:
-        raise ValueError(f"{window} ({len(days)} trading days, "
-                         f"{len(net.ties)} tied pairs): {exc}") from None
+        raise ValueError(f"{len(net.ties)} tied pairs: {exc}") from None
     paths = {o: maximal_information_flow_path(a) for o, a in trees.items()}
     return WindowResult(label, (days[0].item(), days[-1].item()), trees, paths)
 
@@ -193,18 +173,29 @@ def run_windows(
 ) -> list[WindowResult]:
     """One pipeline run per ``(label, name, interval)`` window, in order.
 
-    Every error names the window by ``name``; ``global_partition`` bins
-    every window by the whole panel's edges instead of its own.
+    ``global_partition`` bins every window by the whole panel's edges
+    instead of its own.  A refusal reads ``<name> (<N> trading days):
+    <reason>``, N being the window's (for its bins, the whole sample's); a
+    window with no trading day reads ``<name>: empty result``.
     """
-    partitions = checked_partition(returns, q) if global_partition else None
+    def named(name: str, panel: Panel, step, *args):
+        """``step(panel, *args)``, its refusal prefixed by the window's name and trading days."""
+        try:
+            return step(panel, *args)
+        except ValueError as exc:
+            raise ValueError(f"{name} ({len(panel.dates)} trading days): {exc}") from None
+
+    if len(returns.sectors) < 2:
+        raise ValueError("need at least 2 sectors")
+    partitions = named("whole sample", returns, make_partition, q) if global_partition else None
     results = []
     for label, name, interval in windows:
         try:
             window_returns = slice_returns(returns, interval)
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from None
-        results.append(msas_from_returns(window_returns, q, partitions, window=name,
-                                         label=label, orientations=orientations))
+        results.append(named(name, window_returns, msas_from_returns, q, partitions, label,
+                             orientations))
     return results
 
 
@@ -319,7 +310,8 @@ def specificity_study(
     index's, against ``samples`` non-root sectors per year drawn uniformly
     (PCG64 seeded with ``seed``).  Refused before any estimate: a misaligned
     index and ``samples`` outside 1..n-1 for n sectors.  A series constant
-    within a year is refused by a line naming the year and the series.
+    within a year is refused as ``year Y (N trading days): sector C: zero
+    variance`` (or ``index C``), the form of the year's own refusals.
     """
     aligned_dates((returns, index))
     if samples < 1:
@@ -336,6 +328,7 @@ def specificity_study(
     for w in windows:
         values = slice_returns(returns, w.interval).values
         market = slice_returns(index, w.interval).values[0]
+        year = f"year {w.interval[0].year} ({len(market)} trading days)"
 
         def year_corr(row: int) -> float:
             try:
@@ -343,7 +336,7 @@ def specificity_study(
             except ValueError as exc:
                 series = (f"index {index.sectors[0].code}" if np.ptp(market) == 0
                           else f"sector {returns.sectors[row].code}")
-                raise ValueError(f"year {w.interval[0].year}, {series}: {exc}") from None
+                raise ValueError(f"{year}: {series}: {exc}") from None
 
         roots = (w.trees["outgoing"].root, w.trees["incoming"].root)
         source_corr.append(year_corr(roots[0]))
@@ -351,7 +344,7 @@ def specificity_study(
 
         candidates = [row for row in range(len(values)) if row not in roots]
         if samples > len(candidates):
-            raise ValueError(f"year {w.interval[0].year}: {samples} control samples requested, "
+            raise ValueError(f"{year}: {samples} control samples requested, "
                              f"but only {len(candidates)} sectors are neither root")
         picks = rng.choice(len(candidates), size=samples, replace=False)
         chosen = [candidates[k] for k in picks.tolist()]

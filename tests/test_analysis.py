@@ -17,6 +17,7 @@ from infoflow.analysis import (
     render_turmoil_csv,
     render_yearly_csv,
     root_occurrences,
+    run_windows,
     specificity_study,
     turmoil_study,
     yearly_reports,
@@ -94,8 +95,8 @@ class TestWholeSample:
         with pytest.raises(ValueError) as excinfo:
             msas_from_returns(returns, q=5, orientations=("incoming",))
         assert str(excinfo.value) == (
-            f"whole sample ({len(returns.dates)} trading days, {ties} tied pairs): no root "
-            f"reaches all nodes: the network splits into parts rooted at sectors {sectors}")
+            f"{ties} tied pairs: no root reaches all nodes: the network splits into parts "
+            f"rooted at sectors {sectors}")
 
     def test_orientations_keep_their_order(self):
         w = msas_from_returns(returns_panel(hub_panel(years=1)), q=10,
@@ -103,6 +104,23 @@ class TestWholeSample:
         assert list(w.trees) == list(w.paths) == ["outgoing", "incoming"]
         with pytest.raises(ValueError, match="orientations"):
             msas_from_returns(returns_panel(hub_panel(years=1)), q=10, orientations=("in",))
+
+    @pytest.mark.parametrize("narrow, flat, reason", [
+        (0, 1, "degenerate partition: range too narrow for q bins"),
+        (1, 0, "degenerate series: constant values"),
+    ])
+    def test_refusal_names_the_first_sector_that_cannot_be_binned(self, narrow, flat, reason):
+        # Rows 910010 and 910020 are both at fault: one has a subnormal range,
+        # one is constant.  The first in code order is named, with its own reason.
+        returns = returns_panel(hub_panel(n=3, years=1))
+        values = returns.values.copy()
+        values[narrow] = np.resize([0.0, 5e-324], values.shape[1])
+        values[flat] = 0.0
+        span = (returns.dates[0].item(), returns.dates[-1].item())
+        with pytest.raises(ValueError) as excinfo:
+            run_windows(replace(returns, values=values), 15, [("whole", "whole sample", span)])
+        assert str(excinfo.value) == (f"whole sample ({len(returns.dates)} trading days): "
+                                      f"sector 910010: {reason}")
 
     def test_range_too_narrow_for_q_bins_names_its_sector(self):
         # The second row's range is the smallest subnormal: positive, but its
@@ -112,7 +130,7 @@ class TestWholeSample:
         values[1] = np.resize([0.0, 5e-324], values.shape[1])
         with pytest.raises(ValueError) as excinfo:
             msas_from_returns(replace(returns, values=values), q=15)
-        assert str(excinfo.value) == (f"sector {returns.sectors[1].code}, whole sample: "
+        assert str(excinfo.value) == (f"sector {returns.sectors[1].code}: "
                                       "degenerate partition: range too narrow for q bins")
 
 
@@ -362,7 +380,8 @@ class TestSpecificity:
         with pytest.raises(ValueError) as excinfo:
             specificity_study(flat, index, q=10, seed=0)
         # The year's own estimate refuses the flat sector before any correlation.
-        assert str(excinfo.value) == "sector 910010, year 2002: degenerate series: constant values"
+        assert str(excinfo.value) == ("year 2002 (365 trading days): sector 910010: "
+                                      "degenerate series: constant values")
 
     def test_more_samples_than_sectors_allow_are_refused_before_any_estimate(
             self, monkeypatch):

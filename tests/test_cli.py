@@ -113,6 +113,15 @@ class TestStats:
         assert ((tmp_path / "one" / "summary_stats.json").read_text()
                 == json.dumps(full_json[:1], indent=2) + "\n")
 
+    def test_four_character_codes_are_labelled_by_their_last_three(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_text("date,8010,8020\n" + "".join(
+            f"2000-01-{day:02d},{10.0 + day % 3},{20.0 - day % 4}\n" for day in range(3, 20)))
+        out = tmp_path / "out"
+        assert run(["stats", "--input", path, "--out-dir", out, "--format", "csv"]) == 0
+        rows = (out / "summary_stats.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["010", "020"]
+
     def test_constant_sector_is_named(self, panel_csv, tmp_path, capsys):
         path, _ = panel_csv
         freeze_column(path, "910020")
@@ -233,7 +242,8 @@ class TestMsa:
         out = tmp_path / "out"
         assert run(["msa", "--input", path, "--out-dir", out, "--mode", "yearly"]) == 2
         err = capsys.readouterr().err.strip()
-        assert err == "error: sector 910030, year 2001: degenerate series: constant values"
+        assert err == ("error: year 2001 (364 trading days): sector 910030: degenerate series: "
+                       "constant values")
 
     def test_range_mode(self, panel_csv, tmp_path):
         path, series = panel_csv
@@ -288,7 +298,7 @@ class TestMsa:
             assert run(["msa", "--input", path, "--out-dir", tmp_path / "out"]) == 2
         # No sector has an edge left, so each is a part of its own.
         assert capsys.readouterr().err == (
-            "error: whole sample (39 trading days, 10 tied pairs): no root reaches all nodes: "
+            "error: whole sample (39 trading days): 10 tied pairs: no root reaches all nodes: "
             "the network splits into parts rooted at sectors 910010, 910020, 910030, 910040, "
             "910050\n")
 
@@ -313,7 +323,7 @@ class TestMsa:
             assert run(["msa", "--input", path, "--mode", "whole", "--q", 5,
                         "--out-dir", tmp_path / "out"]) == 2
         assert capsys.readouterr().err == (
-            "error: whole sample (1461 trading days, 1 tied pairs): no root reaches all nodes: "
+            "error: whole sample (1461 trading days): 1 tied pairs: no root reaches all nodes: "
             "the network splits into parts rooted at sectors 910110, 910120\n")
         assert not (tmp_path / "out").exists()
 
@@ -493,7 +503,8 @@ class TestSpecificity:
         out = tmp_path / "out"
         assert run(["specificity", "--input", path, "--index", index_csv,
                     "--out-dir", out]) == 2
-        assert capsys.readouterr().err == "error: year 2001, index 000001: zero variance\n"
+        assert capsys.readouterr().err == ("error: year 2001 (364 trading days): index 000001: "
+                                            "zero variance\n")
         assert not out.exists()
 
     def test_more_samples_than_non_root_sectors_names_the_year(self, tmp_path, capsys):
@@ -506,7 +517,7 @@ class TestSpecificity:
         assert run(["specificity", "--input", path, "--index", index_csv,
                     "--out-dir", out, "--samples", 27]) == 2
         assert capsys.readouterr().err == (
-            "error: year 2001: 27 control samples requested, "
+            "error: year 2001 (365 trading days): 27 control samples requested, "
             "but only 26 sectors are neither root\n")
         assert not out.exists()
 
@@ -797,7 +808,8 @@ def test_global_partition_bins_every_window_by_the_whole_panel(panel_csv, tmp_pa
     assert written[()] != expected  # the flag changes what these windows write
 
 
-CONSTANT = "error: sector 910020, whole sample: degenerate series: constant values"
+CONSTANT = ("error: whole sample (730 trading days): sector 910020: degenerate series: "
+            "constant values")
 
 
 # (input, msa options, the skip warning it must give or None, error line).
@@ -1063,7 +1075,8 @@ def test_q_and_samples_are_checked_before_the_input_is_read(panel_csv, tmp_path,
 
 @pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize("mode, q, window", [
-    ("whole", 2**63, "whole sample"), ("yearly", 2**63 - 1, "year 2000"),
+    ("whole", 2**63, "whole sample (730 trading days)"),
+    ("yearly", 2**63 - 1, "year 2000 (366 trading days)"),
 ], ids=["whole-2**63", "yearly-2**63-1"])
 def test_q_above_2_pow_53_is_refused_on_one_line(panel_csv, tmp_path, capsys, via, mode, q,
                                                   window):
@@ -1088,9 +1101,9 @@ def test_oversized_alphabet_is_refused_on_one_line(panel_csv, tmp_path, capsys):
     path, _ = panel_csv
     out = tmp_path / "out"
     assert run(["msa", "--input", path, "--out-dir", out, "--q", "2000"]) == 2
-    assert capsys.readouterr() == ("", "error: whole sample: alphabet of 2000 symbols is too "
-                                       "large for 5 sectors: 5 x 2000^2 count cells exceed "
-                                       "16777216\n")
+    assert capsys.readouterr() == ("", "error: whole sample (730 trading days): alphabet of "
+                                       "2000 symbols is too large for 5 sectors: 5 x 2000^2 "
+                                       "count cells exceed 16777216\n")
     assert not out.exists()
 
 
@@ -1114,6 +1127,7 @@ def test_oversized_alphabet_names_the_window_that_reaches_it(tmp_path, capsys, m
     out = tmp_path / "out"
     assert run(["msa", "--input", path, "--out-dir", out, "--q", 5, "--mode", "yearly",
                 "--global-partition"]) == 2
-    assert capsys.readouterr() == ("", "error: year 2001: alphabet of 5 symbols is too large "
-                                       "for 3 sectors: 3 x 5^2 count cells exceed 48\n")
+    assert capsys.readouterr() == ("", "error: year 2001 (365 trading days): alphabet of 5 "
+                                       "symbols is too large for 3 sectors: 3 x 5^2 count "
+                                       "cells exceed 48\n")
     assert not out.exists()

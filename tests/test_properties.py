@@ -1,7 +1,8 @@
-"""Property tests of the pipeline: loading, symbolization, date windows, TE
-invariance, the TE kernel's triplet columns, bounds, the arborescence
-refusal on networks with no root, CLI outputs under a permutation of the
-input's sector columns, and CLI runs on damaged input files."""
+"""Property tests of the pipeline: loading, symbolization, date windows, the
+one-line refusal of a window with a planted fault, TE invariance, the TE
+kernel's triplet columns, bounds, the arborescence refusal on networks with
+no root, CLI outputs under a permutation of the input's sector columns, and
+CLI runs on damaged input files."""
 
 import codecs
 import contextlib
@@ -24,7 +25,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import flow_matrix
 
 from infoflow import timeseries
-from infoflow.analysis import MIN_WINDOW_DAYS, yearly_reports
+from infoflow.analysis import MIN_WINDOW_DAYS, run_windows, yearly_reports
 from infoflow.arborescence import ORIENTATIONS, max_spanning_arborescence
 from infoflow.cli import main
 from infoflow.entropy import _te_columns, dai_matrix, te_matrix
@@ -284,6 +285,60 @@ def test_yearly_windows_are_the_years_with_enough_days(dates, n, seed):
     assert [str(w.message) for w in caught if "skipping year" in str(w.message)] == [
         f"skipping year {year}: only {days} trading day(s)"
         for year, days in counts if days < MIN_WINDOW_DAYS]
+
+
+@pytest.mark.seeded
+@settings(deadline=None)
+@given(date_axes(), st.integers(2, 4), st.integers(0, 2**32 - 1), st.data())
+def test_a_refused_window_is_named_once_with_its_trading_days(dates, n, seed, data):
+    # The chained panel above, on which every kept year has a tree, with one
+    # planted fault: sectors flat or with a subnormal range in one year
+    # ("flat") or throughout under whole-sample bins ("global"), every pair
+    # tied in one year ("tied"), or a range window below the minimum ("short").
+    base = np.random.default_rng(seed).normal(0.0, 0.01, len(dates) + n - 1)
+    values = np.stack([base[n - 1 - i:len(base) - i] for i in range(n)])
+    days = dates.tolist()
+    counts = Counter(day.year for day in days)
+    kept = [year for year in sorted(counts) if counts[year] >= MIN_WINDOW_DAYS]
+    codes = [s.code for s in sectors(n)]
+    fault = data.draw(st.sampled_from(["global", "short"] + (["flat", "tied"] if kept else [])))
+    event(fault)
+    if fault == "short":
+        length = data.draw(st.integers(1, min(MIN_WINDOW_DAYS - 1, len(days))))
+        lo = data.draw(st.integers(0, len(days) - length))
+        interval = (days[lo], days[lo + length - 1])
+        name, count = f"range {interval[0]} to {interval[1]}", length
+        reason = f"fewer than the minimum of {MIN_WINDOW_DAYS}"
+        windows = [("msa_range", name, interval)]
+        study = functools.partial(run_windows, q=3, windows=windows,
+                                  global_partition=data.draw(st.booleans()))
+    else:
+        if fault == "global":
+            name, count, cols = "whole sample", len(days), np.ones(len(days), dtype=bool)
+        else:
+            year = data.draw(st.sampled_from(kept))
+            name, count = f"year {year}", counts[year]
+            cols = np.array([day.year == year for day in days])
+        if fault == "tied":
+            values[:, cols] = values[0, cols]
+            reason = (f"{n * (n - 1) // 2} tied pairs: no root reaches all nodes: the network "
+                      f"splits into parts rooted at sectors {', '.join(codes)}")
+        else:
+            rows = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n,
+                                      unique=True))
+            narrow = {row: data.draw(st.booleans()) for row in rows}
+            for row in rows:
+                values[row, cols] = np.resize([0.0, 5e-324], count) if narrow[row] else 0.0
+            first = min(rows)
+            reason = f"sector {codes[first]}: " + (
+                "degenerate partition: range too narrow for q bins" if narrow[first]
+                else "degenerate series: constant values")
+        study = functools.partial(yearly_reports, q=3, global_partition=fault == "global")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # skipped years, tied pairs
+        with pytest.raises(ValueError) as excinfo:
+            study(Panel(sectors(n), dates, values))
+    assert str(excinfo.value) == f"{name} ({count} trading days): {reason}"
 
 
 @st.composite

@@ -57,6 +57,13 @@ class TestEncode:
         with pytest.raises(ValueError, match="outside"):
             encode(r, p)
 
+    def test_partition_of_other_sectors_refused(self):
+        # Same row count, and every value inside the other panel's range.
+        p = make_partition(make_returns([0.0, 1.0], code="900001"), q=5)
+        with pytest.raises(ValueError) as excinfo:
+            encode(make_returns([0.2, 0.4], code="900002"), p)
+        assert str(excinfo.value) == "partition was made for other sectors than the panel's"
+
     def test_superset_partition_allowed(self):
         r = make_returns([0.2, 0.4])
         p = make_partition(make_returns([0.0, 1.0]), q=5)

@@ -140,6 +140,12 @@ class TestLoadDataset:
         assert [s.sector.name for s in series] == ["Agriculture", "Forestry"]
         assert series[0].sector.short_code == "010"
 
+    def test_names_csv_may_carry_more_columns(self, tmp_path):
+        # Only the first two columns are read; a third is ignored, header and rows alike.
+        meta = write_csv(tmp_path, "code,name,extra\n801010,Agriculture,x\n801020,Forestry\n",
+                         name="names.csv")
+        assert load_sector_names(meta) == {"801010": "Agriculture", "801020": "Forestry"}
+
     def test_byte_order_mark_is_ignored(self, tmp_path):
         # Excel writes UTF-8 CSVs with a leading BOM.
         prices = "date,801010,801020\n2000-01-04,10.0,20.0\n2000-01-05,10.5,19.5\n"
