@@ -308,11 +308,14 @@ def specificity_study(
     of ``returns``.  For every window of ``yearly_reports(returns, q)``,
     the source and sink roots' daily returns are correlated with the
     index's, against ``samples`` non-root sectors per year drawn uniformly
-    (PCG64 seeded with ``seed``).  Refused before any estimate: a misaligned
-    index and ``samples`` outside 1..n-1 for n sectors.  A series constant
-    within a year is refused as ``year Y (N trading days): sector C: zero
-    variance`` (or ``index C``), the form of the year's own refusals.
+    (PCG64 seeded with ``seed``).  Refused before any estimate: an index of
+    other than 1 row, a misaligned index and ``samples`` outside 1..n-1 for
+    n sectors.  A series constant within a year is refused as ``year Y (N
+    trading days): sector C: zero variance`` (or ``index C``), the form of
+    the year's own refusals.
     """
+    if len(index.sectors) != 1:
+        raise ValueError(f"index must be a 1-row panel, not {len(index.sectors)} rows")
     aligned_dates((returns, index))
     if samples < 1:
         raise ValueError("samples must be at least 1")

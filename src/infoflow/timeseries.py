@@ -1,9 +1,10 @@
 """Price ingestion, alignment, log returns, and summary statistics.
 
 The loader consumes a wide-format CSV (``date,<code1>,<code2>,...``, one
-row per trading day, dates written YYYY-MM-DD). Rows with any missing
-price are dropped for all sectors so that every series shares a single
-date axis; downstream pairwise estimation requires time-aligned samples.
+row per trading day, dates written YYYY-MM-DD) and checks only its shape:
+each code is ``SectorMeta``'s to check, and distinct output labels are
+``Panel``'s. Rows with any missing price are dropped for all sectors so
+that every series shares a single date axis, as pairwise estimation needs.
 
 ``load_dataset`` has two paths.  A clean file, whose data rows hold only
 ISO dates, decimal prices, commas and newlines (blank rows too), is
@@ -56,14 +57,19 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True)
 class SectorMeta:
-    """Identity of one sector: 6-character code plus human-readable name."""
+    """Identity of one sector: a code that outputs can carry and label, plus a name."""
 
     code: str
     name: str = ""
 
     def __post_init__(self):
+        # Outputs name a sector by the last three characters of its code.
         if len(self.code) < 3:
-            raise ValueError(f"sector code too short: {self.code!r}")
+            raise ValueError(f"sector code {self.code!r} is shorter than 3 characters")
+        # CSV cells and DOT node names carry codes unquoted.
+        if not self.code.isprintable() or any(c in self.code for c in ',"\\'):
+            raise ValueError(f"sector code {self.code!r} holds a comma, double quote, "
+                             f"backslash or unprintable character")
 
     @property
     def short_code(self) -> str:
@@ -111,8 +117,8 @@ class PriceSeries:
             raise ValueError("dates and closes differ in length")
         if len(self.dates) < 2:
             raise ValueError("price series needs at least 2 observations")
-        if not np.all(self.closes > 0):
-            raise ValueError("non-positive price")
+        if not np.all((self.closes > 0) & (self.closes < np.inf)):
+            raise ValueError(f"sector {self.sector.code}: non-positive or non-finite price")
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -124,7 +130,7 @@ class Panel:
 
     Row i of the n x L matrix ``values`` holds the returns of ``sectors[i]``,
     each dated by the later close, and sectors are in strictly increasing
-    code order.  One sector is a 1-row panel.
+    code order with distinct display labels.  One sector is a 1-row panel.
     """
 
     sectors: tuple[SectorMeta, ...]
@@ -141,6 +147,11 @@ class Panel:
             raise ValueError("non-finite return value")
         if not all(a.code < b.code for a, b in zip(self.sectors, self.sectors[1:])):
             raise ValueError("sectors not in strictly increasing code order")
+        labels: dict[str, str] = {}
+        for s in self.sectors:
+            if (other := labels.setdefault(s.short_code, s.code)) != s.code:
+                raise ValueError(f"sector codes {other} and {s.code} "
+                                 f"share the display label {s.short_code!r}")
 
 
 @dataclass(frozen=True)
@@ -199,8 +210,9 @@ def load_dataset(
     also the path every diagnostic comes from; both paths return the same
     series for every file the fast one accepts.
 
-    Raises DatasetError on a malformed header, unparsable or non-positive
-    price, non-monotone dates, or fewer than 2 shared rows.
+    Raises DatasetError on a malformed header (``SectorMeta``'s code rules
+    included), unparsable or non-positive price, non-monotone dates, or
+    fewer than 2 shared rows.  ``Panel`` refuses codes that share a label.
     """
     path = Path(source)
     if not path.exists():
@@ -208,6 +220,11 @@ def load_dataset(
     table = _read_columns(path)
     if table is None:
         table = _read_rows(path)
+    names = names or {}
+    try:
+        sectors = [SectorMeta(code, names.get(code, "")) for code in table.codes]
+    except ValueError as exc:
+        raise DatasetError(f"malformed header: {exc}") from None
     if table.dropped:
         warnings.warn(
             f"dropped {table.dropped} row(s) with missing prices to keep all sectors aligned",
@@ -215,12 +232,8 @@ def load_dataset(
         )
     if len(table.dates) < 2:
         raise DatasetError("fewer than 2 shared rows after alignment")
-
-    names = names or {}
-    return [
-        PriceSeries(SectorMeta(code, names.get(code, "")), table.dates, table.closes[:, j])
-        for j, code in enumerate(table.codes)
-    ]
+    return [PriceSeries(sector, table.dates, table.closes[:, j])
+            for j, sector in enumerate(sectors)]
 
 
 class _Table(NamedTuple):
@@ -241,20 +254,6 @@ def _sector_codes(header: list[str] | None) -> list[str]:
     codes = [c.strip() for c in header[1:]]
     if any(not c for c in codes) or len(set(codes)) != len(codes):
         raise DatasetError("malformed header: empty or duplicate sector codes")
-    # Outputs name a sector by the last three characters of its code.
-    labels: dict[str, str] = {}
-    for code in codes:
-        if len(code) < 3:
-            raise DatasetError(f"malformed header: sector code {code!r} "
-                               f"is shorter than 3 characters")
-        # CSV cells and DOT node names carry codes unquoted.
-        if not code.isprintable() or any(c in code for c in ',"\\'):
-            raise DatasetError(f"malformed header: sector code {code!r} holds a comma, "
-                               f"double quote, backslash or unprintable character")
-        other = labels.setdefault(code[-3:], code)
-        if other != code:
-            raise DatasetError(f"malformed header: sector codes {other} and {code} "
-                               f"share the display label {code[-3:]!r}")
     return codes
 
 

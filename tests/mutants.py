@@ -49,6 +49,10 @@ EQUIVALENT = {
     # enters each of them more cheaply through the cycle node, so the tree is
     # the same; only the work grows.
     ("arborescence.py", "del walk[len(walk) + len(cycle):]"),
+    # A walk to the root of a valid tree takes at most n - 1 steps, so both
+    # still refuse every cycle and no tree; only the refusal comes a step sooner.
+    ("arborescence.py", "node, steps = start, 1"),
+    ("arborescence.py", "if steps >= n:"),
     # Two root-to-leaf trails never have equal keys: their node lists differ.
     ("arborescence.py", "if best_key is None or key <= best_key:"),
     # Any super-root cost above every real tree's weight gives the same
@@ -57,6 +61,8 @@ EQUIVALENT = {
      "super_cost = (n * max(weights, default=1) + 1) << key_bits  # beats any real tree"),
     ("arborescence.py",
      "super_cost = (n * max(weights, default=0) + 2) << key_bits  # beats any real tree"),
+    # A yearly window's first and last trading day lie in one calendar year.
+    ("analysis.py", "year = w.interval[1].year"),
     # Every output file name holds one dot.
     ("cli.py", 'selected = [name for name in files if name.rsplit(".", 2)[1] in requested]'),
     # numpy reads any negative size as the one to infer.

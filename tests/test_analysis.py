@@ -155,8 +155,9 @@ class TestYearlyReports:
             seed=2,
             start=date(2000, 12, 31),
         )
-        with pytest.warns(UserWarning, match="skipping year 2002"):
+        with pytest.warns(UserWarning, match="skipping year 2002") as caught:
             windows = yearly_reports(returns_panel(generate_dataset(spec)), q=5)
+        assert caught[0].filename == __file__  # attributed to yearly_reports' caller
         assert [w.label for w in windows] == ["2001"]
 
     def test_paths_revalidate_against_trees(self):
@@ -360,6 +361,19 @@ class TestSpecificity:
             assert forbidden.isdisjoint(result.control_sectors[k])
             assert len(set(result.control_sectors[k])) == 3
 
+    def test_every_non_root_can_be_a_control(self):
+        dataset, _, result = self.make_study(samples=4)
+        for k, w in enumerate(result.windows):
+            roots = {a.root_sector.code for a in w.trees.values()}
+            assert len(roots) == 2
+            assert sorted(result.control_sectors[k]) == sorted(
+                p.sector.code for p in dataset if p.sector.code not in roots)
+
+    def test_one_control_per_year_by_default(self):
+        dataset, index, explicit = self.make_study(samples=1)
+        default = specificity_study(returns_panel(dataset), index, q=10, seed=0)
+        assert default == explicit
+
     def test_correlations_in_range_and_means(self):
         _, _, result = self.make_study(samples=2)
         everything = (
@@ -395,6 +409,17 @@ class TestSpecificity:
                               seed=0, samples=6)
         assert str(excinfo.value) == ("6 control samples requested, but at most 5 of the 6 "
                                       "sectors can be neither root in a year")
+
+    def test_index_of_two_rows_is_refused_before_any_estimate(self, monkeypatch):
+        def no_estimate(symbols):
+            raise AssertionError("a TE matrix was estimated")
+
+        monkeypatch.setattr("infoflow.analysis.te_matrix", no_estimate)
+        returns = returns_panel(hub_panel(n=6, years=1))
+        with pytest.raises(ValueError) as excinfo:
+            specificity_study(returns, replace(returns, sectors=returns.sectors[:2],
+                                               values=returns.values[:2]), q=10, seed=0)
+        assert str(excinfo.value) == "index must be a 1-row panel, not 2 rows"
 
     def test_misaligned_index_rejected(self):
         dataset = hub_panel(n=4, years=1)

@@ -1,15 +1,18 @@
-"""Property tests of the pipeline: loading, symbolization, date windows, the
-one-line refusal of a window with a planted fault, TE invariance, the TE
-kernel's triplet columns, bounds, the arborescence refusal on networks with
-no root, CLI outputs under a permutation of the input's sector columns, and
-CLI runs on damaged input files."""
+"""Property tests of the pipeline: loading, the sector-code and display-label
+rules, symbolization, date windows, the one-line refusal of a window with a
+planted fault, TE invariance, the TE kernel's triplet columns, bounds, the
+arborescence refusal on networks with no root, CLI outputs under a
+permutation of the input's sector columns, and CLI runs on damaged input
+files."""
 
 import codecs
 import contextlib
+import csv
 import functools
 import io
 import math
 import tempfile
+import unicodedata
 import warnings
 from collections import Counter
 from datetime import date, timedelta
@@ -37,6 +40,7 @@ from infoflow.timeseries import (
     Panel,
     SectorMeta,
     load_dataset,
+    returns_panel,
     slice_returns,
 )
 
@@ -153,6 +157,82 @@ def test_columnar_loader_equals_the_row_path(text):
         loaded = load_outcome(path)
         with mock.patch.object(timeseries, "_read_columns", return_value=None):
             assert loaded == load_outcome(path)
+
+
+# Six-digit codes whose display labels often coincide (three draws in five),
+# and short texts of digits, letters, separators and unprintable characters.
+SIX_DIGITS = st.integers(0, 99).map(lambda k: f"9{k:02d}0{k % 3}0")
+SECTOR_CODES = st.one_of(
+    SIX_DIGITS, SIX_DIGITS, SIX_DIGITS,
+    st.text(st.sampled_from('0123456789ab ,"\\\t\r\n\x01\xe9\u200b\u2028'),
+            min_size=1, max_size=5),
+    st.text(st.characters(codec="utf-8", exclude_characters="\x00"), min_size=1, max_size=5),
+).filter(lambda code: code == code.strip())  # a header cell is read stripped
+
+
+def code_refusal(codes) -> tuple[str | None, bool]:
+    """Why sectors with ``codes`` (in header order) make no panel, or None, and
+    whether the reason is a rule of one code.
+
+    ``str.isprintable`` refuses the Unicode "Other" and "Separator"
+    categories, the ASCII space excepted.
+    """
+    for code in codes:
+        if len(code) < 3:
+            return f"sector code {code!r} is shorter than 3 characters", True
+        if any(c in ',"\\' or (c != " " and unicodedata.category(c)[0] in "CZ") for c in code):
+            return (f"sector code {code!r} holds a comma, double quote, backslash or "
+                    f"unprintable character"), True
+    first: dict[str, str] = {}
+    for code in sorted(codes):
+        if code[-3:] in first:
+            return (f"sector codes {first[code[-3:]]} and {code} "
+                    f"share the display label {code[-3:]!r}"), False
+        first[code[-3:]] = code
+    return None, False
+
+
+@pytest.mark.seeded
+@settings(deadline=None, max_examples=200)
+@given(st.lists(SECTOR_CODES, min_size=1, max_size=4, unique=True))
+@example(["910010", "910020", "920010", "930030"])
+def test_sector_codes_make_a_panel_unless_a_rule_refuses_them(codes):
+    reason, code_rule = code_refusal(codes)
+    event("accepted" if reason is None else "code rule" if code_rule else "shared label")
+    days = (date(2000, 1, 4), date(2000, 1, 5))
+    try:
+        metas = sorted((SectorMeta(code) for code in codes), key=lambda s: s.code)
+        Panel(tuple(metas), days, np.zeros((len(codes), 2)))
+    except ValueError as exc:
+        assert str(exc) == reason
+    else:
+        assert reason is None
+
+    # The same codes as a CSV header, read by either loader path.
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "prices.csv", Path(tmp) / "out"
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            # The CRLF line end makes csv quote a code holding a lone CR too.
+            writer = csv.writer(handle)
+            writer.writerow(["date", *codes])
+            writer.writerows([day.isoformat()] + [1.0 + k] * len(codes)
+                             for k, day in enumerate(days))
+        with path.open(newline="", encoding="utf-8") as handle:
+            assert next(csv.reader(handle)) == ["date", *codes]
+        for row_path in (contextlib.nullcontext(),
+                         mock.patch.object(timeseries, "_read_columns", return_value=None)):
+            with row_path:
+                if reason is None:
+                    panel = returns_panel(load_dataset(path))
+                    assert [s.code for s in panel.sectors] == sorted(codes)
+                    continue
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    status = main(["msa", "--mode", "whole", "--input", str(path),
+                                   "--out-dir", str(out)])
+            want = f"malformed header: {reason}" if code_rule else reason
+            assert (status, stdout.getvalue(), stderr.getvalue()) == (2, "", f"error: {want}\n")
+            assert not out.exists()
 
 
 def sectors(n):

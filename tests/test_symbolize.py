@@ -37,6 +37,10 @@ class TestMakePartition:
             with pytest.raises(ValueError, match="q must be"):
                 make_partition(make_returns([0.0, 1.0]), q=q)
 
+    def test_q_of_two_and_two_pow_53_accepted(self):
+        for q in (2, 2**53):
+            assert make_partition(make_returns([0.0, 1.0]), q=q).q == q
+
 
 class TestEncode:
     def test_boundary_convention(self):

@@ -83,13 +83,13 @@ class TestLoadDataset:
             load_dataset(path)
 
     def test_codes_sharing_a_display_label(self, tmp_path):
-        # Outputs name a sector by the last three characters of its code.
+        # Outputs name a sector by the last three characters of its code: the
+        # file loads, and its returns panel refuses it.
         path = write_csv(tmp_path, "date,801010,802010,801020\n2000-01-04,10.0,11.0,12.0\n"
                                    "2000-01-05,10.5,11.5,12.5\n")
-        with pytest.raises(DatasetError, match=(
-                r"^malformed header: sector codes 801010 and 802010 "
-                r"share the display label '010'$")):
-            load_dataset(path)
+        with pytest.raises(ValueError, match=(
+                r"^sector codes 801010 and 802010 share the display label '010'$")):
+            returns_panel(load_dataset(path))
 
     def test_non_positive_price(self, tmp_path):
         path = write_csv(
@@ -320,6 +320,14 @@ class TestLogReturns:
         with pytest.raises(ValueError, match="strictly increasing code order"):
             returns_panel([make_prices([1.0, 2.0]), make_prices([3.0, 4.0])])
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_a_non_positive_or_non_finite_close_naming_the_sector(self, bad):
+        # The loaders' rule: an infinite close would give a non-finite return.
+        days = make_prices([1.0, 2.0, 3.0]).dates
+        with pytest.raises(ValueError, match=(
+                r"^sector 801010: non-positive or non-finite price$")):
+            PriceSeries(SectorMeta("801010"), days, np.array([1.0, bad, 3.0]))
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             PriceSeries(SectorMeta("801010"), make_prices([1.0, 2.0]).dates, np.array([1.0, 0.0]))
@@ -340,6 +348,28 @@ class TestLogReturns:
             assert dates.tolist() == days
             with pytest.raises(ValueError, match="read-only"):
                 dates[0] = dates[-1]
+
+
+class TestSectorCodes:
+    def test_code_shorter_than_3_characters(self):
+        with pytest.raises(ValueError, match=r"^sector code 'ab' is shorter than 3 characters$"):
+            SectorMeta("ab")
+
+    @pytest.mark.parametrize("code", ["a,bc", 'ab"c', "ab\\c", "ab\tc"])
+    def test_code_that_outputs_cannot_carry(self, code):
+        # CSV cells and DOT node names carry codes unquoted.
+        with pytest.raises(ValueError) as excinfo:
+            SectorMeta(code)
+        assert str(excinfo.value) == (f"sector code {code!r} holds a comma, double quote, "
+                                      f"backslash or unprintable character")
+
+    def test_panel_refuses_codes_sharing_a_display_label(self):
+        # Outputs could not tell 910010 from 920010: a tree could read 010 -> 030 -> 010.
+        codes = ("910010", "910020", "920010", "930030")
+        days = (date(2001, 1, 2), date(2001, 1, 3))
+        with pytest.raises(ValueError) as excinfo:
+            Panel(tuple(SectorMeta(c) for c in codes), days, np.zeros((len(codes), 2)))
+        assert str(excinfo.value) == "sector codes 910010 and 920010 share the display label '010'"
 
 
 def one_day_apart(make):
